@@ -51,16 +51,8 @@ std::vector<FaultRound> fault_rounds() {
     plan.dma_faults.push_back(dma);
     rounds.push_back({"dma-failure", plan});
   }
-  {
-    fault::FaultPlan plan;
-    fault::LinkFlapSpec flap;  // unbound: the runner pins it to the victim path
-    flap.start = sim::us(100);
-    flap.down_ns = sim::us(100);
-    flap.period_ns = sim::us(500);
-    flap.jitter = 0.5;
-    plan.link_flaps.push_back(flap);
-    rounds.push_back({"flap-train", plan});
-  }
+  rounds.push_back(
+      {"flap-train", fault::FaultPlan::victim_path_flaps(sim::us(500), 0, 1)});
   return rounds;
 }
 

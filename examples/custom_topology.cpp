@@ -117,10 +117,10 @@ int main() {
   }
 
   simu.run_until(sim::ms(2));
-  std::printf("leaf-spine fabric: %zu nodes, %zu links, %llu events, %llu drops\n",
+  std::printf("leaf-spine fabric: %zu nodes, %zu links, %llu events, %llu data drops\n",
               topo.node_count(), topo.link_count(),
               static_cast<unsigned long long>(simu.executed_events()),
-              static_cast<unsigned long long>(network.drops()));
+              static_cast<unsigned long long>(network.data_drops()));
 
   // ---- 5. Diagnose the victim's complaint ----
   const net::FiveTuple victim = vt;

@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
 
   // 3. Run the trace.
   tb.run_for(spec.duration);
-  std::printf("simulated %llu events, %llu drops\n",
+  std::printf("simulated %llu events, %llu data drops\n",
               static_cast<unsigned long long>(tb.simu.executed_events()),
-              static_cast<unsigned long long>(tb.net.drops()));
+              static_cast<unsigned long long>(tb.net.data_drops()));
 
   // 4. Grab the victim's diagnosis episode.
   const collect::Episode* ep = nullptr;

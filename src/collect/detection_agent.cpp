@@ -267,10 +267,8 @@ void DetectionAgent::coverage_check(std::uint64_t probe_id,
   const Time now = net_.simu().now();
   if (cfg_.full_polling) {
     collector_.collect_missing(probe_id, now);
-  } else if (cfg_.targeted_repoll) {
-    emit_targeted_poll(*ep, probe_id);
   } else {
-    emit_poll(ep->victim, probe_id);
+    emit_targeted_poll(*ep, probe_id);
   }
   schedule_coverage_check(probe_id, attempt + 1,
                           std::min(timeout * 2, cfg_.repoll_backoff_cap));

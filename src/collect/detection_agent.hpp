@@ -70,21 +70,18 @@ class DetectionAgent {
     /// Self-healing collection: after a trigger, check expected-hop
     /// coverage `repoll_timeout` later; while incomplete, re-poll with the
     /// timeout doubling per round (capped), up to `max_repolls` rounds.
-    /// An episode still short of full coverage when the budget runs out is
-    /// marked `degraded`. 0 disables the check entirely — no extra events
-    /// are scheduled, keeping fault-free runs byte-identical.
+    /// Each re-poll injects the probe at the first uncovered hop, so the
+    /// covered prefix is not re-traversed and re-poll bytes scale with the
+    /// gap, not the path (Fig 9 metric). An episode still short of full
+    /// coverage when the budget runs out is marked `degraded`. 0 disables
+    /// the check entirely — no extra events are scheduled, keeping
+    /// fault-free runs byte-identical.
     std::uint32_t max_repolls = 0;
     /// First coverage-check delay. Must exceed the switch agents'
     /// poll_dedup_interval, or the re-poll is dedup-dropped at the covered
     /// prefix of the path before it can reach the gap.
     sim::Time repoll_timeout = sim::us(600);
     sim::Time repoll_backoff_cap = sim::ms(2);
-    /// Re-poll rounds inject the probe at the first uncovered hop instead
-    /// of resending the whole victim-path probe from the source NIC — the
-    /// covered prefix is not re-traversed, so re-poll bytes scale with the
-    /// gap, not the path (Fig 9 metric). false restores the PR 2 behaviour
-    /// (full-path resend), kept for A/B measurement.
-    bool targeted_repoll = true;
 
     /// Bounds for the per-flow trigger-dedup and baseline-RTT caches: the
     /// agent outlives any single episode, so without a cap a long-running

@@ -172,14 +172,6 @@ class Network {
     ++counters_[static_cast<std::size_t>(simu_.current_shard())]
           .drops[static_cast<std::size_t>(reason)];
   }
-  /// Total drops across every reason (legacy aggregate).
-  std::uint64_t drops() const {
-    std::uint64_t total = 0;
-    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-      total += drops(static_cast<DropReason>(r));
-    }
-    return total;
-  }
   std::uint64_t drops(DropReason reason) const {
     std::uint64_t total = 0;
     for (const CounterLane& lane : counters_) {

@@ -127,8 +127,8 @@ struct FleetEvidence {
 };
 
 /// Decision thresholds for the four fleet signature rows. Calibrated on
-/// the bench_fleet_faults matrix (every fault class x workload cell must
-/// produce its own verdict with zero silently-wrong cells).
+/// the fleet sweep of bench_fault_sweeps (every fault class x workload
+/// cell must produce its own verdict with zero silently-wrong cells).
 struct FleetSignatureConfig {
   /// A link is "CRC-degraded" from this many FCS errors (a healthy run
   /// has exactly zero; a handful tolerates counter noise on real gear).
@@ -180,12 +180,12 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
 
 /// Per-fault-class multiplicative discounts applied by
 /// collection_confidence. The defaults are calibrated against the
-/// robustness sweeps (tools/calibrate_confidence: poll-loss grid from
-/// bench_robustness plus the PFC-loss/link-flap axes from
-/// bench_dataplane_robustness): among the triples that maximize the AUC of
-/// confidence as a correct-verdict ranker, the one with the lowest Brier
-/// score — whose confidence best approximates P(correct) — wins. Method
-/// and the calibration run are recorded in DESIGN.md §10. Ordering
+/// robustness sweeps (tools/calibrate_confidence: the poll-loss grid plus
+/// the PFC-loss/link-flap axes of bench_fault_sweeps): among the triples
+/// that maximize the AUC of confidence as a correct-verdict ranker, the
+/// one with the lowest Brier score — whose confidence best approximates
+/// P(correct) — wins. Method and the calibration run are recorded in
+/// DESIGN.md §10. Ordering
 /// invariant: a failed collection (evidence permanently missing) costs
 /// more than a stale rejection (evidence discarded as untrustworthy),
 /// which costs more than a re-poll that eventually delivered (evidence

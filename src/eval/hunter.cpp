@@ -400,8 +400,8 @@ HuntVerdictClass classify_verdict(const RunResult& r, double tau) {
   }
   // fp: wrong verdict asserted. Excused when an injected data-plane fault
   // actually intersected the victim's path (victim-path-aware attribution,
-  // same rule as bench_dataplane_robustness), or when the verdict names an
-  // injected defect class that fired.
+  // same rule as bench_fault_sweeps' data-plane sweep), or when the
+  // verdict names an injected defect class that fired.
   if ((r.dataplane_fault_fired && r.fault_on_victim_path) ||
       named_injected_defect(r)) {
     return HuntVerdictClass::kExcused;

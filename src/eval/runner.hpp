@@ -62,13 +62,15 @@ struct RunConfig {
 
   /// Traffic pattern for the fleet-ops fault scenarios (ignored for every
   /// other scenario type): the crafted §4.1 shape, an RPC client/server
-  /// mesh, or an all-to-all shuffle (bench_fleet_faults matrix axes).
+  /// mesh, or an all-to-all shuffle (axes of bench_fault_sweeps' fleet
+  /// sweep).
   workload::FleetWorkload fleet_workload = workload::FleetWorkload::kCrafted;
   /// Severity of the injected fleet defect, 1.0 = the scenario's default
   /// (passed to make_fleet_scenario; see its doc for the per-class
   /// mapping — each is monotone and keeps the defect a genuine anomaly at
-  /// any severity in the bench's sweep range). bench_fleet_faults sweeps
-  /// this to show zero silently-wrong verdicts at every injected rate.
+  /// any severity in the bench's sweep range). The fleet sweep of
+  /// bench_fault_sweeps varies this to show zero silently-wrong verdicts
+  /// at every injected rate.
   double fleet_severity = 1.0;
 
   /// Post-crafting scenario mutations (the misdiagnosis hunter's workload
@@ -115,9 +117,10 @@ struct RunResult {
   std::uint32_t failed_collections = 0;
   std::uint32_t stale_epochs = 0;
 
-  // Injected data-plane fault truth (bench_dataplane_robustness scores
-  // verdicts against this: a wrong/missed verdict inside a fault epoch is
-  // attributed, not silently wrong).
+  // Injected data-plane fault truth (bench_fault_sweeps' data-plane and
+  // path-churn sweeps score verdicts against this: a wrong/missed verdict
+  // inside a fault epoch on the victim's path is attributed, not silently
+  // wrong).
   std::uint64_t link_down_drops = 0;    // packets eaten by link flaps
   std::uint64_t pfc_pause_lost = 0;     // PAUSE frames eaten
   std::uint64_t pfc_resume_lost = 0;    // RESUME frames eaten
@@ -137,8 +140,8 @@ struct RunResult {
   std::uint64_t routing_epochs = 0;  // final net::Routing::epoch()
   bool path_churned = false;         // victim episode spanned a reroute
 
-  // Fleet-ops fault truth + evidence (bench_fleet_faults). The counters
-  // are injector observables (modeled MAC FCS registers, slow
+  // Fleet-ops fault truth + evidence (fleet sweep of bench_fault_sweeps).
+  // The counters are injector observables (modeled MAC FCS registers, slow
   // serializations, NIC DMA drain gauges); `fleet_evidence` is the
   // assembled fleet-health view handed to refine_fleet_verdict.
   std::uint64_t crc_drops = 0;

@@ -91,6 +91,21 @@ FaultPlan FaultPlan::uniform_pfc_loss(double loss_prob, std::uint64_t seed) {
   return plan;
 }
 
+FaultPlan FaultPlan::victim_path_flaps(sim::Time period_ns,
+                                       sim::Time holddown_ns,
+                                       std::uint64_t seed) {
+  FaultPlan plan;
+  plan.seed = seed;
+  LinkFlapSpec spec;  // unbound: the runner pins it to the victim path
+  spec.start = sim::us(100);
+  spec.down_ns = sim::us(100);
+  spec.period_ns = period_ns;
+  spec.jitter = 0.5;
+  spec.holddown_ns = holddown_ns;
+  plan.link_flaps.push_back(spec);
+  return plan;
+}
+
 std::string FaultPlan::validate() const {
   for (const PollFaultSpec& s : poll_faults) {
     if (!window_ok(s.start, s.stop)) return "poll fault: empty/inverted window";

@@ -270,6 +270,14 @@ struct FaultPlan {
   /// Convenience: uniform PFC pause/resume loss on every port (the
   /// data-plane robustness sweep's primary axis).
   static FaultPlan uniform_pfc_loss(double loss_prob, std::uint64_t seed);
+
+  /// Convenience: one unbound link-flap train the runner pins to the
+  /// crafted victim's path — 100 us outages from t = 100 us, once per
+  /// `period_ns` with jitter 0.5; `holddown_ns > 0` lets routing reconverge
+  /// (the data-plane flap and path-churn sweeps' axis).
+  static FaultPlan victim_path_flaps(sim::Time period_ns,
+                                     sim::Time holddown_ns,
+                                     std::uint64_t seed);
 };
 
 enum class PollAction : std::uint8_t { kDeliver, kDrop, kDuplicate, kDelay };

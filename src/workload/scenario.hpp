@@ -113,7 +113,8 @@ ScenarioSpec make_ecmp_imbalance(const net::FatTree& ft,
 /// black-holes the victim until it either heals or — with `holddown > 0` —
 /// routing reconverges around it and the victim's path churns mid-episode.
 /// `holddown == 0` keeps routing frozen (the PR 3 behaviour); the diagnosis
-/// accuracy gap between the two modes is what bench_path_churn measures.
+/// accuracy gap between the two modes is what the path-churn sweep of
+/// bench_fault_sweeps measures.
 ScenarioSpec make_path_churn(const net::FatTree& ft,
                              const net::Routing& routing, sim::Rng& rng,
                              sim::Time flap_period = sim::us(500),

@@ -326,7 +326,6 @@ TEST(DropAccountingTest, UselessPollingPacketCountsAsPollingDrop) {
   tb.switch_at(sw).receive(std::move(poll), 0);
   EXPECT_EQ(tb.net.polling_drops(), 1u);
   EXPECT_EQ(tb.net.data_drops(), 0u);
-  EXPECT_EQ(tb.net.drops(), 1u) << "legacy aggregate spans all reasons";
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +431,19 @@ TEST(FaultPlanTest, ValidateRejectsBadSpecs) {
   ok.link_flaps.push_back(flap);
   ok.pfc_faults.push_back({});
   EXPECT_EQ(ok.validate(), "");
+}
+
+TEST(FaultPlanTest, VictimPathFlapsIsAValidUnboundTrain) {
+  const fault::FaultPlan plan =
+      fault::FaultPlan::victim_path_flaps(sim::us(500), sim::us(50), 7);
+  EXPECT_EQ(plan.validate(), "");
+  EXPECT_EQ(plan.seed, 7u);
+  ASSERT_EQ(plan.link_flaps.size(), 1u);
+  const fault::LinkFlapSpec& flap = plan.link_flaps[0];
+  EXPECT_EQ(flap.node_a, net::kInvalidNode) << "the runner binds the link";
+  EXPECT_EQ(flap.node_b, net::kInvalidNode);
+  EXPECT_EQ(flap.period_ns, sim::us(500));
+  EXPECT_EQ(flap.holddown_ns, sim::us(50));
 }
 
 TEST(FaultPlanTest, ValidateRejectsOverlappingWindowsSameSite) {
@@ -788,14 +800,13 @@ TEST(PfcFrameFaultTest, DelayedFramesStillArrive) {
 // not re-traverse the already-covered prefix of the victim path.
 
 TEST(TargetedRepollTest, TargetedRepollCutsPollingBytes) {
-  const auto polling_bytes_with = [](bool targeted) {
+  const auto polling_bytes_with = [](std::uint32_t max_repolls) {
     Testbed::Options opts;
-    opts.agent_cfg.max_repolls = 2;
-    opts.agent_cfg.targeted_repoll = targeted;
+    opts.agent_cfg.max_repolls = max_repolls;
     IncastRig rig(opts);
     // The LAST victim-path switch is blacked out forever: coverage can
-    // never complete, so every retry round fires and the budget ends in a
-    // degraded episode either way. Only the re-poll cost differs.
+    // never complete, so every retry round fires and a non-zero budget
+    // ends in a degraded episode.
     const auto path = rig.tb.routing.switches_on_path(rig.victim);
     fault::FaultPlan plan;
     fault::AgentBlackout down;
@@ -806,18 +817,18 @@ TEST(TargetedRepollTest, TargetedRepollCutsPollingBytes) {
     const Episode* ep = rig.victim_episode();
     EXPECT_NE(ep, nullptr);
     if (ep == nullptr) return std::int64_t{0};
-    EXPECT_TRUE(ep->degraded);
-    EXPECT_EQ(ep->repolls, 2u);
+    EXPECT_EQ(ep->degraded, max_repolls > 0);
+    EXPECT_EQ(ep->repolls, max_repolls);
     EXPECT_LT(ep->coverage(), 1.0);
     return ep->polling_bytes;
   };
-  const std::int64_t full = polling_bytes_with(false);
-  const std::int64_t targeted = polling_bytes_with(true);
-  ASSERT_GT(full, 0);
-  ASSERT_GT(targeted, 0);
-  EXPECT_LT(targeted, full)
-      << "a re-poll injected at the first silent hop must cost fewer "
-         "in-band bytes than resending the whole victim-path probe";
+  const std::int64_t first_round = polling_bytes_with(0);
+  const std::int64_t with_repolls = polling_bytes_with(2);
+  ASSERT_GT(first_round, 0);
+  ASSERT_GT(with_repolls, first_round);
+  EXPECT_LT(with_repolls - first_round, first_round)
+      << "two re-polls injected at the first silent hop must cost fewer "
+         "in-band bytes than one probe along the whole victim path";
 }
 
 TEST(TargetedRepollTest, CollectMissingOnlySnapshotsUncoveredExpectedHops) {
@@ -1071,13 +1082,7 @@ TEST(FaultAttributionTest, VictimPathFlapIsAttributed) {
   eval::RunConfig cfg;
   cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
   cfg.seed = 1;
-  fault::LinkFlapSpec flap;  // unbound => runner binds to victim path
-  flap.start = sim::us(100);
-  flap.down_ns = sim::us(100);
-  flap.period_ns = sim::us(400);
-  flap.jitter = 0.5;
-  cfg.faults.link_flaps.push_back(flap);
-  cfg.faults.seed = 5;
+  cfg.faults = fault::FaultPlan::victim_path_flaps(sim::us(400), 0, 5);
   const eval::RunResult r = eval::run_one(cfg);
   ASSERT_TRUE(r.dataplane_fault_fired);
   EXPECT_TRUE(r.fault_on_victim_path);

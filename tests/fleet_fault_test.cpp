@@ -270,8 +270,8 @@ TEST(FleetSignatureTest, DeadlockVerdictIsNeverRewritten) {
 // ---------------------------------------------------------------------------
 // Run layer: each class end-to-end. The injected defect must leave its own
 // truth counters in RunResult, and the verdict must name the class (tp) or
-// come back explicitly degraded — never silently wrong (the
-// bench_fleet_faults acceptance bar, pinned here per class at unit scale).
+// come back explicitly degraded — never silently wrong (the acceptance bar
+// of bench_fault_sweeps' fleet sweep, pinned here per class at unit scale).
 
 eval::RunResult run_class(AnomalyType type, std::uint64_t seed = 1) {
   eval::RunConfig cfg;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -187,6 +188,18 @@ std::vector<device::PfcEvent> sorted_pfc(const device::Network& net) {
   return tr;
 }
 
+/// Drop counters split by DropReason — compared per reason, so two runs
+/// cannot agree by trading drops of one reason for another.
+using DropsByReason = std::array<std::uint64_t, device::kDropReasonCount>;
+
+DropsByReason drops_by_reason(const device::Network& net) {
+  DropsByReason out{};
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = net.drops(static_cast<device::DropReason>(r));
+  }
+  return out;
+}
+
 bool pfc_eq(const std::vector<device::PfcEvent>& a,
             const std::vector<device::PfcEvent>& b) {
   if (a.size() != b.size()) return false;
@@ -220,9 +233,9 @@ TEST(ShardEdgeTest, PfcPauseResumeAcrossShardBoundaryMatchesOneShard) {
                                        tb.ft, tb.routing, rng));
     tb.run_for(sim::ms(5));
     return std::tuple<std::vector<device::PfcEvent>, std::uint64_t,
-                      std::uint64_t>{sorted_pfc(tb.net),
+                      DropsByReason>{sorted_pfc(tb.net),
                                      tb.simu.executed_events(),
-                                     tb.net.drops()};
+                                     drops_by_reason(tb.net)};
   };
 
   const auto [trace1, events1, drops1] = run(1);
@@ -263,7 +276,9 @@ TEST(ShardEdgeTest, PortWithdrawFlushAcrossShardBoundaryMatchesOneShard) {
   // drops, buffer rewind, PFC release — across the boundary, and the whole
   // run must stay bitwise identical to the single-calendar execution.
   struct Probe {
-    std::uint64_t events, drops, link_down, epoch;
+    std::uint64_t events;
+    DropsByReason drops;
+    std::uint64_t epoch;
     std::vector<device::PfcEvent> trace;
   };
   // Resolve the flapped link once, up front, so both runs pin the same
@@ -319,8 +334,7 @@ TEST(ShardEdgeTest, PortWithdrawFlushAcrossShardBoundaryMatchesOneShard) {
     tb.install_faults(plan);
 
     tb.run_for(sim::ms(2));
-    return Probe{tb.simu.executed_events(), tb.net.drops(),
-                 tb.net.drops(device::DropReason::kLinkDown),
+    return Probe{tb.simu.executed_events(), drops_by_reason(tb.net),
                  tb.routing.epoch(), sorted_pfc(tb.net)};
   };
 
@@ -330,11 +344,12 @@ TEST(ShardEdgeTest, PortWithdrawFlushAcrossShardBoundaryMatchesOneShard) {
   // The edge fired: reconvergence withdrew (and later restored) the dead
   // port, and the flush blackholed the packets stalled on it.
   EXPECT_GE(one.epoch, 1u) << "hold-down never withdrew the flapped port";
-  EXPECT_GT(one.link_down, 0u) << "flush never dropped a stalled packet";
+  EXPECT_GT(one.drops[static_cast<std::size_t>(device::DropReason::kLinkDown)],
+            0u)
+      << "flush never dropped a stalled packet";
 
   EXPECT_EQ(two.events, one.events);
   EXPECT_EQ(two.drops, one.drops);
-  EXPECT_EQ(two.link_down, one.link_down);
   EXPECT_EQ(two.epoch, one.epoch);
   EXPECT_TRUE(pfc_eq(two.trace, one.trace))
       << "PFC trace multiset diverged between 1 and 2 shards";

@@ -66,9 +66,10 @@ RunConfig cell_config(AnomalyType scenario, std::uint64_t seed, Family fam) {
     case Family::kFaultFree:
       break;
     case Family::kCollectionFaults: {
-      // The bench_robustness regime: lossy polling plus flaky DMA, which
-      // exercises coverage checks, capped-backoff re-polls and targeted
-      // re-snapshots — all control-shard machinery when sharded.
+      // The polling-loss regime of bench_fault_sweeps' robustness sweep,
+      // plus flaky DMA: together they exercise coverage checks,
+      // capped-backoff re-polls and targeted re-snapshots — all
+      // control-shard machinery when sharded.
       fault::FaultPlan plan = fault::FaultPlan::uniform_poll_loss(0.10, seed);
       fault::DmaFaultSpec dma;
       dma.sw = net::kInvalidNode;  // every switch
@@ -79,19 +80,11 @@ RunConfig cell_config(AnomalyType scenario, std::uint64_t seed, Family fam) {
       break;
     }
     case Family::kFlapReconverge: {
-      // The bench_path_churn regime: a victim-path flap train with a
-      // hold-down, so routing withdraws/restores ports mid-run and the
-      // stalled-FIFO flush crosses shard boundaries.
-      fault::LinkFlapSpec flap;  // unbound: runner pins it to the victim path
-      flap.start = sim::us(100);
-      flap.down_ns = sim::us(100);
-      flap.period_ns = sim::us(500);
-      flap.jitter = 0.5;
-      flap.holddown_ns = sim::us(50);
-      fault::FaultPlan plan;
-      plan.seed = seed;
-      plan.link_flaps.push_back(flap);
-      cfg.faults = plan;
+      // The regime of bench_fault_sweeps' path-churn sweep: a victim-path
+      // flap train with a hold-down, so routing withdraws/restores ports
+      // mid-run and the stalled-FIFO flush crosses shard boundaries.
+      cfg.faults =
+          fault::FaultPlan::victim_path_flaps(sim::us(500), sim::us(50), seed);
       break;
     }
   }

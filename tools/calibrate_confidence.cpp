@@ -1,11 +1,11 @@
 // Calibrates diagnosis::ConfidenceDiscounts against the robustness sweeps.
 //
 // Method (recorded in DESIGN.md §10): run every crafted scenario under the
-// collection-fault axis (uniform polling loss, the bench_robustness grid)
-// plus the data-plane axes (PFC frame loss, victim-path link flaps), label
-// each run correct (tp) or incorrect, and grid-search the three per-class
-// discounts for the triple that best separates correct from incorrect runs
-// by reported confidence:
+// collection-fault axis (uniform polling loss, bench_fault_sweeps'
+// robustness grid) plus the data-plane axes (PFC frame loss, victim-path
+// link flaps), label each run correct (tp) or incorrect, and grid-search
+// the three per-class discounts for the triple that best separates correct
+// from incorrect runs by reported confidence:
 //   primary:   AUC (Mann-Whitney) of confidence as a correctness ranker
 //   tie-break: Brier score (mean squared error of confidence against the
 //              correct/incorrect outcome) — AUC is invariant under the
@@ -90,14 +90,7 @@ int main(int argc, char** argv) {
     plans.push_back(fault::FaultPlan::uniform_pfc_loss(rate, 1));
   }
   for (const sim::Time period : {sim::us(500), sim::us(250)}) {
-    fault::FaultPlan plan;
-    fault::LinkFlapSpec flap;  // runner binds it to the victim path
-    flap.start = sim::us(100);
-    flap.down_ns = sim::us(100);
-    flap.period_ns = period;
-    flap.jitter = 0.5;
-    plan.link_flaps.push_back(flap);
-    plans.push_back(plan);
+    plans.push_back(fault::FaultPlan::victim_path_flaps(period, 0, 1));
   }
 
   std::vector<Sample> samples;

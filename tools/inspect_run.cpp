@@ -1,15 +1,42 @@
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include "eval/runner.hpp"
 #include "sim/logger.hpp"
 using namespace hawkeye;
+
+// Integer argument in [lo, hi]; false on anything else (non-numeric,
+// trailing junk, out of range).
+static bool parse_int(const char* s, long lo, long hi, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < lo || v > hi) return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
 int main(int argc, char** argv) {
+  const long max_scenario =
+      (long)diagnosis::AnomalyType::kOversubscribedDownlink;
+  const long max_workload = (long)workload::FleetWorkload::kAllToAll;
+  int scenario = 1, fleet_workload = 0;
+  if ((argc > 1 && !parse_int(argv[1], 0, max_scenario, scenario)) ||
+      (argc > 6 && !parse_int(argv[6], 0, max_workload, fleet_workload))) {
+    std::fprintf(stderr,
+                 "usage: inspect_run [scenario 0-%ld] [seed] [epoch_shift] "
+                 "[threshold] [bg_load] [fleet_workload 0-%ld] [severity] "
+                 "[k]\n",
+                 max_scenario, max_workload);
+    return 2;
+  }
   eval::RunConfig cfg;
-  cfg.scenario = (diagnosis::AnomalyType)(argc > 1 ? atoi(argv[1]) : 1);
+  cfg.scenario = (diagnosis::AnomalyType)scenario;
   cfg.seed = argc > 2 ? strtoull(argv[2], nullptr, 10) : 1;
   if (argc > 3) cfg.epoch_shift = atoi(argv[3]);
   if (argc > 4) cfg.threshold_factor = atof(argv[4]);
   if (argc > 5) cfg.background_load = atof(argv[5]);
-  if (argc > 6) cfg.fleet_workload = (workload::FleetWorkload)atoi(argv[6]);
+  cfg.fleet_workload = (workload::FleetWorkload)fleet_workload;
   if (argc > 7) cfg.fleet_severity = atof(argv[7]);
   if (argc > 8) cfg.fat_tree_k = atoi(argv[8]);
   cfg.verbose = true;
