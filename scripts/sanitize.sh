@@ -4,7 +4,11 @@
 #   scripts/sanitize.sh [asan|tsan|all]
 #
 # asan: ASan+UBSan build, runs the simulator-core and device tests (the
-#       allocation-free event calendar and packet-slab paths).
+#       allocation-free event calendar and packet-slab paths), the
+#       fault-plan validation tests and the case-file parser (round trips
+#       plus the corpus mutation fuzz; the slow corpus replay is left to
+#       the plain ctest job). UBSan halts on its first report, so any
+#       undefined behaviour fails the job.
 # tsan: TSan build, runs the parallel sweep-runner tests plus the
 #       fault-injection suite (link flaps / PFC frame loss exercise the
 #       injector from every sweep worker thread), the reconvergence /
@@ -28,9 +32,11 @@ flavour="${1:-all}"
 run_asan() {
   cmake -B build-asan -S . -DHAWKEYE_SANITIZE=address \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target hawkeye_tests
-  (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest')
+  cmake --build build-asan -j "$(nproc)" \
+        --target hawkeye_tests hawkeye_hunt_corpus_test
+  (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        ctest --output-on-failure -j "$(nproc)" \
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|HuntCorpusTest\.MutatedCases')
 }
 
 run_tsan() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "baselines/local_contention.hpp"
 #include "eval/testbed.hpp"
@@ -178,39 +179,33 @@ workload::ScenarioSpec craft_scenario(const RunConfig& cfg, sim::Rng& rng) {
     // independent (but reproducible) fault stream.
     fault::FaultPlan plan = cfg.faults;
     plan.seed = cfg.faults.seed ^ (cfg.seed * 0x9e3779b97f4a7c15ull);
-    if (!plan.link_flaps.empty() || !plan.degraded_links.empty() ||
-        !plan.speed_mismatches.empty()) {
-      // Bind "hit a victim-path link" placeholders now that the crafted
-      // victim (and so its routed path, overrides included) is known.
-      // The middle victim-path link is the canonical target: far enough
-      // from both ends that the fault's symptoms (black hole, CRC loss,
-      // slow serialization) and any PFC backpressure are visible in the
-      // collected telemetry.
+    // Bind "hit a victim-path link" placeholders now that the crafted
+    // victim (and so its routed path, overrides included) is known. The
+    // middle victim-path link is the canonical target: far enough from
+    // both ends that the fault's symptoms (black hole, CRC loss, slow
+    // serialization) and any PFC backpressure are visible in the
+    // collected telemetry.
+    const auto bind_middle = [&](NodeId& a, NodeId& b) {
+      if (a != net::kInvalidNode) return;
       for (const auto& ov : spec.overrides) {
         probe_routing.add_override(ov.sw, ov.dst, ov.port);
       }
       const std::vector<NodeId> sws =
           probe_routing.switches_on_path(spec.victim);
-      const auto bind_middle = [&](NodeId& a, NodeId& b) {
-        if (a != net::kInvalidNode) return;
-        if (sws.size() >= 2) {
-          a = sws[sws.size() / 2 - 1];
-          b = sws[sws.size() / 2];
-        } else if (!sws.empty()) {
-          a = net::Topology::node_of_ip(spec.victim.src_ip);
-          b = sws.front();
-        }
-      };
-      for (fault::LinkFlapSpec& lf : plan.link_flaps) {
-        bind_middle(lf.node_a, lf.node_b);
+      if (sws.size() >= 2) {
+        a = sws[sws.size() / 2 - 1];
+        b = sws[sws.size() / 2];
+      } else if (!sws.empty()) {
+        a = net::Topology::node_of_ip(spec.victim.src_ip);
+        b = sws.front();
       }
-      for (fault::DegradedLinkSpec& dl : plan.degraded_links) {
-        bind_middle(dl.node_a, dl.node_b);
-      }
-      for (fault::LinkSpeedMismatchSpec& sm : plan.speed_mismatches) {
-        bind_middle(sm.node_a, sm.node_b);
-      }
-    }
+    };
+    fault::FaultPlan::families(
+        plan, [&](std::string_view, std::string_view, auto& specs) {
+          if constexpr (fault::LinkSpec<decltype(specs.front())>) {
+            for (auto& s : specs) bind_middle(s.node_a, s.node_b);
+          }
+        });
     spec.faults = plan;
   }
   // Mutation hook (the hunter's workload axes): applied last so overlay

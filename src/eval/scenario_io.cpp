@@ -1,8 +1,14 @@
 #include "eval/scenario_io.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "eval/canonical.hpp"
@@ -11,38 +17,19 @@ namespace hawkeye::eval {
 
 namespace {
 
-using diagnosis::AnomalyType;
-using workload::FleetWorkload;
+using fault::MaybeConst;
+using telemetry::TelemetryMode;
 
-constexpr AnomalyType kAllAnomalies[] = {
-    AnomalyType::kNone,
-    AnomalyType::kMicroBurstIncast,
-    AnomalyType::kPfcStorm,
-    AnomalyType::kInLoopDeadlock,
-    AnomalyType::kOutOfLoopDeadlockContention,
-    AnomalyType::kOutOfLoopDeadlockInjection,
-    AnomalyType::kNormalContention,
-    AnomalyType::kDegradedLink,
-    AnomalyType::kLinkSpeedMismatch,
-    AnomalyType::kHostPcieBottleneck,
-    AnomalyType::kOversubscribedDownlink,
-};
-constexpr Method kAllMethods[] = {
-    Method::kHawkeye,    Method::kFullPolling, Method::kVictimOnly,
-    Method::kSpiderMon,  Method::kNetSight,
-};
-constexpr FleetWorkload kAllFleetWorkloads[] = {
-    FleetWorkload::kCrafted,
-    FleetWorkload::kRpcClientServer,
-    FleetWorkload::kAllToAll,
-};
+constexpr std::string_view kMagic = "hawkeye-hunt-case v1";
+constexpr std::string_view kJitter = "rtt_jitter";
+constexpr std::string_view kNote = "note";
 
-std::string_view mode_name(telemetry::TelemetryMode m) {
+std::string_view to_string(TelemetryMode m) {
   switch (m) {
-    case telemetry::TelemetryMode::kFull: return "full";
-    case telemetry::TelemetryMode::kPortOnly: return "port-only";
-    case telemetry::TelemetryMode::kFlowOnly: return "flow-only";
-    case telemetry::TelemetryMode::kOff: return "off";
+    case TelemetryMode::kFull: return "full";
+    case TelemetryMode::kPortOnly: return "port-only";
+    case TelemetryMode::kFlowOnly: return "flow-only";
+    case TelemetryMode::kOff: return "off";
   }
   return "?";
 }
@@ -52,91 +39,142 @@ std::string_view mode_name(telemetry::TelemetryMode m) {
                               "\"");
 }
 
-std::int64_t to_i64(const std::string& line, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long long r = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(line, "bad integer");
+std::vector<std::string> split(const std::string& s, char d) {
+  std::vector<std::string> out(1);
+  for (const char ch : s) {
+    if (ch == d) out.emplace_back();
+    else out.back() += ch;
   }
-  return r;
+  return out;
 }
 
-std::uint64_t to_u64(const std::string& line, const std::string& v) {
+// ---- One writer (encode) and one reader (decode) per field type ----
+
+std::string encode(bool v) { return v ? "1" : "0"; }
+std::string encode(double v) { return canonical_double(v); }
+template <std::integral T>
+std::string encode(T v) {
+  return std::to_string(v);
+}
+template <typename E>
+  requires std::is_enum_v<E>
+std::string encode(E v) {
+  return std::string(to_string(v));
+}
+std::string encode(std::string v) {
+  std::ranges::replace_if(v, [](char ch) { return ch == '\n' || ch == '\r'; },
+                          ' ');
+  return v;
+}
+std::string encode(const std::vector<std::uint32_t>& v) {
+  std::string out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(v[i]);
+  }
+  return out;
+}
+
+void decode(const std::string& line, const std::string& v, bool& out) {
+  if (v != "0" && v != "1") fail(line, "bad bool (want 0 or 1)");
+  out = v == "1";
+}
+
+void decode(const std::string& line, const std::string& v, double& out) {
   errno = 0;
   char* end = nullptr;
-  const unsigned long long r = std::strtoull(v.c_str(), &end, 10);
+  out = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-      (!v.empty() && v[0] == '-')) {
-    fail(line, "bad unsigned integer");
-  }
-  return r;
-}
-
-double to_f(const std::string& line, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double r = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+      !std::isfinite(out)) {
     fail(line, "bad number");
   }
-  return r;
 }
 
-bool to_bool(const std::string& line, const std::string& v) {
-  if (v == "0") return false;
-  if (v == "1") return true;
-  fail(line, "bad bool (want 0 or 1)");
+/// Only values the field's own type holds parse: a 32-bit node id rejects
+/// 4294967299 instead of wrapping it to 3.
+template <std::integral T>
+void decode(const std::string& line, const std::string& v, T& out) {
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, out);
+  if (ec != std::errc{} || end != last) fail(line, "bad integer");
 }
 
-net::NodeId to_node(const std::string& line, const std::string& v) {
-  return static_cast<net::NodeId>(to_i64(line, v));
-}
-
-AnomalyType to_anomaly(const std::string& line, const std::string& v) {
-  for (const AnomalyType t : kAllAnomalies) {
-    if (diagnosis::to_string(t) == v) return t;
-  }
-  fail(line, "unknown anomaly type");
-}
-
-Method to_method(const std::string& line, const std::string& v) {
-  for (const Method m : kAllMethods) {
-    if (to_string(m) == v) return m;
-  }
-  fail(line, "unknown method");
-}
-
-FleetWorkload to_fleet_workload(const std::string& line,
-                                const std::string& v) {
-  for (const FleetWorkload w : kAllFleetWorkloads) {
-    if (workload::to_string(w) == v) return w;
-  }
-  fail(line, "unknown fleet workload");
-}
-
-telemetry::TelemetryMode to_tele_mode(const std::string& line,
-                                      const std::string& v) {
-  for (const telemetry::TelemetryMode m :
-       {telemetry::TelemetryMode::kFull, telemetry::TelemetryMode::kPortOnly,
-        telemetry::TelemetryMode::kFlowOnly, telemetry::TelemetryMode::kOff}) {
-    if (mode_name(m) == v) return m;
-  }
-  fail(line, "unknown telemetry mode");
-}
-
-std::vector<std::string> split(const std::string& s, char d) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t next = s.find(d, pos);
-    if (next == std::string::npos) {
-      out.push_back(s.substr(pos));
-      return out;
+/// Enums decode by name: each enum in the format numbers its values from 0,
+/// and its to_string names the first value past the last one "?".
+template <typename E>
+  requires std::is_enum_v<E>
+void decode(const std::string& line, const std::string& v, E& out) {
+  for (int i = 0; encode(static_cast<E>(i)) != "?"; ++i) {
+    if (encode(static_cast<E>(i)) == v) {
+      out = static_cast<E>(i);
+      return;
     }
-    out.push_back(s.substr(pos, next - pos));
-    pos = next + 1;
   }
+  fail(line, "unknown name");
+}
+
+void decode(const std::string&, const std::string& v, std::string& out) {
+  out = v;
+}
+
+void decode(const std::string& line, const std::string& v,
+            std::vector<std::uint32_t>& out) {
+  out.clear();
+  if (v.empty()) return;
+  for (const std::string& tok : split(v, ',')) {
+    decode(line, tok, out.emplace_back());
+  }
+}
+
+// ---- Field lists, in case-file order ----
+// Like fault::fields: `f(key, member)` per field. A third argument is the
+// range parse_case enforces once every line is read, so a rule may span
+// two fields.
+
+template <MaybeConst<RunConfig> C, typename F>
+void fields(C& c, F&& f) {
+  f("scenario", c.scenario);
+  f("seed", c.seed);
+  f("method", c.method);
+  // telemetry::EpochConfig takes bits [shift, shift + index_bits + 8) of a
+  // 64-bit timestamp (index, then an 8-bit epoch id).
+  f("epoch_shift", c.epoch_shift, [&c](int s) {
+    return s >= 0 && std::int64_t{s} + c.epoch_index_bits + 8 < 64;
+  });
+  f("epoch_index_bits", c.epoch_index_bits,
+    [](int b) { return b >= 1 && b <= 30; });
+  f("threshold_factor", c.threshold_factor);
+  f("tele_mode", c.tele_mode);
+  f("one_bit_meter", c.one_bit_meter);
+  f("background_load", c.background_load, [](double l) { return l >= 0; });
+  f("fat_tree_k", c.fat_tree_k, [](int k) { return k >= 4 && k % 2 == 0; });
+  f("shards", c.shards);
+  f("max_repolls", c.max_repolls);
+  f("fleet_workload", c.fleet_workload);
+  f("fleet_severity", c.fleet_severity, [](double s) { return s > 0; });
+}
+
+template <MaybeConst<fault::FaultPlan> P, typename F>
+void plan_fields(P& p, F&& f) {
+  f("seed", p.seed);
+}
+
+template <MaybeConst<workload::ScenarioOverlay> O, typename F>
+void fields(O& o, F&& f) {
+  f("drop_flows", o.drop_flows);
+  f("size_scale", o.size_scale);
+  f("rate_scale", o.rate_scale);
+  f("arrival_stride_ns", o.arrival_stride_ns);
+  f("duration_add_ns", o.duration_add_ns);
+  f("fault_rate_scale", o.fault_rate_scale);
+  f("fault_window_scale", o.fault_window_scale);
+}
+
+template <MaybeConst<HuntCase> H, typename F>
+void expected_fields(H& c, F&& f) {
+  f("class", c.expected_class);
+  f("verdict", c.expected_verdict);
+  f("truth", c.expected_truth);
 }
 
 /// Grow-on-demand spec access: the serializer emits indices in order, but
@@ -144,302 +182,89 @@ std::vector<std::string> split(const std::string& s, char d) {
 template <typename V>
 V& spec_at(std::vector<V>& v, const std::string& line,
            const std::string& idx) {
-  const std::int64_t i = to_i64(line, idx);
-  if (i < 0 || i > 4096) fail(line, "spec index out of range");
-  if (v.size() <= static_cast<std::size_t>(i)) {
-    v.resize(static_cast<std::size_t>(i) + 1);
-  }
-  return v[static_cast<std::size_t>(i)];
+  std::size_t i = 0;
+  decode(line, idx, i);
+  if (i > 4096) fail(line, "spec index out of range");
+  if (v.size() <= i) v.resize(i + 1);
+  return v[i];
 }
 
-void parse_fault_key(fault::FaultPlan& fp, const std::string& line,
-                     const std::vector<std::string>& key,
-                     const std::string& val) {
-  // key[0] == "faults"
-  if (key.size() == 2 && key[1] == "seed") {
-    fp.seed = to_u64(line, val);
-    return;
+/// Decodes `val` into the field the dotted `key` names; false when no field
+/// has that key.
+bool assign(HuntCase& c, const std::string& line, const std::string& key,
+            const std::string& val) {
+  if (key == kNote) {
+    c.note = val;
+    return true;
   }
-  if (key.size() == 3 && key[1] == "rtt_jitter") {
-    if (key[2] == "prob") fp.rtt_jitter.prob = to_f(line, val);
-    else if (key[2] == "magnitude") fp.rtt_jitter.magnitude = to_f(line, val);
-    else fail(line, "unknown key");
-    return;
+  bool hit = false;
+  // A field-list visitor that decodes `val` into the member keyed `name`.
+  const auto into = [&](std::string_view name) {
+    return [&hit, &line, &val, name](std::string_view k, auto& member,
+                                     auto&&...) {
+      if (k != name) return;
+      decode(line, val, member);
+      hit = true;
+    };
+  };
+  RunConfig& cfg = c.cfg;
+  fault::FaultPlan& fp = cfg.faults;
+  const std::vector<std::string> k = split(key, '.');
+  if (k.size() == 1) {
+    fields(cfg, into(key));
+  } else if (k.size() == 2 && k[0] == "overlay") {
+    fields(cfg.overlay, into(k[1]));
+  } else if (k.size() == 2 && k[0] == "expected") {
+    expected_fields(c, into(k[1]));
+  } else if (k.size() == 2 && k[0] == "faults") {
+    plan_fields(fp, into(k[1]));
+  } else if (k.size() == 3 && k[0] == "faults" && k[1] == kJitter) {
+    fields(fp.rtt_jitter, into(k[2]));
+  } else if (k.size() == 4 && k[0] == "faults") {
+    fault::FaultPlan::families(
+        fp, [&](std::string_view family, std::string_view, auto& specs) {
+          if (family == k[1]) fields(spec_at(specs, line, k[2]), into(k[3]));
+        });
   }
-  if (key.size() != 4) fail(line, "unknown key");
-  const std::string& list = key[1];
-  const std::string& idx = key[2];
-  const std::string& f = key[3];
-  if (list == "poll") {
-    fault::PollFaultSpec& s = spec_at(fp.poll_faults, line, idx);
-    if (f == "sw") s.sw = to_node(line, val);
-    else if (f == "drop_prob") s.drop_prob = to_f(line, val);
-    else if (f == "duplicate_prob") s.duplicate_prob = to_f(line, val);
-    else if (f == "delay_prob") s.delay_prob = to_f(line, val);
-    else if (f == "delay_ns") s.delay_ns = to_i64(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "dma") {
-    fault::DmaFaultSpec& s = spec_at(fp.dma_faults, line, idx);
-    if (f == "sw") s.sw = to_node(line, val);
-    else if (f == "fail_prob") s.fail_prob = to_f(line, val);
-    else if (f == "stale_prob") s.stale_prob = to_f(line, val);
-    else if (f == "extra_delay") s.extra_delay = to_i64(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "blackout") {
-    fault::AgentBlackout& s = spec_at(fp.blackouts, line, idx);
-    if (f == "sw") s.sw = to_node(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "flap") {
-    fault::LinkFlapSpec& s = spec_at(fp.link_flaps, line, idx);
-    if (f == "node_a") s.node_a = to_node(line, val);
-    else if (f == "node_b") s.node_b = to_node(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else if (f == "down_ns") s.down_ns = to_i64(line, val);
-    else if (f == "period_ns") s.period_ns = to_i64(line, val);
-    else if (f == "jitter") s.jitter = to_f(line, val);
-    else if (f == "holddown_ns") s.holddown_ns = to_i64(line, val);
-    else if (f == "restore_holddown_ns") {
-      s.restore_holddown_ns = to_i64(line, val);
-    } else fail(line, "unknown key");
-  } else if (list == "pfc") {
-    fault::PfcFrameFaultSpec& s = spec_at(fp.pfc_faults, line, idx);
-    if (f == "sw") s.sw = to_node(line, val);
-    else if (f == "port") s.port = static_cast<net::PortId>(to_i64(line, val));
-    else if (f == "loss_prob") s.loss_prob = to_f(line, val);
-    else if (f == "delay_prob") s.delay_prob = to_f(line, val);
-    else if (f == "delay_ns") s.delay_ns = to_i64(line, val);
-    else if (f == "affect_pause") s.affect_pause = to_bool(line, val);
-    else if (f == "affect_resume") s.affect_resume = to_bool(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "degraded") {
-    fault::DegradedLinkSpec& s = spec_at(fp.degraded_links, line, idx);
-    if (f == "node_a") s.node_a = to_node(line, val);
-    else if (f == "node_b") s.node_b = to_node(line, val);
-    else if (f == "ber") s.ber = to_f(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "speed") {
-    fault::LinkSpeedMismatchSpec& s = spec_at(fp.speed_mismatches, line, idx);
-    if (f == "node_a") s.node_a = to_node(line, val);
-    else if (f == "node_b") s.node_b = to_node(line, val);
-    else if (f == "gbps") s.gbps = to_f(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "pcie") {
-    fault::HostPcieBottleneckSpec& s = spec_at(fp.pcie_bottlenecks, line, idx);
-    if (f == "host") s.host = to_node(line, val);
-    else if (f == "drain_gbps") s.drain_gbps = to_f(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else if (list == "oversub") {
-    fault::OversubscribedDownlinkSpec& s =
-        spec_at(fp.oversub_downlinks, line, idx);
-    if (f == "sw") s.sw = to_node(line, val);
-    else if (f == "factor") s.factor = to_f(line, val);
-    else if (f == "start") s.start = to_i64(line, val);
-    else if (f == "stop") s.stop = to_i64(line, val);
-    else fail(line, "unknown key");
-  } else {
-    fail(line, "unknown key");
-  }
-}
-
-void parse_overlay_key(workload::ScenarioOverlay& o, const std::string& line,
-                       const std::vector<std::string>& key,
-                       const std::string& val) {
-  if (key.size() != 2) fail(line, "unknown key");
-  const std::string& f = key[1];
-  if (f == "drop_flows") {
-    o.drop_flows.clear();
-    if (!val.empty()) {
-      for (const std::string& tok : split(val, ',')) {
-        const std::int64_t i = to_i64(line, tok);
-        if (i < 0) fail(line, "negative flow index");
-        o.drop_flows.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  } else if (f == "size_scale") o.size_scale = to_f(line, val);
-  else if (f == "rate_scale") o.rate_scale = to_f(line, val);
-  else if (f == "arrival_stride_ns") o.arrival_stride_ns = to_i64(line, val);
-  else if (f == "duration_add_ns") o.duration_add_ns = to_i64(line, val);
-  else if (f == "fault_rate_scale") o.fault_rate_scale = to_f(line, val);
-  else if (f == "fault_window_scale") o.fault_window_scale = to_f(line, val);
-  else fail(line, "unknown key");
+  return hit;
 }
 
 }  // namespace
 
 std::string serialize_case(const HuntCase& c) {
   std::ostringstream os;
-  const auto put = [&os](const std::string& k, std::string_view v) {
-    os << k << '=' << v << '\n';
-  };
-  const auto puti = [&os](const std::string& k, std::int64_t v) {
-    os << k << '=' << v << '\n';
-  };
-  const auto putu = [&os](const std::string& k, std::uint64_t v) {
-    os << k << '=' << v << '\n';
-  };
-  const auto putd = [&put](const std::string& k, double v) {
-    put(k, canonical_double(v));
+  // A field-list visitor writing `<prefix><key>=<value>` lines. Empty
+  // strings and lists are omitted; they parse back as the default.
+  const auto under = [&os](std::string prefix) {
+    return [&os, prefix = std::move(prefix)](std::string_view key,
+                                             const auto& v, auto&&...) {
+      const std::string text = encode(v);
+      if (!text.empty()) os << prefix << key << '=' << text << '\n';
+    };
   };
   const RunConfig& cfg = c.cfg;
 
-  os << "hawkeye-hunt-case v1\n";
-  put("scenario", diagnosis::to_string(cfg.scenario));
-  putu("seed", cfg.seed);
-  put("method", to_string(cfg.method));
-  puti("epoch_shift", cfg.epoch_shift);
-  puti("epoch_index_bits", cfg.epoch_index_bits);
-  putd("threshold_factor", cfg.threshold_factor);
-  put("tele_mode", mode_name(cfg.tele_mode));
-  puti("one_bit_meter", cfg.one_bit_meter ? 1 : 0);
-  putd("background_load", cfg.background_load);
-  puti("fat_tree_k", cfg.fat_tree_k);
-  puti("shards", cfg.shards);
-  puti("max_repolls", cfg.max_repolls);
-  put("fleet_workload", workload::to_string(cfg.fleet_workload));
-  putd("fleet_severity", cfg.fleet_severity);
-
+  os << kMagic << '\n';
+  fields(cfg, under(""));
   if (cfg.faults.enabled()) {
     const fault::FaultPlan& fp = cfg.faults;
-    putu("faults.seed", fp.seed);
-    for (std::size_t i = 0; i < fp.poll_faults.size(); ++i) {
-      const std::string p = "faults.poll." + std::to_string(i) + ".";
-      const fault::PollFaultSpec& s = fp.poll_faults[i];
-      puti(p + "sw", s.sw);
-      putd(p + "drop_prob", s.drop_prob);
-      putd(p + "duplicate_prob", s.duplicate_prob);
-      putd(p + "delay_prob", s.delay_prob);
-      puti(p + "delay_ns", s.delay_ns);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.dma_faults.size(); ++i) {
-      const std::string p = "faults.dma." + std::to_string(i) + ".";
-      const fault::DmaFaultSpec& s = fp.dma_faults[i];
-      puti(p + "sw", s.sw);
-      putd(p + "fail_prob", s.fail_prob);
-      putd(p + "stale_prob", s.stale_prob);
-      puti(p + "extra_delay", s.extra_delay);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.blackouts.size(); ++i) {
-      const std::string p = "faults.blackout." + std::to_string(i) + ".";
-      const fault::AgentBlackout& s = fp.blackouts[i];
-      puti(p + "sw", s.sw);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.link_flaps.size(); ++i) {
-      const std::string p = "faults.flap." + std::to_string(i) + ".";
-      const fault::LinkFlapSpec& s = fp.link_flaps[i];
-      puti(p + "node_a", s.node_a);
-      puti(p + "node_b", s.node_b);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-      puti(p + "down_ns", s.down_ns);
-      puti(p + "period_ns", s.period_ns);
-      putd(p + "jitter", s.jitter);
-      puti(p + "holddown_ns", s.holddown_ns);
-      puti(p + "restore_holddown_ns", s.restore_holddown_ns);
-    }
-    for (std::size_t i = 0; i < fp.pfc_faults.size(); ++i) {
-      const std::string p = "faults.pfc." + std::to_string(i) + ".";
-      const fault::PfcFrameFaultSpec& s = fp.pfc_faults[i];
-      puti(p + "sw", s.sw);
-      puti(p + "port", s.port);
-      putd(p + "loss_prob", s.loss_prob);
-      putd(p + "delay_prob", s.delay_prob);
-      puti(p + "delay_ns", s.delay_ns);
-      puti(p + "affect_pause", s.affect_pause ? 1 : 0);
-      puti(p + "affect_resume", s.affect_resume ? 1 : 0);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    if (fp.rtt_jitter.prob != 0 || fp.rtt_jitter.magnitude != 0) {
-      putd("faults.rtt_jitter.prob", fp.rtt_jitter.prob);
-      putd("faults.rtt_jitter.magnitude", fp.rtt_jitter.magnitude);
-    }
-    for (std::size_t i = 0; i < fp.degraded_links.size(); ++i) {
-      const std::string p = "faults.degraded." + std::to_string(i) + ".";
-      const fault::DegradedLinkSpec& s = fp.degraded_links[i];
-      puti(p + "node_a", s.node_a);
-      puti(p + "node_b", s.node_b);
-      putd(p + "ber", s.ber);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.speed_mismatches.size(); ++i) {
-      const std::string p = "faults.speed." + std::to_string(i) + ".";
-      const fault::LinkSpeedMismatchSpec& s = fp.speed_mismatches[i];
-      puti(p + "node_a", s.node_a);
-      puti(p + "node_b", s.node_b);
-      putd(p + "gbps", s.gbps);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.pcie_bottlenecks.size(); ++i) {
-      const std::string p = "faults.pcie." + std::to_string(i) + ".";
-      const fault::HostPcieBottleneckSpec& s = fp.pcie_bottlenecks[i];
-      puti(p + "host", s.host);
-      putd(p + "drain_gbps", s.drain_gbps);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-    for (std::size_t i = 0; i < fp.oversub_downlinks.size(); ++i) {
-      const std::string p = "faults.oversub." + std::to_string(i) + ".";
-      const fault::OversubscribedDownlinkSpec& s = fp.oversub_downlinks[i];
-      puti(p + "sw", s.sw);
-      putd(p + "factor", s.factor);
-      puti(p + "start", s.start);
-      puti(p + "stop", s.stop);
-    }
-  }
-
-  if (cfg.overlay.enabled()) {
-    const workload::ScenarioOverlay& o = cfg.overlay;
-    if (!o.drop_flows.empty()) {
-      std::string v;
-      for (std::size_t i = 0; i < o.drop_flows.size(); ++i) {
-        if (i != 0) v += ',';
-        v += std::to_string(o.drop_flows[i]);
+    plan_fields(fp, under("faults."));
+    fault::FaultPlan::families(fp, [&](std::string_view family,
+                                       std::string_view, const auto& specs) {
+      // v1 files carry the jitter pair between the pfc and fleet families.
+      if (family == "degraded" &&
+          (fp.rtt_jitter.prob != 0 || fp.rtt_jitter.magnitude != 0)) {
+        fields(fp.rtt_jitter, under("faults." + std::string(kJitter) + "."));
       }
-      put("overlay.drop_flows", v);
-    }
-    putd("overlay.size_scale", o.size_scale);
-    putd("overlay.rate_scale", o.rate_scale);
-    puti("overlay.arrival_stride_ns", o.arrival_stride_ns);
-    puti("overlay.duration_add_ns", o.duration_add_ns);
-    putd("overlay.fault_rate_scale", o.fault_rate_scale);
-    putd("overlay.fault_window_scale", o.fault_window_scale);
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        fields(specs[i], under("faults." + std::string(family) + "." +
+                               std::to_string(i) + "."));
+      }
+    });
   }
-
-  if (!c.expected_class.empty()) {
-    put("expected.class", c.expected_class);
-    put("expected.verdict", diagnosis::to_string(c.expected_verdict));
-    put("expected.truth", diagnosis::to_string(c.expected_truth));
-  }
-  if (!c.note.empty()) {
-    std::string n = c.note;
-    for (char& ch : n) {
-      if (ch == '\n' || ch == '\r') ch = ' ';
-    }
-    put("note", n);
-  }
+  if (cfg.overlay.enabled()) fields(cfg.overlay, under("overlay."));
+  if (!c.expected_class.empty()) expected_fields(c, under("expected."));
+  under("")(kNote, c.note);
   return os.str();
 }
 
@@ -452,55 +277,24 @@ HuntCase parse_case(const std::string& text) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     if (!saw_magic) {
-      if (line != "hawkeye-hunt-case v1") {
-        fail(line, "bad magic/version (want 'hawkeye-hunt-case v1')");
+      if (line != kMagic) {
+        fail(line, "bad magic/version (want '" + std::string(kMagic) + "')");
       }
       saw_magic = true;
       continue;
     }
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) fail(line, "missing '='");
-    const std::string key = line.substr(0, eq);
-    const std::string val = line.substr(eq + 1);
-    RunConfig& cfg = c.cfg;
-    if (key == "scenario") cfg.scenario = to_anomaly(line, val);
-    else if (key == "seed") cfg.seed = to_u64(line, val);
-    else if (key == "method") cfg.method = to_method(line, val);
-    else if (key == "epoch_shift") {
-      cfg.epoch_shift = static_cast<int>(to_i64(line, val));
-    } else if (key == "epoch_index_bits") {
-      cfg.epoch_index_bits = static_cast<int>(to_i64(line, val));
-    } else if (key == "threshold_factor") {
-      cfg.threshold_factor = to_f(line, val);
-    } else if (key == "tele_mode") cfg.tele_mode = to_tele_mode(line, val);
-    else if (key == "one_bit_meter") cfg.one_bit_meter = to_bool(line, val);
-    else if (key == "background_load") {
-      cfg.background_load = to_f(line, val);
-    } else if (key == "fat_tree_k") {
-      cfg.fat_tree_k = static_cast<int>(to_i64(line, val));
-    } else if (key == "shards") {
-      cfg.shards = static_cast<int>(to_i64(line, val));
-    } else if (key == "max_repolls") {
-      cfg.max_repolls = static_cast<std::uint32_t>(to_i64(line, val));
-    } else if (key == "fleet_workload") {
-      cfg.fleet_workload = to_fleet_workload(line, val);
-    } else if (key == "fleet_severity") {
-      cfg.fleet_severity = to_f(line, val);
-    } else if (key == "expected.class") c.expected_class = val;
-    else if (key == "expected.verdict") {
-      c.expected_verdict = to_anomaly(line, val);
-    } else if (key == "expected.truth") {
-      c.expected_truth = to_anomaly(line, val);
-    } else if (key == "note") c.note = val;
-    else if (key.rfind("faults.", 0) == 0) {
-      parse_fault_key(cfg.faults, line, split(key, '.'), val);
-    } else if (key.rfind("overlay.", 0) == 0) {
-      parse_overlay_key(cfg.overlay, line, split(key, '.'), val);
-    } else {
+    if (!assign(c, line, line.substr(0, eq), line.substr(eq + 1))) {
       fail(line, "unknown key");
     }
   }
   if (!saw_magic) fail("<empty>", "missing magic line");
+  fields(c.cfg, [](std::string_view key, const auto& v, auto&&... ok) {
+    if (!(ok(v) && ...)) {
+      fail(std::string(key) + "=" + encode(v), "value out of range");
+    }
+  });
   // A parsed case must be installable: a corrupted fixture fails here, at
   // parse time, instead of deep inside Testbed::install_faults.
   if (c.cfg.faults.enabled()) {

@@ -53,9 +53,10 @@ std::string serialize_case(const HuntCase& c);
 
 /// Parse a serialized case. Throws std::invalid_argument with the
 /// offending line on any structural problem: bad magic/version, malformed
-/// or unknown key, unparsable value, or an invalid resulting FaultPlan /
-/// overlay (validate() is consulted so a corrupted fixture cannot reach
-/// the injector).
+/// or unknown key, unparsable value (an integer outside its field's type, a
+/// non-finite double), a RunConfig value the run cannot take (DESIGN.md
+/// §15), or an invalid resulting FaultPlan / overlay (validate() is
+/// consulted so a corrupted fixture cannot reach the injector).
 HuntCase parse_case(const std::string& text);
 
 /// Stable content fingerprint of a case (FNV-1a over the serialization) —

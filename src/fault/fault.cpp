@@ -1,7 +1,9 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
+#include <string_view>
 
 namespace hawkeye::fault {
 
@@ -18,6 +20,95 @@ bool window_ok(sim::Time start, sim::Time stop) {
 }
 
 bool prob_ok(double p) { return p >= 0.0 && p <= 1.0; }
+
+/// Probabilities of mutually exclusive outcomes: each in [0, 1], sum <= 1.
+bool probs_ok(std::initializer_list<double> ps) {
+  double sum = 0;
+  for (const double p : ps) {
+    if (!prob_ok(p)) return false;
+    sum += p;
+  }
+  return sum <= 1.0;
+}
+
+bool half_bound(const auto&) { return false; }
+bool half_bound(const LinkSpec auto& s) {
+  return (s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode);
+}
+
+/// Per-family parameter checks: nullptr when the spec's parameters are in
+/// range, else what is wrong. validate() checks windows, link endpoints and
+/// overlaps for every family alike.
+const char* param_error(const PollFaultSpec& s) {
+  return probs_ok({s.drop_prob, s.duplicate_prob, s.delay_prob})
+             ? nullptr
+             : "probabilities out of range";
+}
+
+const char* param_error(const DmaFaultSpec& s) {
+  return probs_ok({s.fail_prob, s.stale_prob}) ? nullptr
+                                               : "probabilities out of range";
+}
+
+const char* param_error(const AgentBlackout&) { return nullptr; }
+
+const char* param_error(const LinkFlapSpec& s) {
+  if (s.down_ns <= 0) return "non-positive down_ns";
+  if (s.period_ns != 0 && s.period_ns < s.down_ns) {
+    return "period shorter than down time";
+  }
+  if (s.jitter < 0 || s.jitter > 1) return "jitter out of [0,1]";
+  if (s.holddown_ns < 0) return "negative reconvergence hold-down";
+  if (s.holddown_ns == 0 && s.restore_holddown_ns >= 0) {
+    return "restore hold-down set while reconvergence disabled";
+  }
+  return nullptr;
+}
+
+const char* param_error(const PfcFrameFaultSpec& s) {
+  return probs_ok({s.loss_prob, s.delay_prob}) ? nullptr
+                                               : "probabilities out of range";
+}
+
+const char* param_error(const DegradedLinkSpec& s) {
+  return s.ber < 0 || s.ber > 1 ? "ber out of [0,1]" : nullptr;
+}
+
+const char* param_error(const LinkSpeedMismatchSpec& s) {
+  return s.gbps <= 0 ? "non-positive gbps" : nullptr;
+}
+
+const char* param_error(const HostPcieBottleneckSpec& s) {
+  return s.drain_gbps <= 0 ? "non-positive drain_gbps" : nullptr;
+}
+
+const char* param_error(const OversubscribedDownlinkSpec& s) {
+  return s.factor <= 0 || s.factor >= 1 ? "factor out of (0,1)" : nullptr;
+}
+
+/// The site two specs of one family both match — "switch", "port", "host"
+/// or "link" — or "" when they can never match the same one. Wildcards
+/// (kInvalidNode switch/host, kInvalidPort port, both-placeholder link
+/// endpoints) match every site their family could.
+template <typename S>
+std::string_view shared_site(const S& a, const S& b) {
+  const auto nodes = [](net::NodeId x, net::NodeId y) {
+    return x == net::kInvalidNode || y == net::kInvalidNode || x == y;
+  };
+  if constexpr (LinkSpec<S>) {
+    return std::minmax(a.node_a, a.node_b) == std::minmax(b.node_a, b.node_b)
+               ? "link"
+               : "";
+  } else if constexpr (requires { a.port; }) {
+    const bool ports = a.port == net::kInvalidPort ||
+                       b.port == net::kInvalidPort || a.port == b.port;
+    return nodes(a.sw, b.sw) && ports ? "port" : "";
+  } else if constexpr (requires { a.host; }) {
+    return nodes(a.host, b.host) ? "host" : "";
+  } else {
+    return nodes(a.sw, b.sw) ? "switch" : "";
+  }
+}
 
 /// Open-ended flap trains (stop < 0) are materialized out to this horizon;
 /// evaluation traces run a few milliseconds, so one simulated second covers
@@ -107,89 +198,25 @@ FaultPlan FaultPlan::victim_path_flaps(sim::Time period_ns,
 }
 
 std::string FaultPlan::validate() const {
-  for (const PollFaultSpec& s : poll_faults) {
-    if (!window_ok(s.start, s.stop)) return "poll fault: empty/inverted window";
-    if (!prob_ok(s.drop_prob) || !prob_ok(s.duplicate_prob) ||
-        !prob_ok(s.delay_prob) ||
-        s.drop_prob + s.duplicate_prob + s.delay_prob > 1.0) {
-      return "poll fault: probabilities out of range";
-    }
-  }
-  for (const DmaFaultSpec& s : dma_faults) {
-    if (!window_ok(s.start, s.stop)) return "dma fault: empty/inverted window";
-    if (!prob_ok(s.fail_prob) || !prob_ok(s.stale_prob) ||
-        s.fail_prob + s.stale_prob > 1.0) {
-      return "dma fault: probabilities out of range";
-    }
-  }
-  for (const AgentBlackout& b : blackouts) {
-    if (!window_ok(b.start, b.stop)) return "blackout: empty/inverted window";
-  }
-  for (const LinkFlapSpec& s : link_flaps) {
-    if (!window_ok(s.start, s.stop)) {
-      return "link flap: empty/inverted window";
-    }
-    // Both endpoints invalid is a placeholder the runner binds later;
-    // exactly one bound endpoint can only be a mistake.
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "link flap: half-bound endpoints";
-    }
-    if (s.down_ns <= 0) return "link flap: non-positive down_ns";
-    if (s.period_ns != 0 && s.period_ns < s.down_ns) {
-      return "link flap: period shorter than down time";
-    }
-    if (s.jitter < 0 || s.jitter > 1) return "link flap: jitter out of [0,1]";
-    if (s.holddown_ns < 0) return "link flap: negative reconvergence hold-down";
-    if (s.holddown_ns == 0 && s.restore_holddown_ns >= 0) {
-      return "link flap: restore hold-down set while reconvergence disabled";
-    }
-  }
-  for (const PfcFrameFaultSpec& s : pfc_faults) {
-    if (!window_ok(s.start, s.stop)) {
-      return "pfc frame fault: empty/inverted window";
-    }
-    if (!prob_ok(s.loss_prob) || !prob_ok(s.delay_prob) ||
-        s.loss_prob + s.delay_prob > 1.0) {
-      return "pfc frame fault: probabilities out of range";
-    }
-  }
   if (!prob_ok(rtt_jitter.prob) || rtt_jitter.magnitude < 0) {
     return "rtt jitter: parameters out of range";
   }
-  for (const DegradedLinkSpec& s : degraded_links) {
-    if (!window_ok(s.start, s.stop)) {
-      return "degraded link: empty/inverted window";
+  std::string err;
+  const auto report = [&err](std::string_view label, std::string_view why) {
+    if (err.empty()) err.append(label).append(": ").append(why);
+  };
+  families(*this, [&](std::string_view, std::string_view label,
+                      const auto& specs) {
+    for (const auto& s : specs) {
+      // Both endpoints invalid is a placeholder the runner binds later;
+      // exactly one bound endpoint can only be a mistake.
+      const char* why = !window_ok(s.start, s.stop) ? "empty/inverted window"
+                        : half_bound(s)             ? "half-bound endpoints"
+                                                    : param_error(s);
+      if (why != nullptr) report(label, why);
     }
-    // Both endpoints invalid is a placeholder the runner binds later;
-    // exactly one bound endpoint can only be a mistake.
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "degraded link: half-bound endpoints";
-    }
-    if (s.ber < 0 || s.ber > 1) return "degraded link: ber out of [0,1]";
-  }
-  for (const LinkSpeedMismatchSpec& s : speed_mismatches) {
-    if (!window_ok(s.start, s.stop)) {
-      return "speed mismatch: empty/inverted window";
-    }
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "speed mismatch: half-bound endpoints";
-    }
-    if (s.gbps <= 0) return "speed mismatch: non-positive gbps";
-  }
-  for (const HostPcieBottleneckSpec& s : pcie_bottlenecks) {
-    if (!window_ok(s.start, s.stop)) {
-      return "pcie bottleneck: empty/inverted window";
-    }
-    if (s.drain_gbps <= 0) return "pcie bottleneck: non-positive drain_gbps";
-  }
-  for (const OversubscribedDownlinkSpec& s : oversub_downlinks) {
-    if (!window_ok(s.start, s.stop)) {
-      return "oversubscribed downlink: empty/inverted window";
-    }
-    if (s.factor <= 0 || s.factor >= 1) {
-      return "oversubscribed downlink: factor out of (0,1)";
-    }
-  }
+  });
+  if (!err.empty()) return err;
 
   // --- Same-site overlapping windows ---
   // Spec lookup is first-match-wins (poll_spec / dma_spec / the degraded
@@ -197,113 +224,25 @@ std::string FaultPlan::validate() const {
   // overlapping window silently never fires there, so its parameters are
   // dead weight that *looks* installed. Reject the ambiguity; adjacent
   // half-open windows ([a,b) then [b,c)) remain fine. Windows with
-  // stop < 0 extend to the end of the run; wildcard sites (kInvalidNode
-  // switch/host, kInvalidPort port, both-placeholder link endpoints)
-  // conflict with every site their family could match.
-  const auto overlap = [](sim::Time s1, sim::Time e1, sim::Time s2,
-                          sim::Time e2) {
+  // stop < 0 extend to the end of the run.
+  const auto overlap = [](const auto& a, const auto& b) {
     const sim::Time inf = std::numeric_limits<sim::Time>::max();
-    return std::max(s1, s2) < std::min(e1 < 0 ? inf : e1, e2 < 0 ? inf : e2);
+    return std::max(a.start, b.start) <
+           std::min(a.stop < 0 ? inf : a.stop, b.stop < 0 ? inf : b.stop);
   };
-  const auto nodes_alias = [](net::NodeId a, net::NodeId b) {
-    return a == net::kInvalidNode || b == net::kInvalidNode || a == b;
-  };
-  const auto links_alias = [](net::NodeId a1, net::NodeId b1, net::NodeId a2,
-                              net::NodeId b2) {
-    return std::minmax(a1, b1) == std::minmax(a2, b2);
-  };
-  for (std::size_t i = 0; i < poll_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < poll_faults.size(); ++j) {
-      const PollFaultSpec& a = poll_faults[i];
-      const PollFaultSpec& b = poll_faults[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "poll fault: overlapping windows for the same switch";
+  families(*this, [&](std::string_view, std::string_view label,
+                      const auto& specs) {
+    for (std::size_t i = 0; i < specs.size() && err.empty(); ++i) {
+      for (std::size_t j = i + 1; j < specs.size() && err.empty(); ++j) {
+        const std::string_view site = shared_site(specs[i], specs[j]);
+        if (!site.empty() && overlap(specs[i], specs[j])) {
+          report(label, "overlapping windows for the same " +
+                            std::string(site));
+        }
       }
     }
-  }
-  for (std::size_t i = 0; i < dma_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < dma_faults.size(); ++j) {
-      const DmaFaultSpec& a = dma_faults[i];
-      const DmaFaultSpec& b = dma_faults[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "dma fault: overlapping windows for the same switch";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < blackouts.size(); ++i) {
-    for (std::size_t j = i + 1; j < blackouts.size(); ++j) {
-      const AgentBlackout& a = blackouts[i];
-      const AgentBlackout& b = blackouts[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "blackout: overlapping windows for the same switch";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < link_flaps.size(); ++i) {
-    for (std::size_t j = i + 1; j < link_flaps.size(); ++j) {
-      const LinkFlapSpec& a = link_flaps[i];
-      const LinkFlapSpec& b = link_flaps[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "link flap: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < pfc_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < pfc_faults.size(); ++j) {
-      const PfcFrameFaultSpec& a = pfc_faults[i];
-      const PfcFrameFaultSpec& b = pfc_faults[j];
-      const bool port_aliases = a.port == net::kInvalidPort ||
-                                b.port == net::kInvalidPort ||
-                                a.port == b.port;
-      if (nodes_alias(a.sw, b.sw) && port_aliases &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "pfc frame fault: overlapping windows for the same port";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < degraded_links.size(); ++i) {
-    for (std::size_t j = i + 1; j < degraded_links.size(); ++j) {
-      const DegradedLinkSpec& a = degraded_links[i];
-      const DegradedLinkSpec& b = degraded_links[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "degraded link: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < speed_mismatches.size(); ++i) {
-    for (std::size_t j = i + 1; j < speed_mismatches.size(); ++j) {
-      const LinkSpeedMismatchSpec& a = speed_mismatches[i];
-      const LinkSpeedMismatchSpec& b = speed_mismatches[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "speed mismatch: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < pcie_bottlenecks.size(); ++i) {
-    for (std::size_t j = i + 1; j < pcie_bottlenecks.size(); ++j) {
-      const HostPcieBottleneckSpec& a = pcie_bottlenecks[i];
-      const HostPcieBottleneckSpec& b = pcie_bottlenecks[j];
-      if (nodes_alias(a.host, b.host) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "pcie bottleneck: overlapping windows for the same host";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < oversub_downlinks.size(); ++i) {
-    for (std::size_t j = i + 1; j < oversub_downlinks.size(); ++j) {
-      const OversubscribedDownlinkSpec& a = oversub_downlinks[i];
-      const OversubscribedDownlinkSpec& b = oversub_downlinks[j];
-      if (nodes_alias(a.sw, b.sw) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "oversubscribed downlink: overlapping windows for the same "
-               "switch";
-      }
-    }
-  }
-  return {};
+  });
+  return err;
 }
 
 const PollFaultSpec* FaultInjector::poll_spec(net::NodeId sw,

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,6 +38,15 @@ namespace hawkeye::fault {
 /// device/collect objects: with no injector installed the fault paths cost
 /// one branch and draw no randomness, so fault-free runs are byte-identical
 /// to a build without this module.
+///
+/// Each spec struct below is followed by its `fields(spec, f)` list: one
+/// `f(key, member)` call per member, in case-file order (the `<key>` of
+/// eval/scenario_io's `faults.<family>.<i>.<key>` lines). It takes the spec
+/// const or mutable, so writers and readers share one list.
+
+/// `S` is `T` or `const T`.
+template <typename S, typename T>
+concept MaybeConst = std::same_as<std::remove_const_t<S>, T>;
 
 /// Faults on polling packets (and their PFC-causality clones) arriving at
 /// a switch. Probabilities are per polling-packet arrival; at most one
@@ -53,6 +64,17 @@ struct PollFaultSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<PollFaultSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("sw", s.sw);
+  f("drop_prob", s.drop_prob);
+  f("duplicate_prob", s.duplicate_prob);
+  f("delay_prob", s.delay_prob);
+  f("delay_ns", s.delay_ns);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
 /// Faults on the controller-assisted register snapshot (switch-CPU DMA,
 /// paper §3.4). `fail` models an overloaded CPU never completing the read;
 /// `stale` models the read completing late — by then the epoch ring has
@@ -68,6 +90,16 @@ struct DmaFaultSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<DmaFaultSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("sw", s.sw);
+  f("fail_prob", s.fail_prob);
+  f("stale_prob", s.stale_prob);
+  f("extra_delay", s.extra_delay);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
 /// A HawkeyeSwitchAgent outage (agent crash/restart): during [start, stop)
 /// the switch behaves like a non-Hawkeye switch and drops polling packets.
 /// kInvalidNode blacks out every agent; stop < 0 means until the end of the
@@ -78,6 +110,13 @@ struct AgentBlackout {
   sim::Time start = 0;
   sim::Time stop = -1;
 };
+
+template <MaybeConst<AgentBlackout> S, typename F>
+void fields(S& s, F&& f) {
+  f("sw", s.sw);
+  f("start", s.start);
+  f("stop", s.stop);
+}
 
 /// A physical link flapping: the link is dead during one or more down
 /// windows inside [start, stop). In-flight packets on the link are dropped,
@@ -121,6 +160,19 @@ struct LinkFlapSpec {
   }
 };
 
+template <MaybeConst<LinkFlapSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("node_a", s.node_a);
+  f("node_b", s.node_b);
+  f("start", s.start);
+  f("stop", s.stop);
+  f("down_ns", s.down_ns);
+  f("period_ns", s.period_ns);
+  f("jitter", s.jitter);
+  f("holddown_ns", s.holddown_ns);
+  f("restore_holddown_ns", s.restore_holddown_ns);
+}
+
 /// Per-port probabilistic loss/delay of PFC pause/resume frames on the
 /// wire (Mittal et al., SIGCOMM'18: corrupted pause signaling). A lost
 /// RESUME leaves the paused peer frozen until its pause quanta age out; a
@@ -141,6 +193,19 @@ struct PfcFrameFaultSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<PfcFrameFaultSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("sw", s.sw);
+  f("port", s.port);
+  f("loss_prob", s.loss_prob);
+  f("delay_prob", s.delay_prob);
+  f("delay_ns", s.delay_ns);
+  f("affect_pause", s.affect_pause);
+  f("affect_resume", s.affect_resume);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
 /// Noise on the RTT samples feeding the DetectionAgent (flaky host timer /
 /// congested PCIe — the detector's own sensor misbehaving). Each sample is
 /// inflated with probability `prob` by a factor in [1, 1 + magnitude].
@@ -148,6 +213,12 @@ struct RttJitterSpec {
   double prob = 0;
   double magnitude = 0;
 };
+
+template <MaybeConst<RttJitterSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("prob", s.prob);
+  f("magnitude", s.magnitude);
+}
 
 /// Fleet-ops fault class 1 — a degraded cable (net_sanitizer's "bad cable"):
 /// a raw bit-error rate on one link. Every frame crossing the link draws a
@@ -175,6 +246,15 @@ struct DegradedLinkSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<DegradedLinkSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("node_a", s.node_a);
+  f("node_b", s.node_b);
+  f("ber", s.ber);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
 /// Fleet-ops fault class 2 — link-speed mismatch: one link negotiated at a
 /// lower rate than the fabric's nominal speed (a 25G optic in a 100G
 /// fabric). Serialization on the link runs at `gbps` while routing, the
@@ -193,6 +273,15 @@ struct LinkSpeedMismatchSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<LinkSpeedMismatchSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("node_a", s.node_a);
+  f("node_b", s.node_b);
+  f("gbps", s.gbps);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
 /// Fleet-ops fault class 3 — host-side PCIe bottleneck: the receiving NIC
 /// can only DMA toward host memory at `drain_gbps`. Arriving data queues in
 /// a drain FIFO and the ACK leaves only when the DMA completes, so senders
@@ -206,6 +295,14 @@ struct HostPcieBottleneckSpec {
   sim::Time start = 0;
   sim::Time stop = -1;
 };
+
+template <MaybeConst<HostPcieBottleneckSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("host", s.host);
+  f("drain_gbps", s.drain_gbps);
+  f("start", s.start);
+  f("stop", s.stop);
+}
 
 /// Fleet-ops fault class 4 — oversubscribed down-links: the down-links of
 /// `sw` (an aggregation or edge switch; kInvalidNode = every aggregation
@@ -222,6 +319,23 @@ struct OversubscribedDownlinkSpec {
   sim::Time stop = -1;
 };
 
+template <MaybeConst<OversubscribedDownlinkSpec> S, typename F>
+void fields(S& s, F&& f) {
+  f("sw", s.sw);
+  f("factor", s.factor);
+  f("start", s.start);
+  f("stop", s.stop);
+}
+
+/// Families whose specs name one link by its two endpoints. Leaving both at
+/// kInvalidNode marks a placeholder the runner binds to a link on the
+/// crafted victim's path; exactly one bound endpoint is invalid.
+template <typename S>
+concept LinkSpec = requires(S& s) {
+  s.node_a;
+  s.node_b;
+};
+
 struct FaultPlan {
   std::uint64_t seed = 1;
   std::vector<PollFaultSpec> poll_faults;
@@ -236,10 +350,30 @@ struct FaultPlan {
   std::vector<HostPcieBottleneckSpec> pcie_bottlenecks;
   std::vector<OversubscribedDownlinkSpec> oversub_downlinks;
 
+  /// The nine fault families in case-file order: `f(key, label, specs)`
+  /// per family, with its case-file key (`faults.<key>.<i>.<field>`), the
+  /// label validate() reports it under, and its spec vector (const when
+  /// `plan` is). enabled(), validate(), the case-file codec, overlay
+  /// window scaling and victim-path binding iterate this table, so a new
+  /// family needs only its struct, its `fields` list, one line here, its
+  /// validate() parameter check and its injector hooks.
+  template <MaybeConst<FaultPlan> Plan, typename F>
+  static void families(Plan& plan, F&& f) {
+    f("poll", "poll fault", plan.poll_faults);
+    f("dma", "dma fault", plan.dma_faults);
+    f("blackout", "blackout", plan.blackouts);
+    f("flap", "link flap", plan.link_flaps);
+    f("pfc", "pfc frame fault", plan.pfc_faults);
+    f("degraded", "degraded link", plan.degraded_links);
+    f("speed", "speed mismatch", plan.speed_mismatches);
+    f("pcie", "pcie bottleneck", plan.pcie_bottlenecks);
+    f("oversub", "oversubscribed downlink", plan.oversub_downlinks);
+  }
+
   bool enabled() const {
-    return !poll_faults.empty() || !dma_faults.empty() ||
-           !blackouts.empty() || !link_flaps.empty() ||
-           !pfc_faults.empty() || rtt_jitter.prob > 0 || fleet_enabled();
+    bool any = rtt_jitter.prob > 0;
+    families(*this, [&any](auto, auto, const auto& v) { any |= !v.empty(); });
+    return any;
   }
 
   /// True if the plan reaches below the telemetry layer into the fabric

@@ -8,8 +8,6 @@
 
 namespace hawkeye::sim {
 
-thread_local Simulator::ExecCtx* Simulator::tls_ctx_ = nullptr;
-
 /// Persistent worker pool for parallel rounds. Workers block on a round
 /// generation counter; the main thread publishes a horizon, wakes them, and
 /// waits for the drain count to hit zero. The mutex acquire/release pairs

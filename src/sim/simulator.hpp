@@ -252,7 +252,10 @@ class Simulator {
   bool step_sharded();
   void ensure_pool();
 
-  static thread_local ExecCtx* tls_ctx_;
+  // Defined in-class so every translation unit reads it as a plain TLS
+  // load. Defined out of line, it is read from other units through the
+  // weak TLS-init wrapper, and UBSan reports those reads as null loads.
+  static inline thread_local ExecCtx* tls_ctx_ = nullptr;
 
   // Single-shard (seed) state.
   EventCalendar calendar_;

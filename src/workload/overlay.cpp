@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 namespace hawkeye::workload {
 
@@ -29,45 +30,30 @@ void scale_probs(double s, std::initializer_list<double*> ps) {
   }
 }
 
-void scale_window(Time start, Time& stop, double s) {
-  if (stop < 0 || s == 1.0) return;  // unbounded windows keep their sentinel
-  stop = start + scale_time(stop - start, s, 1);
-}
-
 void scale_fault_plan(fault::FaultPlan& plan, double rate_s, double win_s) {
+  fault::FaultPlan::families(
+      plan, [win_s](std::string_view, std::string_view, auto& specs) {
+        for (auto& f : specs) {
+          if (f.stop < 0 || win_s == 1.0) continue;  // stays unbounded
+          f.stop = f.start + scale_time(f.stop - f.start, win_s, 1);
+        }
+      });
   for (fault::PollFaultSpec& f : plan.poll_faults) {
     scale_probs(rate_s, {&f.drop_prob, &f.duplicate_prob, &f.delay_prob});
-    scale_window(f.start, f.stop, win_s);
   }
   for (fault::DmaFaultSpec& f : plan.dma_faults) {
     scale_probs(rate_s, {&f.fail_prob, &f.stale_prob});
-    scale_window(f.start, f.stop, win_s);
-  }
-  for (fault::AgentBlackout& f : plan.blackouts) {
-    scale_window(f.start, f.stop, win_s);
   }
   for (fault::LinkFlapSpec& f : plan.link_flaps) {
-    scale_window(f.start, f.stop, win_s);
     f.down_ns = scale_time(f.down_ns, win_s, 1);
     if (f.period_ns != 0 && f.period_ns < f.down_ns) f.down_ns = f.period_ns;
   }
   for (fault::PfcFrameFaultSpec& f : plan.pfc_faults) {
     scale_probs(rate_s, {&f.loss_prob, &f.delay_prob});
-    scale_window(f.start, f.stop, win_s);
   }
   plan.rtt_jitter.prob = clamp01(plan.rtt_jitter.prob * rate_s);
   for (fault::DegradedLinkSpec& f : plan.degraded_links) {
     f.ber = clamp01(f.ber * rate_s);
-    scale_window(f.start, f.stop, win_s);
-  }
-  for (fault::LinkSpeedMismatchSpec& f : plan.speed_mismatches) {
-    scale_window(f.start, f.stop, win_s);
-  }
-  for (fault::HostPcieBottleneckSpec& f : plan.pcie_bottlenecks) {
-    scale_window(f.start, f.stop, win_s);
-  }
-  for (fault::OversubscribedDownlinkSpec& f : plan.oversub_downlinks) {
-    scale_window(f.start, f.stop, win_s);
   }
 }
 

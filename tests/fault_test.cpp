@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "eval/runner.hpp"
 #include "eval/testbed.hpp"
@@ -560,6 +563,48 @@ TEST(FaultPlanTest, ValidateRejectsOverlappingWindowsSameSite) {
               p.degraded_links = {a, b};
             }),
             "");
+}
+
+TEST(FaultPlanTest, EveryFamilyChecksWindowsAndSameSiteOverlap) {
+  // Default-constructed specs are valid and all share one site (wildcard
+  // switch/port/host or placeholder link), so the same plans probe the
+  // window and overlap rules of every family in FaultPlan::families.
+  const fault::FaultPlan none;
+  int families = 0;
+  fault::FaultPlan::families(none, [&](std::string_view key, std::string_view,
+                                       const auto& empty) {
+    using Spec = typename std::decay_t<decltype(empty)>::value_type;
+    SCOPED_TRACE(std::string(key));
+    ++families;
+    const auto validate = [](const std::vector<Spec>& specs) {
+      fault::FaultPlan p;
+      fault::FaultPlan::families(
+          p, [&](std::string_view, std::string_view, auto& v) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                         std::vector<Spec>>) {
+              v = specs;
+            }
+          });
+      return p.validate();
+    };
+    const auto window = [](sim::Time start, sim::Time stop) {
+      Spec s;
+      s.start = start;
+      s.stop = stop;
+      return s;
+    };
+    EXPECT_EQ(validate({Spec{}}), "");
+    EXPECT_NE(validate({window(sim::us(200), sim::us(200))}), "")
+        << "empty window";
+    EXPECT_NE(validate({window(sim::us(500), sim::us(100))}), "")
+        << "inverted window";
+    EXPECT_NE(validate({Spec{}, Spec{}}), "") << "same-site overlap";
+    EXPECT_EQ(validate({window(sim::us(100), sim::us(200)),
+                        window(sim::us(200), sim::us(300))}),
+              "")
+        << "adjacent half-open windows";
+  });
+  EXPECT_EQ(families, 9);
 }
 
 TEST(FaultPlanTest, TestbedRejectsOverlappingPlan) {

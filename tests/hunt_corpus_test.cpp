@@ -61,5 +61,56 @@ TEST(HuntCorpusTest, EveryCaseParsesCanonicallyAndReplays) {
   }
 }
 
+TEST(HuntCorpusTest, MutatedCasesParseOrThrowInvalidArgument) {
+  // Deterministic mutants of every committed case: each must parse or be
+  // rejected with std::invalid_argument (no other exception, no crash),
+  // and whatever parses must re-serialize to a fixed point.
+  const auto join = [](const std::vector<std::string>& lines) {
+    std::string out;
+    for (const std::string& l : lines) out += l + '\n';
+    return out;
+  };
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const fs::path& p : corpus_files()) {
+    SCOPED_TRACE(p.filename().string());
+    std::vector<std::string> lines;
+    std::istringstream in(slurp(p));
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+
+    std::vector<std::string> mutants{join(lines) + "fuzz.unknown_key=1\n"};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      mutants.push_back(
+          join(std::vector<std::string>(lines.begin(), lines.begin() + i)));
+      std::vector<std::string> m = lines;
+      m.insert(m.begin() + i, lines[i]);
+      mutants.push_back(join(m));
+      const std::size_t eq = lines[i].find('=');
+      if (eq == std::string::npos) continue;
+      m = lines;
+      m[i].erase(eq, 1);
+      mutants.push_back(join(m));
+      for (const char* v : {"x", "-1", "99999999999999999999"}) {
+        m = lines;
+        m[i] = lines[i].substr(0, eq + 1) + v;
+        mutants.push_back(join(m));
+      }
+    }
+    for (const std::string& m : mutants) {
+      std::string once;
+      try {
+        once = serialize_case(parse_case(m));
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      EXPECT_EQ(serialize_case(parse_case(once)), once) << m;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 }  // namespace
 }  // namespace hawkeye::eval

@@ -13,9 +13,9 @@ namespace {
 using diagnosis::AnomalyType;
 
 HuntCase full_case() {
-  // Every serializable axis populated at once: one spec per fault list
-  // (same-list windows would overlap), jitter, a full overlay, and the
-  // expected block.
+  // Every serializable axis populated at once: one spec of each of the
+  // nine fault families (same-list windows would overlap), jitter, a full
+  // overlay, and the expected block.
   HuntCase c;
   c.cfg.scenario = AnomalyType::kPfcStorm;
   c.cfg.seed = 42;
@@ -72,6 +72,23 @@ HuntCase full_case() {
   deg.start = 0;
   deg.stop = sim::us(700);
   fp.degraded_links.push_back(deg);
+  fault::LinkSpeedMismatchSpec speed;
+  speed.node_a = 9;
+  speed.node_b = 17;
+  speed.gbps = 40.5;
+  speed.start = sim::us(30);
+  speed.stop = sim::us(800);
+  fp.speed_mismatches.push_back(speed);
+  fault::HostPcieBottleneckSpec pcie;
+  pcie.host = 2;
+  pcie.drain_gbps = 12.25;
+  pcie.start = sim::us(5);
+  fp.pcie_bottlenecks.push_back(pcie);
+  fault::OversubscribedDownlinkSpec oversub;
+  oversub.sw = 18;
+  oversub.factor = 0.25;
+  oversub.stop = sim::us(400);
+  fp.oversub_downlinks.push_back(oversub);
   workload::ScenarioOverlay& ov = c.cfg.overlay;
   ov.drop_flows = {4, 2, 9};
   ov.size_scale = 0.5;
@@ -87,9 +104,96 @@ HuntCase full_case() {
   return c;
 }
 
+// full_case() in v1 text: every key of the format, in canonical order. A
+// round trip alone cannot see a field dropped, renamed or moved in both the
+// writer and the reader; this pinned text can.
+constexpr const char* kFullCaseV1 = R"(hawkeye-hunt-case v1
+scenario=pfc-storm
+seed=42
+method=victim-only
+epoch_shift=18
+epoch_index_bits=4
+threshold_factor=2.5
+tele_mode=port-only
+one_bit_meter=1
+background_load=0.14999999999999999
+fat_tree_k=8
+shards=4
+max_repolls=2
+fleet_workload=all-to-all
+fleet_severity=1.75
+faults.seed=99
+faults.poll.0.sw=3
+faults.poll.0.drop_prob=0.25
+faults.poll.0.duplicate_prob=0
+faults.poll.0.delay_prob=0.125
+faults.poll.0.delay_ns=120000
+faults.poll.0.start=10000
+faults.poll.0.stop=500000
+faults.dma.0.sw=-1
+faults.dma.0.fail_prob=0.5
+faults.dma.0.stale_prob=0
+faults.dma.0.extra_delay=1000000
+faults.dma.0.start=100000
+faults.dma.0.stop=200000
+faults.blackout.0.sw=5
+faults.blackout.0.start=50000
+faults.blackout.0.stop=60000
+faults.flap.0.node_a=-1
+faults.flap.0.node_b=-1
+faults.flap.0.start=100000
+faults.flap.0.stop=900000
+faults.flap.0.down_ns=30000
+faults.flap.0.period_ns=200000
+faults.flap.0.jitter=0.5
+faults.flap.0.holddown_ns=50000
+faults.flap.0.restore_holddown_ns=-1
+faults.pfc.0.sw=-1
+faults.pfc.0.port=-1
+faults.pfc.0.loss_prob=0.29999999999999999
+faults.pfc.0.delay_prob=0
+faults.pfc.0.delay_ns=20000
+faults.pfc.0.affect_pause=1
+faults.pfc.0.affect_resume=0
+faults.pfc.0.start=20000
+faults.pfc.0.stop=-1
+faults.rtt_jitter.prob=0.10000000000000001
+faults.rtt_jitter.magnitude=1.5
+faults.degraded.0.node_a=-1
+faults.degraded.0.node_b=-1
+faults.degraded.0.ber=9.9999999999999995e-07
+faults.degraded.0.start=0
+faults.degraded.0.stop=700000
+faults.speed.0.node_a=9
+faults.speed.0.node_b=17
+faults.speed.0.gbps=40.5
+faults.speed.0.start=30000
+faults.speed.0.stop=800000
+faults.pcie.0.host=2
+faults.pcie.0.drain_gbps=12.25
+faults.pcie.0.start=5000
+faults.pcie.0.stop=-1
+faults.oversub.0.sw=18
+faults.oversub.0.factor=0.25
+faults.oversub.0.start=0
+faults.oversub.0.stop=400000
+overlay.drop_flows=4,2,9
+overlay.size_scale=0.5
+overlay.rate_scale=2
+overlay.arrival_stride_ns=1000
+overlay.duration_add_ns=200000
+overlay.fault_rate_scale=0.5
+overlay.fault_window_scale=0.75
+expected.class=silent-wrong
+expected.verdict=micro-burst-incast
+expected.truth=pfc-storm
+note=fixture with an embedded newline
+)";
+
 TEST(ScenarioIoTest, SerializeParseSerializeIsFixedPoint) {
   const HuntCase c = full_case();
   const std::string s1 = serialize_case(c);
+  EXPECT_EQ(s1, kFullCaseV1);
   const HuntCase parsed = parse_case(s1);
   const std::string s2 = serialize_case(parsed);
   EXPECT_EQ(s1, s2);
@@ -199,6 +303,42 @@ TEST(ScenarioIoTest, ParseRejectsDrift) {
       << "two wildcard whole-run poll specs overlap";
   EXPECT_THROW(parse_case(good + "overlay.size_scale=-1\n"),
                std::invalid_argument);
+  // Values that parse as numbers but that the run cannot take: an odd or
+  // too-small fat tree, a non-positive fleet severity, an epoch layout past
+  // 64 bits, non-finite doubles, integers outside their field's type.
+  for (const char* bad : {
+           "fat_tree_k=3",
+           "fat_tree_k=0",
+           "fat_tree_k=-4",
+           "fat_tree_k=2",
+           "scenario=oversubscribed-downlink\nfleet_severity=0",
+           "scenario=oversubscribed-downlink\nfleet_severity=-1",
+           "epoch_shift=70",
+           "epoch_shift=-1",
+           "epoch_index_bits=0",
+           "epoch_index_bits=31",
+           "epoch_shift=40\nepoch_index_bits=16",  // 40 + 16 + 8 id bits
+           "epoch_shift=2147483647",
+           "background_load=-0.5",
+           "threshold_factor=inf",
+           "overlay.size_scale=nan",
+           "faults.blackout.0.sw=4294967299",
+           "max_repolls=-1",
+           "overlay.drop_flows=1,-2",
+       }) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parse_case(good + bad + "\n"), std::invalid_argument);
+  }
+  try {
+    parse_case(good + "fat_tree_k=3\n");
+    ADD_FAILURE() << "fat_tree_k=3 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"fat_tree_k=3\""),
+              std::string::npos)
+        << "the error names the line: " << e.what();
+  }
+  // The epoch rule's boundary still parses: 52 + 3 + 8 = 63 bits.
+  EXPECT_NO_THROW(parse_case(good + "epoch_shift=52\n"));
   // Comments and blank lines are tolerated.
   const HuntCase c = parse_case("# header comment\n\n" + good + "# trailer\n");
   EXPECT_EQ(serialize_case(c), good);
