@@ -153,12 +153,7 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
     if (e == nullptr) return;
     if (!e->put_report(id, std::move(rep))) return;
     e->stale_epochs_rejected += stale_rejected;
-    e->telemetry_bytes += filtered;
-    e->raw_telemetry_bytes += raw;
-    e->report_packets += static_cast<std::uint64_t>(
-        (filtered + cfg_.report_mtu_bytes - 1) / cfg_.report_mtu_bytes);
-    e->dataplane_report_packets += static_cast<std::uint64_t>(
-        (raw + cfg_.dataplane_phv_bytes - 1) / cfg_.dataplane_phv_bytes);
+    account_report(*e, filtered, raw);
     // Per-switch CPU polls run in parallel (asynchronous, triggered within
     // an end-to-end delay of each other), so episode latency is the max.
     e->collection_latency = std::max(e->collection_latency, dma_latency);
@@ -168,6 +163,16 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
   } else {
     commit();
   }
+}
+
+void Collector::account_report(Episode& e, std::int64_t filtered,
+                               std::int64_t raw) const {
+  e.telemetry_bytes += filtered;
+  e.raw_telemetry_bytes += raw;
+  e.report_packets += static_cast<std::uint64_t>(
+      (filtered + cfg_.report_mtu_bytes - 1) / cfg_.report_mtu_bytes);
+  e.dataplane_report_packets += static_cast<std::uint64_t>(
+      (raw + cfg_.dataplane_phv_bytes - 1) / cfg_.dataplane_phv_bytes);
 }
 
 void Collector::collect_all(std::uint64_t probe_id, sim::Time now) {
@@ -209,6 +214,62 @@ void Collector::count_polling_packet(std::uint64_t probe_id,
 Episode* Collector::episode(std::uint64_t probe_id) {
   const auto it = episodes_.find(probe_id);
   return it == episodes_.end() ? nullptr : &it->second;
+}
+
+std::optional<Episode> Collector::merged_episode(const net::FiveTuple& victim,
+                                                 sim::Time onset) const {
+  std::vector<const Episode*> picked, pre_onset;
+  for (const std::uint64_t id : order_) {
+    const Episode& ep = episodes_.at(id);
+    if (!(ep.victim == victim)) continue;
+    (ep.triggered_at >= onset ? picked : pre_onset).push_back(&ep);
+  }
+  if (picked.empty() && !pre_onset.empty()) picked.push_back(pre_onset[0]);
+  if (picked.empty()) return std::nullopt;
+
+  Episode merged;
+  merged.probe_id = picked.front()->probe_id;
+  merged.victim = victim;
+  merged.triggered_at = picked.front()->triggered_at;
+  // The filtered bytes of a merged report are re-serialized below; the raw
+  // register dump per switch does not depend on the report, so it is taken
+  // from the first episode that has any.
+  std::int64_t raw_per_switch = 0;
+  for (const Episode* ep : picked) {
+    if (raw_per_switch == 0 && !ep->reports.empty()) {
+      raw_per_switch = ep->raw_telemetry_bytes /
+                       static_cast<std::int64_t>(ep->reports.size());
+    }
+    merged.polling_packets += ep->polling_packets;
+    merged.polling_bytes += ep->polling_bytes;
+    merged.collection_latency =
+        std::max(merged.collection_latency, ep->collection_latency);
+    merged.repolls += ep->repolls;
+    merged.failed_collections += ep->failed_collections;
+    merged.stale_epochs_rejected += ep->stale_epochs_rejected;
+    merged.degraded = merged.degraded || ep->degraded;
+    merged.path_churned = merged.path_churned || ep->path_churned;
+    merged.routing_epoch = std::max(merged.routing_epoch, ep->routing_epoch);
+    // Stable union: episodes collected on different sides of a
+    // reconvergence expect different hop sets, and the merged diagnosis
+    // needs them all.
+    for (const net::NodeId sw : ep->expected_switches) {
+      if (std::find(merged.expected_switches.begin(),
+                    merged.expected_switches.end(),
+                    sw) == merged.expected_switches.end()) {
+        merged.expected_switches.push_back(sw);
+      }
+    }
+    for (const auto& [sw, rep] : ep->reports) {
+      if (!merged.put_report(sw, rep)) {
+        telemetry::merge_report(merged.report_ref(sw), rep);
+      }
+    }
+  }
+  for (const auto& [sw, rep] : merged.reports) {
+    account_report(merged, telemetry::serialized_bytes(rep), raw_per_switch);
+  }
+  return merged;
 }
 
 }  // namespace hawkeye::collect

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -92,6 +93,19 @@ class Collector {
   Episode* episode(std::uint64_t probe_id);
   const std::vector<std::uint64_t>& episode_order() const { return order_; }
 
+  /// The victim's episodes merged into the one view an operator diagnoses
+  /// for the complaint; nullopt when `victim` never triggered. A persistent
+  /// anomaly re-triggers once per dedup interval, so every episode
+  /// triggered at or after `onset` merges: the earliest snapshot of each
+  /// switch wins (it is the densest view of the anomaly — ring epochs age
+  /// out under background churn), later episodes only widen coverage, and
+  /// the coverage contracts are unioned. Only when no post-onset episode
+  /// exists does the first pre-onset one (noise during buildup, whose
+  /// delayed snapshot usually still covers the onset) stand in. Report
+  /// accounting is recomputed over the merged reports.
+  std::optional<Episode> merged_episode(const net::FiveTuple& victim,
+                                        sim::Time onset) const;
+
   /// Switch-CPU snapshot attempts issued (before dedup/fault filtering) —
   /// the "how many DMA reads did healing really cost" observable the
   /// targeted-re-poll tests assert on.
@@ -110,6 +124,12 @@ class Collector {
   /// True if a commit for (probe, sw) is already staged on the current
   /// shard's lane this round (parallel rounds only). Records when absent.
   bool stage_pending(std::uint64_t probe_id, net::NodeId id);
+
+  /// Add one switch report's bytes to `e`'s overhead accounting: `filtered`
+  /// batched into MTU-sized CPU report packets, `raw` into PHV-sized
+  /// data-plane export packets.
+  void account_report(Episode& e, std::int64_t filtered,
+                      std::int64_t raw) const;
 
   Config cfg_;
   sim::Simulator* simu_ = nullptr;

@@ -37,17 +37,6 @@ double Host::effective_line_gbps(Time now) const {
   return faults_->link_gbps(id(), uplink_peer_, line_gbps_, now);
 }
 
-bool Host::uplink_paused() const {
-  for (int ci = 0; ci < net::kMaxDataClasses; ++ci) {
-    if (uplink_paused(ci)) return true;
-  }
-  return false;
-}
-
-bool Host::uplink_paused(int data_class) const {
-  return paused_until_[static_cast<size_t>(data_class)] > net_.simu().now();
-}
-
 std::uint64_t Host::add_flow(const FlowSpec& spec) {
   FlowState f;
   f.tuple.src_ip = net::Topology::ip_of(spec.src);

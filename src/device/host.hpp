@@ -120,9 +120,6 @@ class Host : public Device {
 
   const std::vector<FlowStats>& flow_stats() const { return stats_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
-  /// True if any (or the given) data class of the uplink is PAUSEd.
-  bool uplink_paused() const;
-  bool uplink_paused(int data_class) const;
   std::uint64_t pfc_frames_injected() const { return pfc_injected_; }
 
   double line_rate_gbps() const { return line_gbps_; }

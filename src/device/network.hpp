@@ -193,20 +193,13 @@ class Network {
   std::uint64_t pfc_loss_drops() const { return drops(DropReason::kPfcLoss); }
   std::uint64_t crc_drops() const { return drops(DropReason::kCrc); }
 
-  void count_data_hop(std::int32_t bytes) {
-    CounterLane& lane = counters_[static_cast<std::size_t>(simu_.current_shard())];
-    ++lane.data_hops;
-    lane.data_hop_bytes += static_cast<std::uint64_t>(bytes);
+  void count_data_hop() {
+    ++counters_[static_cast<std::size_t>(simu_.current_shard())].data_hops;
   }
   /// Total (packet, switch-hop) pairs — NetSight postcard accounting.
   std::uint64_t data_hops() const {
     std::uint64_t total = 0;
     for (const CounterLane& lane : counters_) total += lane.data_hops;
-    return total;
-  }
-  std::uint64_t data_hop_bytes() const {
-    std::uint64_t total = 0;
-    for (const CounterLane& lane : counters_) total += lane.data_hop_bytes;
     return total;
   }
 
@@ -253,7 +246,6 @@ class Network {
   /// the lanes between rounds, where the pool barrier orders the memory.
   struct alignas(64) CounterLane {
     std::uint64_t data_hops = 0;
-    std::uint64_t data_hop_bytes = 0;
     std::array<std::uint64_t, kDropReasonCount> drops{};
   };
   std::vector<CounterLane> counters_;

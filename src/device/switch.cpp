@@ -110,7 +110,7 @@ void Switch::receive(Packet pkt, PortId in_port) {
       handle_polling(std::move(pkt), in_port);
       return;
     case PacketKind::kData:
-      net_.count_data_hop(pkt.size_bytes);
+      net_.count_data_hop();
       [[fallthrough]];
     case PacketKind::kAck:
     case PacketKind::kCnp:

@@ -19,7 +19,7 @@ enum class AnomalyType {
   // Fleet-ops fault classes (silent-failure taxonomy): anomalies whose
   // congestion symptoms mimic the Table 2 rows above but whose root cause
   // is a degraded component, not traffic. Separated from the provenance
-  // verdicts by counter-level evidence (FleetEvidence in diagnosis.hpp).
+  // verdicts by counter-level evidence (FleetEvidence in fault/fault.hpp).
   kDegradedLink,            // BER/CRC loss: congestion provenance, no incast
   kLinkSpeedMismatch,       // one slow-negotiated link in a fast fabric
   kHostPcieBottleneck,      // receiver DMA drain cap: victim, nobody paused

@@ -6,6 +6,8 @@
 
 namespace hawkeye::diagnosis {
 
+using fault::HostCounterEvidence;
+using fault::LinkCounterEvidence;
 using net::FiveTuple;
 using net::NodeId;
 using net::PortRef;
@@ -93,10 +95,6 @@ struct Tracer {
     stack.pop_back();
   }
 };
-
-void append_unique(std::vector<FiveTuple>& out, const FiveTuple& t) {
-  if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
-}
 
 }  // namespace
 
@@ -420,30 +418,19 @@ DiagnosisResult diagnose(const ProvenanceGraph& g, const net::Topology& topo,
 
 namespace {
 
-/// Does the (a, b) link lie on the victim's forwarding path? Returns the
-/// switch-side egress PortRef of the earlier (closer-to-source) endpoint —
-/// the serialization point an operator would be sent to. path_of lists the
-/// egress hops src-host-first; `dst_host` closes the final hop.
-struct OnPathLink {
-  bool found = false;
-  PortRef port;
-};
-
-OnPathLink link_on_victim_path(NodeId a, NodeId b,
-                               const std::vector<PortRef>& path,
-                               NodeId dst_host, const net::Topology& topo) {
-  OnPathLink r;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const NodeId u = path[i].node;
-    const NodeId v = i + 1 < path.size() ? path[i + 1].node : dst_host;
-    if ((u == a && v == b) || (u == b && v == a)) {
-      r.found = true;
-      // The first hop leaves the source host NIC; report the switch end.
-      r.port = topo.is_switch(u) ? path[i] : topo.peer(path[i]);
-      return r;
-    }
-  }
-  return r;
+/// Where link `l` crosses the victim's forwarding path: the switch-side
+/// egress PortRef of its earlier (closer-to-source) endpoint — the
+/// serialization point an operator would be sent to. Invalid when the link
+/// is off the path.
+PortRef on_path_port(const LinkCounterEvidence& l,
+                     const std::vector<PortRef>& path, NodeId dst_host,
+                     const net::Topology& topo) {
+  const auto hop =
+      net::Routing::hop_of_link(path, dst_host, l.node_a, l.node_b);
+  if (!hop) return {};
+  // The first hop leaves the source host NIC; report the switch end.
+  const PortRef& p = path[*hop];
+  return topo.is_switch(p.node) ? p : topo.peer(p);
 }
 
 int distinct_sources(const std::vector<FiveTuple>& flows) {
@@ -471,7 +458,7 @@ std::string fmt_gbps(double gbps) {
 }  // namespace
 
 DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
-                                     const FleetEvidence& evidence,
+                                     const fault::FleetEvidence& evidence,
                                      const net::Topology& topo,
                                      const net::Routing& routing,
                                      const net::FiveTuple& victim,
@@ -500,12 +487,11 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
     PortRef best_port;
     for (const LinkCounterEvidence& l : evidence.links) {
       if (l.crc_errors < cfg.min_crc_errors) continue;
-      const OnPathLink hit =
-          link_on_victim_path(l.node_a, l.node_b, path, dst_host, topo);
-      if (!hit.found) continue;
+      const PortRef port = on_path_port(l, path, dst_host, topo);
+      if (!port.valid()) continue;
       if (best == nullptr || l.crc_errors > best->crc_errors) {
         best = &l;
-        best_port = hit.port;
+        best_port = port;
       }
     }
     if (best != nullptr && evidence.sender_retransmissions > 0) {
@@ -540,20 +526,19 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
   double tier_slow = 0;
   for (const LinkCounterEvidence& l : evidence.links) {
     if (!l.reduced(cfg.reduced_rate_ratio)) continue;
-    const OnPathLink hit =
-        link_on_victim_path(l.node_a, l.node_b, path, dst_host, topo);
+    const PortRef port = on_path_port(l, path, dst_host, topo);
     if (l.oversub_tier) {
       ++tier_reduced;
       tier_slow += static_cast<double>(l.slow_serializations);
-      if (hit.found && tier_on_path == nullptr) {
+      if (port.valid() && tier_on_path == nullptr) {
         tier_on_path = &l;
-        tier_port = hit.port;
+        tier_port = port;
       }
     } else {
       ++lone_reduced;
-      if (hit.found && lone_on_path == nullptr) {
+      if (port.valid() && lone_on_path == nullptr) {
         lone_on_path = &l;
-        lone_port = hit.port;
+        lone_port = port;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "diagnosis/anomaly_type.hpp"
+#include "fault/fault.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "provenance/graph.hpp"
@@ -83,48 +84,9 @@ DiagnosisResult diagnose(const provenance::ProvenanceGraph& g,
 // like nothing at all — but an operator's fleet-health pipeline exports
 // exactly the counters that do: MAC FCS error registers, negotiated
 // port speeds (the ethtool view) and NIC DMA backlog gauges.
-// refine_fleet_verdict layers those counters over the provenance
-// verdict and rewrites it when a fleet signature matches.
-
-/// One link's fleet-health counters.
-struct LinkCounterEvidence {
-  net::NodeId node_a = net::kInvalidNode;
-  net::NodeId node_b = net::kInvalidNode;
-  /// MAC FCS error register delta over the run.
-  std::uint64_t crc_errors = 0;
-  /// Configured (expected) port speed vs the negotiated/actual one.
-  double nominal_gbps = 0;
-  double actual_gbps = 0;
-  /// Frames observed serializing below the nominal rate.
-  std::uint64_t slow_serializations = 0;
-  /// The speed reduction came from a tier-wide (oversubscription) spec,
-  /// not a lone port: set when several sibling down-links share it.
-  bool oversub_tier = false;
-
-  bool reduced(double ratio) const {
-    return nominal_gbps > 0 && actual_gbps < ratio * nominal_gbps;
-  }
-};
-
-/// One host NIC's fleet-health counters.
-struct HostCounterEvidence {
-  net::NodeId host = net::kInvalidNode;
-  /// Frames whose ACK waited behind the capped DMA drain FIFO.
-  std::uint64_t drain_delayed_pkts = 0;
-  /// DMA backlog high-water mark (ns of queued drain work).
-  sim::Time max_drain_backlog_ns = 0;
-};
-
-/// Everything the fleet-health pipeline knows about the fabric for one
-/// episode. Empty evidence => refine_fleet_verdict is the identity.
-struct FleetEvidence {
-  std::vector<LinkCounterEvidence> links;
-  std::vector<HostCounterEvidence> hosts;
-  /// Go-back-N retransmissions issued by the victim's sender NIC.
-  std::uint64_t sender_retransmissions = 0;
-
-  bool empty() const { return links.empty() && hosts.empty(); }
-};
+// refine_fleet_verdict layers those counters (fault::FleetEvidence, built
+// by fault::FaultInjector::fleet_evidence) over the provenance verdict and
+// rewrites it when a fleet signature matches.
 
 /// Decision thresholds for the four fleet signature rows. Calibrated on
 /// the fleet sweep of bench_fault_sweeps (every fault class x workload
@@ -172,7 +134,7 @@ struct FleetSignatureConfig {
 /// collection confidence; a rewrite multiplies in the signature
 /// strength (monotone in the evidence, within [base, max]).
 DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
-                                     const FleetEvidence& evidence,
+                                     const fault::FleetEvidence& evidence,
                                      const net::Topology& topo,
                                      const net::Routing& routing,
                                      const net::FiveTuple& victim,

@@ -237,11 +237,18 @@ class Shrinker {
     return classify_verdict(r, tau_) == cls_ && r.dx.type == dx_type_;
   }
 
+  /// The case-file text of `c`: configs that serialize alike are one case.
+  static std::string case_text(const RunConfig& c) {
+    HuntCase hc;
+    hc.cfg = c;
+    return serialize_case(hc);
+  }
+
   template <typename F>
   bool try_set(F mutate) {
     RunConfig cand = cfg_;
     mutate(cand);
-    if (serialize_case({cand}) == serialize_case({cfg_})) return false;
+    if (case_text(cand) == case_text(cfg_)) return false;
     if (!persists(cand)) return false;
     cfg_ = std::move(cand);
     return true;

@@ -55,8 +55,9 @@ struct RunConfig {
   /// the injector seed is mixed with `seed` so every sweep point draws an
   /// independent fault stream.
   fault::FaultPlan faults;
-  /// Self-healing retry budget, applied only when `faults` is enabled —
-  /// fault-free runs keep the agent's default of 0 so no coverage-check
+  /// Self-healing retry budget, applied only to runs with faults: an
+  /// enabled `faults` plan or a fleet-ops plan the scenario crafted itself.
+  /// Fault-free runs keep the agent's default of 0 so no coverage-check
   /// events are ever scheduled and their traces stay byte-identical.
   std::uint32_t max_repolls = 3;
 
@@ -148,7 +149,7 @@ struct RunResult {
   std::uint64_t retransmissions = 0;      // victim sender's go-back-N count
   std::uint64_t rate_limited_pkts = 0;
   std::uint64_t host_drain_delayed = 0;
-  diagnosis::FleetEvidence fleet_evidence;
+  fault::FleetEvidence fleet_evidence;
 };
 
 /// Simulate one crafted trace end-to-end and score the diagnosis.

@@ -280,13 +280,10 @@ PollVerdict FaultInjector::on_polling(net::NodeId sw,
     return {PollAction::kDrop, 0};
   }
   if (u < s->drop_prob + s->duplicate_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++polls_duplicated_;
     return {PollAction::kDuplicate, s->delay_ns};
   }
   if (u < s->drop_prob + s->duplicate_prob + s->delay_prob) {
     std::lock_guard<std::mutex> lk(mu_);
-    ++polls_delayed_;
     ++victim_faults_[victim];
     return {PollAction::kDelay, s->delay_ns};
   }
@@ -448,11 +445,6 @@ void FaultInjector::links_hit_insert_sorted(net::NodeId a, net::NodeId b) {
       std::lower_bound(links_hit_.begin(), links_hit_.end(), p), p);
 }
 
-bool FaultInjector::link_hit(net::NodeId a, net::NodeId b) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return links_hit_sorted_contains(a, b);
-}
-
 PfcVerdict FaultInjector::on_pfc_frame(net::NodeId from, net::PortId port,
                                        std::uint32_t quanta, sim::Time now) {
   const PfcFrameFaultSpec* spec = nullptr;
@@ -536,29 +528,6 @@ bool FaultInjector::on_wire_crc(net::NodeId a, net::NodeId b,
   return true;
 }
 
-std::uint64_t FaultInjector::crc_errors(net::NodeId a, net::NodeId b) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = crc_by_link_.find(link_key(a, b));
-  return it == crc_by_link_.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<std::pair<net::NodeId, net::NodeId>, std::uint64_t>>
-FaultInjector::crc_links() const {
-  std::vector<std::pair<std::pair<net::NodeId, net::NodeId>, std::uint64_t>>
-      out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    out.reserve(crc_by_link_.size());
-    for (const auto& [key, count] : crc_by_link_) {
-      out.push_back({{static_cast<net::NodeId>(key >> 32),
-                      static_cast<net::NodeId>(key & 0xffffffffu)},
-                     count});
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void FaultInjector::build_rate_overrides() {
   for (const LinkSpeedMismatchSpec& s : plan_.speed_mismatches) {
     if (s.node_a == net::kInvalidNode || s.node_b == net::kInvalidNode) {
@@ -595,13 +564,6 @@ void FaultInjector::note_rate_limited(net::NodeId a, net::NodeId b,
   note_dataplane_fault_locked(now);
 }
 
-std::uint64_t FaultInjector::rate_limited_pkts(net::NodeId a,
-                                               net::NodeId b) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = rate_limited_by_link_.find(link_key(a, b));
-  return it == rate_limited_by_link_.end() ? 0 : it->second;
-}
-
 double FaultInjector::host_drain_gbps(net::NodeId host, sim::Time now) const {
   for (const HostPcieBottleneckSpec& s : plan_.pcie_bottlenecks) {
     if (covers(s.host, host, s.start, s.stop, now)) return s.drain_gbps;
@@ -620,16 +582,65 @@ void FaultInjector::note_host_drain_delay(net::NodeId host,
   note_dataplane_fault_locked(now);
 }
 
-std::uint64_t FaultInjector::host_drain_delayed(net::NodeId host) const {
+FleetEvidence FaultInjector::fleet_evidence(const net::Topology& topo,
+                                            net::NodeId victim_dst,
+                                            sim::Time at) const {
+  const auto nominal_of = [&topo](net::NodeId a, net::NodeId b) {
+    const net::PortId p = topo.port_towards(a, b);
+    if (p == net::kInvalidPort) return 0.0;
+    const std::int64_t lid = topo.link_of(a, p);
+    return lid < 0 ? 0.0 : topo.link(static_cast<std::size_t>(lid)).gbps;
+  };
+  const auto count_of = [](const auto& counters, auto key) {
+    const auto it = counters.find(key);
+    return it == counters.end() ? decltype(it->second){} : it->second;
+  };
+  FleetEvidence ev;
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = drain_delayed_by_host_.find(host);
-  return it == drain_delayed_by_host_.end() ? 0 : it->second;
-}
-
-sim::Time FaultInjector::host_drain_max_backlog(net::NodeId host) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = drain_backlog_by_host_.find(host);
-  return it == drain_backlog_by_host_.end() ? 0 : it->second;
+  for (const RateOverride& ro : rate_overrides_) {
+    LinkCounterEvidence l;
+    l.node_a = ro.a;
+    l.node_b = ro.b;
+    l.nominal_gbps = nominal_of(ro.a, ro.b);
+    l.actual_gbps = link_gbps(ro.a, ro.b, l.nominal_gbps, at);
+    l.slow_serializations =
+        count_of(rate_limited_by_link_, link_key(ro.a, ro.b));
+    l.oversub_tier = ro.oversub;
+    l.crc_errors = count_of(crc_by_link_, link_key(ro.a, ro.b));
+    ev.links.push_back(l);
+  }
+  // CRC-erroring links without an override, in endpoint order (the keys
+  // are endpoint-normalized, so sorting them sorts by (min, max) node).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> crc(
+      crc_by_link_.begin(), crc_by_link_.end());
+  std::sort(crc.begin(), crc.end());
+  for (const auto& [key, errors] : crc) {
+    const bool seen = std::any_of(
+        ev.links.begin(), ev.links.end(), [key](const LinkCounterEvidence& l) {
+          return link_key(l.node_a, l.node_b) == key;
+        });
+    if (seen) continue;
+    LinkCounterEvidence l;
+    l.node_a = static_cast<net::NodeId>(key >> 32);
+    l.node_b = static_cast<net::NodeId>(key & 0xffffffffu);
+    l.crc_errors = errors;
+    l.nominal_gbps = l.actual_gbps = nominal_of(l.node_a, l.node_b);
+    ev.links.push_back(l);
+  }
+  std::vector<net::NodeId> drain_hosts{victim_dst};
+  for (const HostPcieBottleneckSpec& s : plan_.pcie_bottlenecks) {
+    if (s.host != net::kInvalidNode &&
+        std::find(drain_hosts.begin(), drain_hosts.end(), s.host) ==
+            drain_hosts.end()) {
+      drain_hosts.push_back(s.host);
+    }
+  }
+  for (const net::NodeId h : drain_hosts) {
+    const std::uint64_t delayed = count_of(drain_delayed_by_host_, h);
+    if (delayed == 0) continue;
+    ev.hosts.push_back({h, delayed, count_of(drain_backlog_by_host_, h)});
+  }
+  return ev;
 }
 
 void FaultInjector::note_dataplane_fault_locked(sim::Time now) {

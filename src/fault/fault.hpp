@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/topology.hpp"
 #include "net/types.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -414,6 +415,48 @@ struct FaultPlan {
                                      std::uint64_t seed);
 };
 
+/// One link's fleet-health counters — what an operator's fleet pipeline
+/// exports (MAC FCS error registers, negotiated port speeds).
+struct LinkCounterEvidence {
+  net::NodeId node_a = net::kInvalidNode;
+  net::NodeId node_b = net::kInvalidNode;
+  /// MAC FCS error register delta over the run.
+  std::uint64_t crc_errors = 0;
+  /// Configured (expected) port speed vs the negotiated/actual one.
+  double nominal_gbps = 0;
+  double actual_gbps = 0;
+  /// Frames observed serializing below the nominal rate.
+  std::uint64_t slow_serializations = 0;
+  /// The speed reduction came from a tier-wide (oversubscription) spec,
+  /// not a lone port: set when several sibling down-links share it.
+  bool oversub_tier = false;
+
+  bool reduced(double ratio) const {
+    return nominal_gbps > 0 && actual_gbps < ratio * nominal_gbps;
+  }
+};
+
+/// One host NIC's fleet-health counters (DMA drain gauges).
+struct HostCounterEvidence {
+  net::NodeId host = net::kInvalidNode;
+  /// Frames whose ACK waited behind the capped DMA drain FIFO.
+  std::uint64_t drain_delayed_pkts = 0;
+  /// DMA backlog high-water mark (ns of queued drain work).
+  sim::Time max_drain_backlog_ns = 0;
+};
+
+/// Everything the fleet-health pipeline knows about the fabric for one
+/// episode (FaultInjector::fleet_evidence). Empty evidence =>
+/// diagnosis::refine_fleet_verdict is the identity.
+struct FleetEvidence {
+  std::vector<LinkCounterEvidence> links;
+  std::vector<HostCounterEvidence> hosts;
+  /// Go-back-N retransmissions issued by the victim's sender NIC.
+  std::uint64_t sender_retransmissions = 0;
+
+  bool empty() const { return links.empty() && hosts.empty(); }
+};
+
 enum class PollAction : std::uint8_t { kDeliver, kDrop, kDuplicate, kDelay };
 
 struct PollVerdict {
@@ -492,7 +535,7 @@ class FaultInjector {
   /// A packet died on the dead (a, b) link (send- or arrival-edge).
   /// Polling packets count toward the victim's collection-fault tally like
   /// any other substrate hit; every loss stamps the data-plane fault epoch
-  /// and marks the link as having actually bitten (link_hit).
+  /// and marks the link as having actually bitten (links_hit).
   void note_link_drop(net::NodeId a, net::NodeId b, const net::Packet& pkt,
                       sim::Time now);
 
@@ -504,16 +547,12 @@ class FaultInjector {
     note_dataplane_fault(now);
   }
 
-  /// Did the (a, b) flap ever actually bite (drop or stall) during the
-  /// run? Endpoint order is irrelevant. A schedule that never intersected
-  /// live traffic returns false — the basis for victim-path-aware fault
-  /// attribution in the benches.
-  bool link_hit(net::NodeId a, net::NodeId b) const;
-
-  /// Links whose injected flaps actually bit, as endpoint-normalized
-  /// (min, max) pairs in sorted order — deterministic regardless of which
-  /// execution thread recorded each hit first. Take a copy for thread
-  /// safety; by the time benches read this the run has quiesced anyway.
+  /// Links whose injected faults actually bit (drop or stall), as
+  /// endpoint-normalized (min, max) pairs in sorted order — deterministic
+  /// regardless of which execution thread recorded each hit first. A
+  /// schedule that never intersected live traffic is absent: the basis for
+  /// victim-path-aware fault attribution in the benches. Take a copy for
+  /// thread safety; by the time benches read this the run has quiesced.
   std::vector<std::pair<net::NodeId, net::NodeId>> links_hit() const {
     std::lock_guard<std::mutex> lk(mu_);
     return links_hit_;
@@ -562,33 +601,15 @@ class FaultInjector {
   bool on_wire_crc(net::NodeId a, net::NodeId b, const net::Packet& pkt,
                    sim::Time now);
 
-  /// Modeled MAC FCS error counter of the (a, b) link (endpoint order
-  /// irrelevant) — what an operator's fleet-health pipeline exports.
-  std::uint64_t crc_errors(net::NodeId a, net::NodeId b) const;
   std::uint64_t crc_drops() const { return read(crc_drops_); }
-  /// Every link with a non-zero CRC counter, endpoint-normalized and
-  /// sorted (deterministic under sharded execution).
-  std::vector<std::pair<std::pair<net::NodeId, net::NodeId>, std::uint64_t>>
-  crc_links() const;
 
   // --- Fleet-ops classes 2 + 4: per-link rate overrides ---
 
-  /// A resolved "this wire actually runs at `gbps`" entry: either a bound
-  /// LinkSpeedMismatchSpec, or one down-link of an expanded
-  /// OversubscribedDownlinkSpec (Testbed::install_faults knows the tier
-  /// structure and calls bind_rate_override per down-link). Setup-time
-  /// only — the vector is immutable once the simulation starts, so
-  /// link_gbps() takes no lock.
-  struct RateOverride {
-    net::NodeId a = net::kInvalidNode;
-    net::NodeId b = net::kInvalidNode;
-    double gbps = 0;
-    sim::Time start = 0;
-    sim::Time stop = -1;
-    bool oversub = false;  // came from an OversubscribedDownlinkSpec
-  };
-
-  /// Register a rate override (setup-time only, before the run starts).
+  /// Register a rate override (setup-time only, before the run starts):
+  /// the (a, b) wire actually runs at `gbps` during [start, stop).
+  /// Testbed::install_faults calls this per down-link of an expanded
+  /// OversubscribedDownlinkSpec (`oversub`); bound LinkSpeedMismatchSpecs
+  /// register themselves at construction.
   void bind_rate_override(net::NodeId a, net::NodeId b, double gbps,
                           sim::Time start, sim::Time stop, bool oversub);
 
@@ -604,13 +625,6 @@ class FaultInjector {
   void note_rate_limited(net::NodeId a, net::NodeId b, sim::Time now);
 
   std::uint64_t rate_limited_pkts() const { return read(rate_limited_pkts_); }
-  std::uint64_t rate_limited_pkts(net::NodeId a, net::NodeId b) const;
-
-  /// The installed overrides (for evidence assembly: nominal vs negotiated
-  /// speed per link). Immutable after setup.
-  const std::vector<RateOverride>& rate_overrides() const {
-    return rate_overrides_;
-  }
 
   // --- Fleet-ops fault class 3: host PCIe drain cap ---
 
@@ -627,10 +641,14 @@ class FaultInjector {
   std::uint64_t host_drain_delayed() const {
     return read(host_drain_delayed_);
   }
-  std::uint64_t host_drain_delayed(net::NodeId host) const;
-  /// Largest drain-FIFO wait observed at `host` (modeled NIC DMA backlog
-  /// high-water counter).
-  sim::Time host_drain_max_backlog(net::NodeId host) const;
+
+  /// The fleet-health view of the fabric at `at`, read under one lock.
+  /// Links: every rate override in bind order, then every other link with
+  /// CRC errors, sorted by endpoints. Hosts: `victim_dst`, then each PCIe
+  /// spec's host, once each, skipping hosts no frame waited at. Leaves
+  /// sender_retransmissions 0 (a host counter, not an injector one).
+  FleetEvidence fleet_evidence(const net::Topology& topo,
+                               net::NodeId victim_dst, sim::Time at) const;
 
   /// Injected data-plane ground truth: did any fabric-level fault actually
   /// bite (drop, stall, eaten/delayed PFC frame), and when. Benches score
@@ -654,8 +672,6 @@ class FaultInjector {
   std::uint32_t faults_for(const net::FiveTuple& victim) const;
 
   std::uint64_t polls_dropped() const { return read(polls_dropped_); }
-  std::uint64_t polls_duplicated() const { return read(polls_duplicated_); }
-  std::uint64_t polls_delayed() const { return read(polls_delayed_); }
   std::uint64_t blackout_drops() const { return read(blackout_drops_); }
   std::uint64_t dma_failed() const { return read(dma_failed_); }
   std::uint64_t dma_stale() const { return read(dma_stale_); }
@@ -668,6 +684,19 @@ class FaultInjector {
   }
 
  private:
+  /// A resolved "this wire actually runs at `gbps`" entry: a bound
+  /// LinkSpeedMismatchSpec or one bind_rate_override call. Setup-time
+  /// only — the vector is immutable once the simulation starts, so
+  /// link_gbps() takes no lock.
+  struct RateOverride {
+    net::NodeId a = net::kInvalidNode;
+    net::NodeId b = net::kInvalidNode;
+    double gbps = 0;
+    sim::Time start = 0;
+    sim::Time stop = -1;
+    bool oversub = false;  // came from an OversubscribedDownlinkSpec
+  };
+
   const PollFaultSpec* poll_spec(net::NodeId sw, sim::Time now) const;
   const DmaFaultSpec* dma_spec(net::NodeId sw, sim::Time now) const;
   void build_flap_schedule();
@@ -707,8 +736,6 @@ class FaultInjector {
   std::unordered_map<net::FiveTuple, std::uint32_t> victim_faults_;
   std::unordered_map<net::NodeId, std::uint64_t> pause_lost_by_;
   std::uint64_t polls_dropped_ = 0;
-  std::uint64_t polls_duplicated_ = 0;
-  std::uint64_t polls_delayed_ = 0;
   std::uint64_t blackout_drops_ = 0;
   std::uint64_t dma_failed_ = 0;
   std::uint64_t dma_stale_ = 0;

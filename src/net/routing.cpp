@@ -172,4 +172,21 @@ std::vector<NodeId> Routing::switches_on_path(const FiveTuple& flow) const {
   return out;
 }
 
+std::pair<NodeId, NodeId> Routing::middle_link(const FiveTuple& flow) const {
+  const std::vector<NodeId> sws = switches_on_path(flow);
+  if (sws.empty()) return {kInvalidNode, kInvalidNode};
+  if (sws.size() == 1) return {Topology::node_of_ip(flow.src_ip), sws[0]};
+  return {sws[sws.size() / 2 - 1], sws[sws.size() / 2]};
+}
+
+std::optional<std::size_t> Routing::hop_of_link(
+    const std::vector<PortRef>& path, NodeId dst_host, NodeId a, NodeId b) {
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const NodeId u = path[i].node;
+    const NodeId v = i + 1 < path.size() ? path[i + 1].node : dst_host;
+    if ((u == a && v == b) || (u == b && v == a)) return i;
+  }
+  return std::nullopt;
+}
+
 }  // namespace hawkeye::net

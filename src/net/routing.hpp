@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -88,6 +90,20 @@ class Routing {
 
   /// Switches a flow traverses, in order.
   std::vector<NodeId> switches_on_path(const FiveTuple& flow) const;
+
+  /// The canonical victim-path fault target: the middle link of the flow's
+  /// switch-level path, far enough from both ends that a fault's symptoms
+  /// (black hole, CRC loss, slow serialization) and any PFC backpressure
+  /// cross several telemetry hops. A one-switch path gives (source host,
+  /// that switch); an unroutable flow gives two kInvalidNode.
+  std::pair<NodeId, NodeId> middle_link(const FiveTuple& flow) const;
+
+  /// Index of the hop of `path` (a path_of answer) that crosses link
+  /// (a, b), endpoint order irrelevant; nullopt when the link is off the
+  /// path. Consecutive hops are link endpoints, and `dst_host` closes the
+  /// final hop.
+  static std::optional<std::size_t> hop_of_link(
+      const std::vector<PortRef>& path, NodeId dst_host, NodeId a, NodeId b);
 
   const Topology& topo() const { return topo_; }
 

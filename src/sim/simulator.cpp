@@ -140,13 +140,6 @@ std::size_t Simulator::pending() const {
   return total;
 }
 
-std::vector<std::uint64_t> Simulator::per_shard_executed() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(shards_.size());
-  for (const auto& sh : shards_) out.push_back(sh->executed);
-  return out;
-}
-
 std::vector<double> Simulator::per_shard_busy() const {
   std::vector<double> out;
   out.reserve(shards_.size());

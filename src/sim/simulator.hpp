@@ -183,9 +183,6 @@ class Simulator {
     double sequential_seconds = 0; // serial: sequential windows
   };
   const ShardStats& shard_stats() const { return stats_; }
-  /// Events executed per shard (device shards then control); empty when
-  /// unsharded. Exposes partition balance to the benches.
-  std::vector<std::uint64_t> per_shard_executed() const;
   /// Summed worker-side drain seconds per shard (parallel rounds only).
   std::vector<double> per_shard_busy() const;
 

@@ -531,39 +531,6 @@ ScenarioSpec make_ecmp_imbalance(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_path_churn(const FatTree& ft, const Routing& routing,
-                             Rng& rng, Time flap_period, Time holddown) {
-  ScenarioSpec spec = make_normal_contention(ft, routing, rng);
-  spec.name = holddown > 0 ? "path-churn-reconverge" : "path-churn-frozen";
-
-  // The victim is inter-pod by construction (normal contention picks v and
-  // w in different pods), so its route has edge->agg->core->agg->edge hops
-  // and every switch keeps an ECMP alternative when one port is withdrawn.
-  const std::vector<NodeId> sws = routing.switches_on_path(spec.victim);
-  if (sws.size() < 2) {
-    throw std::runtime_error("make_path_churn: victim path too short");
-  }
-  fault::LinkFlapSpec lf;
-  lf.node_a = sws[sws.size() / 2 - 1];
-  lf.node_b = sws[sws.size() / 2];
-  // Flap train across the whole contention window: outages of half the
-  // period, jittered, starting with the anomaly so the black hole and the
-  // crafted contention overlap in the collected telemetry.
-  lf.start = spec.anomaly_start;
-  lf.stop = spec.duration;
-  lf.period_ns = flap_period;
-  lf.down_ns = flap_period / 2;
-  lf.jitter = 0.5;
-  lf.holddown_ns = holddown;
-
-  fault::FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(
-      rng.uniform_int(1, std::numeric_limits<std::int64_t>::max() - 1));
-  plan.link_flaps.push_back(lf);
-  spec.faults = plan;
-  return spec;
-}
-
 // ---- Fleet-ops fault scenarios ----
 
 namespace {
@@ -571,18 +538,6 @@ namespace {
 std::uint64_t draw_plan_seed(Rng& rng) {
   return static_cast<std::uint64_t>(
       rng.uniform_int(1, std::numeric_limits<std::int64_t>::max() - 1));
-}
-
-/// The middle link of the victim's (switch-level) path — far enough from
-/// both ends that the fault's symptoms cross several telemetry hops. Same
-/// canonical target the runner uses for placeholder flap binding.
-std::pair<NodeId, NodeId> middle_victim_link(const Routing& routing,
-                                             const ScenarioSpec& spec) {
-  const std::vector<NodeId> sws = routing.switches_on_path(spec.victim);
-  if (sws.size() < 2) {
-    throw std::runtime_error("fleet scenario: victim path too short");
-  }
-  return {sws[sws.size() / 2 - 1], sws[sws.size() / 2]};
 }
 
 /// Layer the selected net_sanitizer traffic pattern over a fleet-fault
@@ -689,7 +644,7 @@ ScenarioSpec make_degraded_link(const FatTree& ft, const Routing& routing,
   spec.victim = tuple_of(victim);
   spec.flows.push_back(victim);
 
-  const auto [la, lb] = middle_victim_link(routing, spec);
+  const auto [la, lb] = routing.middle_link(spec.victim);
   fault::FaultPlan plan;
   plan.seed = draw_plan_seed(rng);
   fault::DegradedLinkSpec dl;
@@ -738,7 +693,7 @@ ScenarioSpec make_speed_mismatch(const FatTree& ft, const Routing& routing,
   spec.victim = tuple_of(victim);
   spec.flows.push_back(victim);
 
-  const auto [la, lb] = middle_victim_link(routing, spec);
+  const auto [la, lb] = routing.middle_link(spec.victim);
   fault::FaultPlan plan;
   plan.seed = draw_plan_seed(rng);
   fault::LinkSpeedMismatchSpec sm;

@@ -107,19 +107,6 @@ ScenarioSpec make_slow_receiver(const net::FatTree& ft,
 ScenarioSpec make_ecmp_imbalance(const net::FatTree& ft,
                                  const net::Routing& routing, sim::Rng& rng);
 
-/// Path-churn scenario (PR 4): a normal-contention trace whose victim path
-/// additionally crosses a flapping link. The flap train is bound directly
-/// to the middle link of the victim's (inter-pod) route, so every outage
-/// black-holes the victim until it either heals or — with `holddown > 0` —
-/// routing reconverges around it and the victim's path churns mid-episode.
-/// `holddown == 0` keeps routing frozen (the PR 3 behaviour); the diagnosis
-/// accuracy gap between the two modes is what the path-churn sweep of
-/// bench_fault_sweeps measures.
-ScenarioSpec make_path_churn(const net::FatTree& ft,
-                             const net::Routing& routing, sim::Rng& rng,
-                             sim::Time flap_period = sim::us(500),
-                             sim::Time holddown = 0);
-
 // ---- Fleet-ops fault scenarios (net_sanitizer's field pathologies) ----
 
 /// Traffic pattern riding a fleet-fault scenario. Beyond the crafted

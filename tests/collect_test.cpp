@@ -258,5 +258,156 @@ TEST(PollingEdgeTest, EvictedFlowsReachAnalyzerThroughController) {
   EXPECT_TRUE(any_evicted);
 }
 
+// ---- Collector::merged_episode, over hand-built episodes ----
+
+/// A report from switch `sw` collected at `at`, one empty epoch per start.
+telemetry::SwitchTelemetryReport hand_report(
+    net::NodeId sw, sim::Time at, const std::vector<sim::Time>& starts) {
+  telemetry::SwitchTelemetryReport r;
+  r.sw = sw;
+  r.collected_at = at;
+  for (const sim::Time s : starts) {
+    telemetry::EpochRecord e;
+    e.start = s;
+    r.epochs.push_back(e);
+  }
+  return r;
+}
+
+std::vector<sim::Time> epoch_starts(const telemetry::SwitchTelemetryReport& r) {
+  std::vector<sim::Time> out;
+  for (const auto& e : r.epochs) out.push_back(e.start);
+  return out;
+}
+
+struct MergeRig {
+  static constexpr sim::Time kOnset = 1000;
+  Collector collector;
+  net::FiveTuple victim = flow_tuple(0, 15, 900);
+  net::FiveTuple other = flow_tuple(1, 14, 901);
+
+  explicit MergeRig(Collector::Config cfg = {}) : collector(cfg) {}
+
+  Episode& open(std::uint64_t probe, sim::Time at,
+                const net::FiveTuple* who = nullptr) {
+    return collector.open_episode(probe, who ? *who : victim, at);
+  }
+};
+
+TEST(MergedEpisodeTest, NeverTriggeredVictimIsNullopt) {
+  MergeRig rig;
+  EXPECT_FALSE(rig.collector.merged_episode(rig.victim, rig.kOnset));
+  rig.open(1, 1200, &rig.other).put_report(20, hand_report(20, 1300, {0}));
+  EXPECT_FALSE(rig.collector.merged_episode(rig.victim, rig.kOnset));
+}
+
+TEST(MergedEpisodeTest, UnionsPostOnsetReportsAndContracts) {
+  MergeRig rig;
+  Episode& pre = rig.open(1, 500);  // pre-onset: ignored once post exists
+  pre.put_report(30, hand_report(30, 600, {0}));
+  pre.expected_switches = {30};
+  Episode& a = rig.open(2, 1100);
+  a.expected_switches = {10, 11};
+  a.put_report(10, hand_report(10, 1200, {1000}));
+  a.repolls = 1;
+  a.collection_latency = 50;
+  rig.open(3, 1150, &rig.other).put_report(40, hand_report(40, 1200, {0}));
+  Episode& b = rig.open(4, 1500);
+  b.expected_switches = {12, 11};
+  b.put_report(12, hand_report(12, 1600, {1000}));
+  b.repolls = 2;
+  b.degraded = true;
+  b.collection_latency = 30;
+
+  const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->probe_id, 2u);
+  EXPECT_EQ(m->triggered_at, 1100);
+  EXPECT_EQ(m->collected_switches(), (std::vector<net::NodeId>{10, 12}));
+  EXPECT_EQ(m->expected_switches, (std::vector<net::NodeId>{10, 11, 12}));
+  EXPECT_EQ(m->repolls, 3u);
+  EXPECT_TRUE(m->degraded);
+  EXPECT_EQ(m->collection_latency, 50);
+}
+
+TEST(MergedEpisodeTest, LaterReportOfASwitchMergesIntoTheEarlierOne) {
+  MergeRig rig;
+  telemetry::SwitchTelemetryReport earlier = hand_report(10, 1200, {0, 1000});
+  earlier.port_status.push_back({1, false, 0, 0});
+  rig.open(1, 1100).put_report(10, earlier);
+  telemetry::SwitchTelemetryReport later = hand_report(10, 1700, {1000, 2000});
+  later.epochs[0].ports.push_back({});  // the later view of epoch 1000
+  later.port_status.push_back({2, false, 0, 0});
+  later.port_status.push_back({1, true, 0, 0});
+  rig.open(2, 1600).put_report(10, later);
+
+  const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
+  ASSERT_TRUE(m);
+  const telemetry::SwitchTelemetryReport* rep = m->find_report(10);
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(epoch_starts(*rep), (std::vector<sim::Time>{0, 1000, 2000}));
+  EXPECT_EQ(rep->epochs[1].ports.size(), 1u) << "later epoch view wins";
+  // The earlier report is the base: its port-status rows stay first.
+  ASSERT_EQ(rep->port_status.size(), 2u);
+  EXPECT_EQ(rep->port_status[0].port, 1);
+  EXPECT_TRUE(rep->port_status[0].paused_now);
+  EXPECT_EQ(rep->port_status[1].port, 2);
+}
+
+TEST(MergedEpisodeTest, PreOnsetFallbackOnlyWithoutPostOnsetEpisodes) {
+  {
+    MergeRig rig;  // only pre-onset episodes: the first one stands in
+    rig.open(1, 400).put_report(10, hand_report(10, 500, {0}));
+    rig.open(2, 800).put_report(11, hand_report(11, 900, {0}));
+    const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->probe_id, 1u);
+    EXPECT_EQ(m->collected_switches(), std::vector<net::NodeId>{10});
+  }
+  {
+    MergeRig rig;  // a post-onset episode without reports still wins
+    rig.open(1, 400).put_report(10, hand_report(10, 500, {0}));
+    rig.open(2, 1100).failed_collections = 2;
+    const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->probe_id, 2u);
+    EXPECT_TRUE(m->reports.empty());
+    EXPECT_EQ(m->failed_collections, 2u);
+  }
+}
+
+TEST(MergedEpisodeTest, ReportAccountingSumsTheMergedReports) {
+  Collector::Config cfg;
+  cfg.report_mtu_bytes = 40;  // several packets per report
+  cfg.dataplane_phv_bytes = 64;
+  MergeRig rig(cfg);
+  rig.open(1, 1050).raw_telemetry_bytes = 7000;  // no reports: no raw rate
+  Episode& a = rig.open(2, 1100);
+  a.put_report(10, hand_report(10, 1200, {1000}));
+  a.put_report(11, hand_report(11, 1200, {1000, 1100}));
+  a.raw_telemetry_bytes = 2 * 300;  // 300 raw bytes per switch
+  a.telemetry_bytes = 1;            // ignored: recomputed from the reports
+  Episode& b = rig.open(3, 1500);
+  b.put_report(10, hand_report(10, 1600, {2000}));
+  b.put_report(12, hand_report(12, 1600, {}));
+  b.raw_telemetry_bytes = 2 * 900;
+
+  const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
+  ASSERT_TRUE(m);
+  ASSERT_EQ(m->reports.size(), 3u);
+  std::int64_t bytes = 0;
+  std::uint64_t packets = 0;
+  for (const auto& [sw, rep] : m->reports) {
+    const std::int64_t n = telemetry::serialized_bytes(rep);
+    bytes += n;
+    packets += static_cast<std::uint64_t>((n + 39) / 40);
+  }
+  EXPECT_EQ(m->telemetry_bytes, bytes);
+  EXPECT_EQ(m->report_packets, packets);
+  EXPECT_GT(m->report_packets, m->reports.size());
+  EXPECT_EQ(m->raw_telemetry_bytes, 3 * 300);
+  EXPECT_EQ(m->dataplane_report_packets, 3u * 5u);  // ceil(300 / 64) = 5
+}
+
 }  // namespace
 }  // namespace hawkeye::collect

@@ -15,7 +15,9 @@
 //    deterministic under a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "collect/detection_agent.hpp"
 #include "diagnosis/diagnosis.hpp"
@@ -109,6 +111,91 @@ TEST(FleetPlanTest, TestbedRejectsInvalidFleetPlan) {
 }
 
 // ---------------------------------------------------------------------------
+// Evidence layer: FaultInjector::fleet_evidence over hand-driven counters.
+
+TEST(FleetEvidenceTest, OverridesThenCrcLinksThenDrainHosts) {
+  const net::FatTree ft = net::build_fat_tree(4);
+  const double nominal = ft.topo.link(0).gbps;
+  const auto uplink = [&ft](std::size_t i) {
+    return std::make_pair(ft.hosts[i], ft.topo.peer(ft.hosts[i], 0).node);
+  };
+  const auto [a, b] = uplink(0);   // speed mismatch
+  const auto [c, d] = uplink(4);   // bound override, CRC-erroring too
+  const auto [e, f] = uplink(8);   // CRC only
+  const auto [g, h] = uplink(12);  // CRC only
+  fault::FaultPlan plan;
+  fault::LinkSpeedMismatchSpec sm;
+  sm.node_a = a;
+  sm.node_b = b;
+  sm.gbps = 25;
+  plan.speed_mismatches.push_back(sm);
+  for (const auto& [x, y] :
+       {std::pair{c, d}, std::pair{g, h}, std::pair{e, f}}) {
+    fault::DegradedLinkSpec dl;
+    dl.node_a = x;
+    dl.node_b = y;
+    dl.ber = 1;  // every frame fails its FCS check
+    plan.degraded_links.push_back(dl);
+  }
+  fault::HostPcieBottleneckSpec pcie;
+  pcie.host = ft.hosts[2];
+  plan.pcie_bottlenecks.push_back(pcie);
+  pcie.host = ft.hosts[3];  // never delays a frame
+  plan.pcie_bottlenecks.push_back(pcie);
+  fault::FaultInjector fi(plan);
+  fi.bind_rate_override(c, d, nominal / 2, 0, -1, /*oversub=*/true);
+
+  net::Packet pkt;
+  pkt.size_bytes = 1000;
+  EXPECT_TRUE(fi.on_wire_crc(h, g, pkt, 10));
+  EXPECT_TRUE(fi.on_wire_crc(e, f, pkt, 20));
+  EXPECT_TRUE(fi.on_wire_crc(c, d, pkt, 30));
+  fi.note_rate_limited(a, b, 40);
+  fi.note_rate_limited(b, a, 41);
+  const net::NodeId victim_dst = ft.hosts[9];
+  fi.note_host_drain_delay(ft.hosts[2], 700, 50);
+  fi.note_host_drain_delay(victim_dst, 300, 60);
+  fi.note_host_drain_delay(victim_dst, 200, 61);
+  fi.note_host_drain_delay(ft.hosts[5], 900, 70);  // neither victim nor spec
+
+  const fault::FleetEvidence ev = fi.fleet_evidence(ft.topo, victim_dst, 100);
+  const auto ends = [](const fault::LinkCounterEvidence& l) {
+    return std::make_pair(l.node_a, l.node_b);
+  };
+  ASSERT_EQ(ev.links.size(), 4u);
+  // Rate overrides first, in bind order.
+  EXPECT_EQ(ends(ev.links[0]), std::make_pair(a, b));
+  EXPECT_EQ(ev.links[0].nominal_gbps, nominal);
+  EXPECT_EQ(ev.links[0].actual_gbps, 25);
+  EXPECT_EQ(ev.links[0].slow_serializations, 2u);
+  EXPECT_EQ(ev.links[0].crc_errors, 0u);
+  EXPECT_FALSE(ev.links[0].oversub_tier);
+  EXPECT_EQ(ends(ev.links[1]), std::make_pair(c, d));
+  EXPECT_EQ(ev.links[1].actual_gbps, nominal / 2);
+  EXPECT_EQ(ev.links[1].crc_errors, 1u);
+  EXPECT_TRUE(ev.links[1].oversub_tier);
+  // Then the CRC-only links, sorted by endpoints; (c, d) is not repeated.
+  using Link = std::pair<net::NodeId, net::NodeId>;
+  const Link ef = std::minmax(e, f);
+  const Link gh = std::minmax(g, h);
+  EXPECT_EQ(ends(ev.links[2]), std::min(ef, gh));
+  EXPECT_EQ(ends(ev.links[3]), std::max(ef, gh));
+  for (const auto& l : {ev.links[2], ev.links[3]}) {
+    EXPECT_EQ(l.crc_errors, 1u);
+    EXPECT_EQ(l.nominal_gbps, nominal);
+    EXPECT_EQ(l.actual_gbps, nominal);
+  }
+  // Hosts: the victim's destination, then PCIe-spec hosts that waited.
+  ASSERT_EQ(ev.hosts.size(), 2u);
+  EXPECT_EQ(ev.hosts[0].host, victim_dst);
+  EXPECT_EQ(ev.hosts[0].drain_delayed_pkts, 2u);
+  EXPECT_EQ(ev.hosts[0].max_drain_backlog_ns, 300);
+  EXPECT_EQ(ev.hosts[1].host, ft.hosts[2]);
+  EXPECT_EQ(ev.hosts[1].max_drain_backlog_ns, 700);
+  EXPECT_EQ(ev.sender_retransmissions, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Signature layer: refine_fleet_verdict's decision rules, one per Table-2
 // row, driven with synthetic counters over a real k=4 fat-tree.
 
@@ -139,7 +226,7 @@ struct SignatureRig {
 
   diagnosis::DiagnosisResult refine(
       const diagnosis::DiagnosisResult& dx,
-      const diagnosis::FleetEvidence& ev) const {
+      const fault::FleetEvidence& ev) const {
     return diagnosis::refine_fleet_verdict(dx, ev, tb.ft.topo, tb.routing,
                                            victim);
   }
@@ -155,8 +242,8 @@ TEST(FleetSignatureTest, EmptyEvidenceIsIdentity) {
 
 TEST(FleetSignatureTest, CrcErrorsPlusRetransmitsMeanDegradedLink) {
   SignatureRig rig;
-  diagnosis::FleetEvidence ev;
-  diagnosis::LinkCounterEvidence link;
+  fault::FleetEvidence ev;
+  fault::LinkCounterEvidence link;
   link.node_a = rig.mid_a;
   link.node_b = rig.mid_b;
   link.crc_errors = 40;
@@ -188,8 +275,8 @@ TEST(FleetSignatureTest, BelievableIncastSurvivesOffPathCrcNoise) {
         rig.tb.ft.hosts[static_cast<size_t>(4 + i)], rig.tb.ft.hosts[1],
         static_cast<std::uint16_t>(2000 + i)));
   }
-  diagnosis::FleetEvidence ev;
-  diagnosis::LinkCounterEvidence link;
+  fault::FleetEvidence ev;
+  fault::LinkCounterEvidence link;
   link.node_a = rig.mid_a;
   link.node_b = rig.mid_b;
   link.crc_errors = 5;
@@ -203,8 +290,8 @@ TEST(FleetSignatureTest, BelievableIncastSurvivesOffPathCrcNoise) {
 
 TEST(FleetSignatureTest, LoneReducedLinkIsSpeedMismatch) {
   SignatureRig rig;
-  diagnosis::FleetEvidence ev;
-  diagnosis::LinkCounterEvidence link;
+  fault::FleetEvidence ev;
+  fault::LinkCounterEvidence link;
   link.node_a = rig.mid_a;
   link.node_b = rig.mid_b;
   link.nominal_gbps = 100;
@@ -217,11 +304,11 @@ TEST(FleetSignatureTest, LoneReducedLinkIsSpeedMismatch) {
 
 TEST(FleetSignatureTest, ReducedTierIsOversubscriptionNotMismatch) {
   SignatureRig rig;
-  diagnosis::FleetEvidence ev;
+  fault::FleetEvidence ev;
   // Three sibling down-links share the tier-wide reduction; the victim
   // crosses one of them.
   for (int i = 0; i < 3; ++i) {
-    diagnosis::LinkCounterEvidence link;
+    fault::LinkCounterEvidence link;
     link.node_a = i == 0 ? rig.mid_a : rig.tb.ft.aggs[0];
     link.node_b = i == 0 ? rig.mid_b : rig.tb.ft.edges[static_cast<size_t>(i)];
     link.nominal_gbps = 100;
@@ -236,8 +323,8 @@ TEST(FleetSignatureTest, ReducedTierIsOversubscriptionNotMismatch) {
 
 TEST(FleetSignatureTest, DrainBacklogOnQuietFabricIsPcieBottleneck) {
   SignatureRig rig;
-  diagnosis::FleetEvidence ev;
-  diagnosis::HostCounterEvidence host;
+  fault::FleetEvidence ev;
+  fault::HostCounterEvidence host;
   host.host = net::Topology::node_of_ip(rig.victim.dst_ip);
   host.drain_delayed_pkts = 400;
   host.max_drain_backlog_ns = sim::us(900);
@@ -250,8 +337,8 @@ TEST(FleetSignatureTest, DrainBacklogOnQuietFabricIsPcieBottleneck) {
 
 TEST(FleetSignatureTest, DeadlockVerdictIsNeverRewritten) {
   SignatureRig rig;
-  diagnosis::FleetEvidence ev;
-  diagnosis::LinkCounterEvidence link;
+  fault::FleetEvidence ev;
+  fault::LinkCounterEvidence link;
   link.node_a = rig.mid_a;
   link.node_b = rig.mid_b;
   link.crc_errors = 100;

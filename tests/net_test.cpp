@@ -369,6 +369,40 @@ TEST(RoutingTest, SwitchesOnPathAreSwitchesOnly) {
   EXPECT_EQ(routing.switches_on_path(t).size(), 5u);  // edge-agg-core-agg-edge
 }
 
+TEST(RoutingTest, MiddleLinkIsTheMiddleOfTheSwitchPath) {
+  const FatTree ft = build_fat_tree(4);
+  const Routing routing(ft.topo);
+  // Inter-pod: edge-agg-core-agg-edge, so the middle link is agg-core.
+  const FiveTuple far = tuple(Topology::ip_of(ft.hosts[0]),
+                              Topology::ip_of(ft.hosts[15]), 4);
+  const std::vector<NodeId> sws = routing.switches_on_path(far);
+  ASSERT_EQ(sws.size(), 5u);
+  EXPECT_EQ(routing.middle_link(far), std::make_pair(sws[1], sws[2]));
+  // Same ToR: one switch, so the link is the source host's uplink.
+  const FiveTuple near = tuple(Topology::ip_of(ft.hosts[1]),
+                               Topology::ip_of(ft.hosts[0]), 4);
+  const NodeId tor = ft.topo.peer(ft.hosts[1], 0).node;
+  ASSERT_EQ(routing.switches_on_path(near), std::vector<NodeId>{tor});
+  EXPECT_EQ(routing.middle_link(near), std::make_pair(ft.hosts[1], tor));
+}
+
+TEST(RoutingTest, HopOfLinkFindsEitherEndpointOrder) {
+  const FatTree ft = build_fat_tree(4);
+  const Routing routing(ft.topo);
+  const NodeId src = ft.hosts[0];
+  const NodeId dst = ft.hosts[15];
+  const FiveTuple t = tuple(Topology::ip_of(src), Topology::ip_of(dst), 4);
+  const std::vector<PortRef> path = routing.path_of(t);
+  const std::vector<NodeId> sws = routing.switches_on_path(t);
+  ASSERT_EQ(path.size(), 6u);  // host NIC + five switch hops
+  EXPECT_EQ(Routing::hop_of_link(path, dst, src, sws[0]), 0u);
+  EXPECT_EQ(Routing::hop_of_link(path, dst, sws[2], sws[1]), 2u);
+  EXPECT_EQ(Routing::hop_of_link(path, dst, dst, sws[4]), 5u);
+  // Two on-path switches that are not adjacent on the path.
+  EXPECT_EQ(Routing::hop_of_link(path, dst, sws[0], sws[2]), std::nullopt);
+  EXPECT_EQ(Routing::hop_of_link({}, dst, src, sws[0]), std::nullopt);
+}
+
 }  // namespace
 }  // namespace hawkeye::net
 

@@ -205,7 +205,9 @@ TEST(BuilderTest, AnomalyEpochFilterDropsPreAnomalyContention) {
   const ProvenanceGraph g = build_provenance(fx.ep, fx.ft.topo, cfg);
   // The epoch-0 contention at B must be filtered out.
   const int pn = g.port_node({fx.b, fx.b_hot});
-  if (pn >= 0) EXPECT_TRUE(g.port_flows(pn).empty());
+  if (pn >= 0) {
+    EXPECT_TRUE(g.port_flows(pn).empty());
+  }
 
   // Disabling the filter (the long-epoch failure mode) lets it back in.
   cfg.filter_anomaly_epochs = false;

@@ -61,63 +61,6 @@ TEST(BackgroundTest, ZeroLoadMeansNoFlows) {
   EXPECT_TRUE(background_flows(ft, rng, 0.0, 0, sim::ms(10)).empty());
 }
 
-// ---- Path-churn scenario (PR 4) ----
-
-TEST(PathChurnScenarioTest, FlapIsBoundToMidPathLink) {
-  const net::FatTree ft = net::build_fat_tree(4);
-  const net::Routing routing(ft.topo);
-  for (const sim::Time holddown : {sim::Time{0}, sim::us(50)}) {
-    sim::Rng rng(5);
-    const ScenarioSpec spec =
-        make_path_churn(ft, routing, rng, sim::us(500), holddown);
-    EXPECT_EQ(spec.type, AnomalyType::kNormalContention);
-    EXPECT_EQ(spec.name, holddown > 0 ? "path-churn-reconverge"
-                                      : "path-churn-frozen");
-    ASSERT_TRUE(spec.faults.has_value());
-    ASSERT_EQ(spec.faults->link_flaps.size(), 1u);
-    const fault::LinkFlapSpec& lf = spec.faults->link_flaps[0];
-    EXPECT_EQ(lf.holddown_ns, holddown);
-    EXPECT_EQ(lf.start, spec.anomaly_start);
-    EXPECT_EQ(lf.down_ns, sim::us(250));
-
-    // The flap endpoints must be two consecutive switches of the victim's
-    // route — the outage genuinely black-holes the victim.
-    const std::vector<net::NodeId> sws = routing.switches_on_path(spec.victim);
-    ASSERT_GE(sws.size(), 2u);
-    bool consecutive = false;
-    for (std::size_t i = 0; i + 1 < sws.size(); ++i) {
-      if (sws[i] == lf.node_a && sws[i + 1] == lf.node_b) consecutive = true;
-    }
-    EXPECT_TRUE(consecutive);
-  }
-}
-
-TEST(PathChurnScenarioTest, SameSeedDiffersOnlyInChurnKnobs) {
-  const net::FatTree ft = net::build_fat_tree(4);
-  const net::Routing routing(ft.topo);
-  sim::Rng r1(9), r2(9);
-  const ScenarioSpec frozen = make_path_churn(ft, routing, r1, sim::us(500), 0);
-  const ScenarioSpec reconv =
-      make_path_churn(ft, routing, r2, sim::us(500), sim::us(50));
-  // Identical crafted traffic — the hold-down knob must not perturb the
-  // underlying trace, or frozen-vs-reconverge comparisons are apples to
-  // oranges.
-  ASSERT_EQ(frozen.flows.size(), reconv.flows.size());
-  for (std::size_t i = 0; i < frozen.flows.size(); ++i) {
-    EXPECT_EQ(frozen.flows[i].src, reconv.flows[i].src);
-    EXPECT_EQ(frozen.flows[i].dst, reconv.flows[i].dst);
-    EXPECT_EQ(frozen.flows[i].bytes, reconv.flows[i].bytes);
-    EXPECT_EQ(frozen.flows[i].start, reconv.flows[i].start);
-  }
-  EXPECT_EQ(frozen.victim, reconv.victim);
-  EXPECT_EQ(frozen.faults->link_flaps[0].node_a,
-            reconv.faults->link_flaps[0].node_a);
-  EXPECT_EQ(frozen.faults->link_flaps[0].node_b,
-            reconv.faults->link_flaps[0].node_b);
-  EXPECT_EQ(frozen.faults->seed, reconv.faults->seed);
-  EXPECT_EQ(frozen.faults->link_flaps[0].holddown_ns, 0);
-  EXPECT_EQ(reconv.faults->link_flaps[0].holddown_ns, sim::us(50));
-}
 
 // ---- Scenario crafting invariants, swept over seeds x anomaly types ----
 
