@@ -30,7 +30,6 @@ CcResult run_case(device::CcAlgorithm algo, std::uint64_t seed) {
   eval::Testbed::Options opts;
   opts.install_hawkeye = false;
   opts.dcqcn.algo = algo;
-  opts.dcqcn.enabled = algo != device::CcAlgorithm::kNone;
   eval::Testbed tb(opts);
   tb.install(spec);
   tb.run_for(spec.duration);

@@ -16,7 +16,9 @@
 // `--k16` (or HAWKEYE_BENCH_K16=1) adds the headline k=16 cells: the
 // microburst-incast scenario at shards 1 vs 8 (576 switches, tens of
 // millions of events). Off by default — a k=16 run takes minutes.
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <thread>
 
@@ -40,16 +42,6 @@ struct Cell {
   sim::Simulator::ShardStats st;  // summed over the cell's runs
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
-  /// What the run would cost with `shards` real cores: the worker drain and
-  /// mailbox flush divide across shards, everything else (rank merge,
-  /// sequential windows, setup/analysis) stays as measured. Meaningful only
-  /// when measured on a single core, where drain_seconds is the full serial
-  /// drain cost time-sliced across the workers.
-  double projected_wall_s() const {
-    if (shards <= 1) return wall_s;
-    const double parallel = st.drain_seconds + st.flush_seconds;
-    return wall_s - parallel * (1.0 - 1.0 / shards);
-  }
 };
 
 Cell run_cell(int k, int shards, diagnosis::AnomalyType anomaly, int seeds) {
@@ -121,12 +113,8 @@ std::string json_cell(const Cell& c, double wall_1shard) {
         static_cast<unsigned long long>(c.st.deferred_schedules));
     s += buf;
     if (wall_1shard > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    ", \"measured_speedup_vs_1shard\": %.3f, "
-                    "\"projected_wall_s\": %.3f, "
-                    "\"projected_speedup_vs_1shard\": %.3f",
-                    wall_1shard / c.wall_s, c.projected_wall_s(),
-                    wall_1shard / c.projected_wall_s());
+      std::snprintf(buf, sizeof(buf), ", \"measured_speedup_vs_1shard\": %.3f",
+                    wall_1shard / c.wall_s);
       s += buf;
     }
   }
@@ -134,14 +122,23 @@ std::string json_cell(const Cell& c, double wall_1shard) {
   return s;
 }
 
-std::vector<int> parse_list(const char* arg) {
-  std::vector<int> out;
-  for (const char* p = arg; *p != '\0';) {
-    out.push_back(std::atoi(p));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
+/// Comma-separated integers, each >= lo (and even when `even`); false on
+/// anything else (non-numeric, trailing junk, empty items).
+bool parse_list(const char* arg, long lo, bool even, std::vector<int>& out) {
+  out.clear();
+  for (const char* p = arg;;) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(p, &end, 10);
+    if (end == p || errno != 0 || v < lo || v > INT_MAX ||
+        (even && v % 2 != 0)) {
+      return false;
+    }
+    out.push_back(static_cast<int>(v));
+    if (*end == '\0') return true;
+    if (*end != ',') return false;
+    p = end + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -151,15 +148,20 @@ int main(int argc, char** argv) {
   std::vector<int> shard_counts = {1};
   bool k16 = std::getenv("HAWKEYE_BENCH_K16") != nullptr;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--k") == 0 && i + 1 < argc) {
-      ks = parse_list(argv[++i]);
+      ok = parse_list(argv[++i], 4, /*even=*/true, ks);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shard_counts = parse_list(argv[++i]);
+      ok = parse_list(argv[++i], 1, /*even=*/false, shard_counts);
     } else if (std::strcmp(argv[i], "--k16") == 0) {
       k16 = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "usage: %s [--k 4,6,8] [--shards 1,2,4,8] [--k16]\n",
+                   "usage: %s [--k 4,6,8 (even, >= 4)] "
+                   "[--shards 1,2,4,8 (>= 1)] [--k16]\n",
                    argv[0]);
       return 2;
     }
@@ -213,16 +215,11 @@ int main(int argc, char** argv) {
       if (c.shards > 1) {
         const double w1 = base_wall(16, c.anomaly);
         std::printf("     drain=%.2fs merge=%.2fs flush=%.2fs seq=%.2fs "
-                    "rounds=%llu; measured %.2fx vs 1 shard",
+                    "rounds=%llu; measured %.2fx vs 1 shard\n",
                     c.st.drain_seconds, c.st.merge_seconds, c.st.flush_seconds,
                     c.st.sequential_seconds,
                     static_cast<unsigned long long>(c.st.parallel_rounds),
                     w1 > 0 ? w1 / c.wall_s : 0.0);
-        if (w1 > 0) {
-          std::printf(", projected %.2fx with %d cores",
-                      w1 / c.projected_wall_s(), c.shards);
-        }
-        std::printf("\n");
       }
       cells.push_back(c);
     }
@@ -233,14 +230,8 @@ int main(int argc, char** argv) {
   const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
   const std::string path =
       env_path != nullptr ? env_path : "BENCH_hotpath.json";
-  std::string payload = "{\n    \"host_cpus\": " + std::to_string(host_cpus) +
-                        ",\n    \"note\": \"projected_* extrapolates the "
-                        "measured phase decomposition to a host with >= "
-                        "shards cores: worker drain + mailbox flush divide "
-                        "by shard count, merge/sequential/setup stay as "
-                        "measured; on a 1-cpu host the measured speedup "
-                        "reflects cache locality only\"";
-  payload += ",\n    \"cells\": [";
+  std::string payload = "{\n    \"host_cpus\": " +
+                        std::to_string(host_cpus) + ",\n    \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     payload += (i == 0 ? "\n      " : ",\n      ");
     payload += json_cell(cells[i], base_wall(cells[i].k, cells[i].anomaly));

@@ -166,7 +166,6 @@ void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
     // detectable (the coverage check re-derives the contract on mismatch).
     ep.expected_switches = routing_.switches_on_path(victim);
     ep.routing_epoch = routing_.epoch();
-    if (hook_) hook_(victim, probe_id, now);
   });
 
   if (cfg_.max_repolls > 0) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -91,10 +90,6 @@ class DetectionAgent {
     std::size_t baseline_cache_cap = std::size_t{1} << 16;
   };
 
-  using TriggerHook =
-      std::function<void(const net::FiveTuple&, std::uint64_t probe_id,
-                         sim::Time now)>;
-
   DetectionAgent(device::Network& net, const net::Routing& routing,
                  Collector& collector, Config cfg);
 
@@ -107,8 +102,6 @@ class DetectionAgent {
   /// host's flow table, so on a sharded simulator it runs as a
   /// control-shard event.
   void start();
-
-  void set_trigger_hook(TriggerHook hook) { hook_ = std::move(hook); }
 
   /// Install the fault-injection substrate (nullptr => fault-free). The
   /// agent only consumes RTT jitter; everything else acts on the fabric.
@@ -186,7 +179,6 @@ class DetectionAgent {
   /// Touched exclusively by the control-shard stall scan.
   std::unordered_map<net::FiveTuple, std::uint32_t> retx_seen_;
   std::vector<std::uint64_t> probe_seq_;  // per source host, +1 overflow slot
-  TriggerHook hook_;
   fault::FaultInjector* faults_ = nullptr;
   std::atomic<std::uint64_t> triggers_{0};
   bool scanning_ = false;

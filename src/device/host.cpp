@@ -49,9 +49,7 @@ std::uint64_t Host::add_flow(const FlowSpec& spec) {
   f.total_bytes = spec.bytes;
   f.total_pkts = static_cast<std::uint32_t>(
       (spec.bytes + net::kMtuBytes - 1) / net::kMtuBytes);
-  f.cc_enabled = spec.cc_enabled && cc_.enabled;
-  f.tclass = net::is_data_class(spec.tclass) ? spec.tclass
-                                             : net::TrafficClass::kData;
+  f.cc_enabled = spec.cc_enabled;
   f.limit_gbps = spec.rate_cap_gbps > 0
                      ? std::min(spec.rate_cap_gbps, line_gbps_)
                      : line_gbps_;
@@ -94,8 +92,8 @@ void Host::try_send() {
   if (tx_busy_) return;
   const Time now = net_.simu().now();
 
-  // Round-robin over flows that are started, unfinished, pace-eligible and
-  // whose lossless class is not PAUSEd on the uplink.
+  // Round-robin over flows that are started, unfinished and pace-eligible,
+  // while the uplink is not PAUSEd.
   const std::size_t n = flows_.size();
   std::size_t chosen = n;
   Time earliest = -1;
@@ -103,9 +101,7 @@ void Host::try_send() {
     const std::size_t i = (rr_cursor_ + k) % n;
     FlowState& f = flows_[i];
     if (!f.started || f.done_sending) continue;
-    const Time class_pause =
-        paused_until_[static_cast<size_t>(net::data_class_index(f.tclass))];
-    const Time gate = std::max(f.next_allowed, class_pause);
+    const Time gate = std::max(f.next_allowed, paused_until_);
     if (gate <= now) {
       chosen = i;
       break;
@@ -128,7 +124,6 @@ void Host::send_segment(FlowState& f) {
   const bool last = remaining <= net::kMtuBytes;
 
   Packet pkt = net::make_data_packet(f.tuple, f.id, f.next_seq, payload, last, now);
-  pkt.tclass = f.tclass;
   f.next_seq += 1;
   f.sent_bytes += payload;
   if (last) {
@@ -163,19 +158,14 @@ void Host::receive(Packet pkt, net::PortId in_port) {
   const Time now = net_.simu().now();
   switch (pkt.kind) {
     case PacketKind::kPfc: {
-      const int ci = std::clamp(
-          net::data_class_index(
-              static_cast<net::TrafficClass>(pkt.pfc_priority)),
-          0, net::kMaxDataClasses - 1);
       if (pkt.pause_quanta == 0) {
-        paused_until_[static_cast<size_t>(ci)] = 0;
+        paused_until_ = 0;
         try_send();
       } else {
         const double quantum_ns =
             net::kPauseQuantumBits / effective_line_gbps(now);
-        paused_until_[static_cast<size_t>(ci)] =
-            now + static_cast<Time>(quantum_ns * pkt.pause_quanta);
-        schedule_wake(paused_until_[static_cast<size_t>(ci)]);
+        paused_until_ = now + static_cast<Time>(quantum_ns * pkt.pause_quanta);
+        schedule_wake(paused_until_);
       }
       return;
     }
@@ -192,7 +182,6 @@ void Host::receive(Packet pkt, net::PortId in_port) {
       on_nack(pkt);
       return;
     case PacketKind::kPolling:
-    case PacketKind::kReport:
       return;  // sink: analyzers model these out-of-band
   }
 }
@@ -380,19 +369,14 @@ void Host::dcqcn_timer(std::uint64_t flow_id) {
 }
 
 void Host::inject_pfc(Time start, Time stop, Time period,
-                      std::uint32_t quanta, int data_class) {
-  auto tick = [this, start, stop, period, quanta, data_class]() {
+                      std::uint32_t quanta) {
+  auto tick = [this, start, stop, period, quanta]() {
     if (start >= stop) return;
     ++pfc_injected_;
     net_.log_pfc({net_.simu().now(), id(), 0, quanta, true});
     const Time ser = sim::serialization_ns(net::kPfcFrameBytes, line_gbps_);
-    net_.deliver(id(), 0,
-                 net::make_pfc(static_cast<std::uint8_t>(
-                                   static_cast<int>(net::TrafficClass::kData) +
-                                   data_class),
-                               quanta),
-                 ser);
-    inject_pfc(start + period, stop, period, quanta, data_class);
+    net_.deliver(id(), 0, net::make_pfc(quanta), ser);
+    inject_pfc(start + period, stop, period, quanta);
   };
   // Widest capture list a device schedules (40 bytes) — must stay inline.
   static_assert(sim::InlineAction::fits_inline<decltype(tick)>());

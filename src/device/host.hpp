@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -25,7 +24,6 @@ enum class CcAlgorithm {
 /// studies: line-rate start, multiplicative decrease on congestion
 /// feedback, timer/gradient-driven recovery.
 struct DcqcnParams {
-  bool enabled = true;
   CcAlgorithm algo = CcAlgorithm::kDcqcn;
 
   // --- DCQCN ---
@@ -57,8 +55,6 @@ struct FlowSpec {
   /// 0 => NIC line rate. Crafted scenario flows use this to model
   /// application-limited senders (e.g. loop flows kept below link capacity).
   double rate_cap_gbps = 0;
-  /// Lossless class the flow rides (802.1Qbb priority; PFC is per class).
-  net::TrafficClass tclass = net::TrafficClass::kData;
 };
 
 /// The 5-tuple a FlowSpec will materialize as (deterministic, usable for
@@ -116,7 +112,7 @@ class Host : public Device {
   /// every `period` ns — the host PFC injection behind PFC storms and
   /// initiator-out-of-loop deadlocks.
   void inject_pfc(sim::Time start, sim::Time stop, sim::Time period,
-                  std::uint32_t quanta, int data_class = 0);
+                  std::uint32_t quanta);
 
   const std::vector<FlowStats>& flow_stats() const { return stats_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
@@ -133,7 +129,6 @@ class Host : public Device {
     std::uint32_t next_seq = 0;
     std::uint32_t total_pkts = 0;
     bool cc_enabled = true;
-    net::TrafficClass tclass = net::TrafficClass::kData;
     bool started = false;
     bool done_sending = false;
     double limit_gbps = 0;  // per-flow ceiling (<= NIC line rate)
@@ -180,7 +175,7 @@ class Host : public Device {
   std::size_t rr_cursor_ = 0;
 
   bool tx_busy_ = false;
-  std::array<sim::Time, net::kMaxDataClasses> paused_until_{};
+  sim::Time paused_until_ = 0;  // uplink PAUSE deadline
   sim::Time next_wake_ = -1;
 
   std::unordered_map<std::uint64_t, sim::Time> last_cnp_;   // per remote flow

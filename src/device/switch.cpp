@@ -9,7 +9,6 @@ namespace hawkeye::device {
 using net::Packet;
 using net::PacketKind;
 using net::PortId;
-using net::TrafficClass;
 using sim::Time;
 
 Switch::Switch(Network& net, const net::Routing& routing, net::NodeId id,
@@ -23,55 +22,7 @@ Switch::Switch(Network& net, const net::Routing& routing, net::NodeId id,
       telemetry_(std::make_unique<telemetry::TelemetryEngine>(
           id, port_count_, cfg.telemetry)),
       rng_(static_cast<std::uint64_t>(id) * 7919 + 13) {
-  cfg_.data_classes =
-      std::clamp(cfg_.data_classes, 1, net::kMaxDataClasses);
-  for (Port& p : ports_) {
-    p.cls.resize(static_cast<size_t>(cfg_.data_classes));
-  }
   net_.attach(this);
-}
-
-int Switch::class_of(const Packet& pkt) const {
-  const int ci = net::data_class_index(pkt.tclass);
-  // Packets of classes beyond the configured count share the last class.
-  return std::clamp(ci, 0, cfg_.data_classes - 1);
-}
-
-bool Switch::egress_paused(PortId port) const {
-  for (int ci = 0; ci < cfg_.data_classes; ++ci) {
-    if (egress_paused(port, ci)) return true;
-  }
-  return false;
-}
-
-bool Switch::egress_paused(PortId port, int data_class) const {
-  return ports_[static_cast<size_t>(port)]
-             .cls[static_cast<size_t>(data_class)]
-             .paused_until > net_.simu().now();
-}
-
-std::int64_t Switch::ingress_bytes(PortId in_port) const {
-  std::int64_t total = 0;
-  for (const ClassState& cs : ports_[static_cast<size_t>(in_port)].cls) {
-    total += cs.ingress_bytes;
-  }
-  return total;
-}
-
-std::int64_t Switch::queue_bytes(PortId port) const {
-  std::int64_t total = 0;
-  for (const ClassState& cs : ports_[static_cast<size_t>(port)].cls) {
-    total += cs.bytes;
-  }
-  return total;
-}
-
-std::int64_t Switch::queue_pkts(PortId port) const {
-  std::int64_t total = 0;
-  for (const ClassState& cs : ports_[static_cast<size_t>(port)].cls) {
-    total += static_cast<std::int64_t>(cs.queue.size());
-  }
-  return total;
 }
 
 void Switch::receive(Packet pkt, PortId in_port) {
@@ -114,8 +65,7 @@ void Switch::receive(Packet pkt, PortId in_port) {
       [[fallthrough]];
     case PacketKind::kAck:
     case PacketKind::kCnp:
-    case PacketKind::kNack:
-    case PacketKind::kReport: {
+    case PacketKind::kNack: {
       const PortId out = routing_.egress_port(id(), pkt.flow);
       if (out == net::kInvalidPort) {
         net_.count_drop(DropReason::kData);
@@ -140,22 +90,19 @@ void Switch::on_port_withdrawn(PortId port_id) {
   };
   for (const Queued& q : port.control) drop(q);
   port.control.clear();
-  for (int ci = 0; ci < cfg_.data_classes; ++ci) {
-    ClassState& cs = port.cls[static_cast<size_t>(ci)];
-    while (!cs.queue.empty()) {
-      const Queued q = std::move(cs.queue.front());
-      cs.queue.pop_front();
-      cs.bytes -= q.pkt.size_bytes;
-      buffered_bytes_ -= q.pkt.size_bytes;
-      if (q.in_port >= 0) {
-        ClassState& ing = ports_[static_cast<size_t>(q.in_port)]
-                              .cls[static_cast<size_t>(ci)];
-        ing.ingress_bytes -= q.pkt.size_bytes;
-        maybe_resume(q.in_port, ci);
-      }
-      drop(q);
-    }
+  while (!port.data.empty()) drop(pop_data(port));
+}
+
+Switch::Queued Switch::pop_data(Port& port) {
+  Queued q = std::move(port.data.front());
+  port.data.pop_front();
+  port.data_bytes -= q.pkt.size_bytes;
+  buffered_bytes_ -= q.pkt.size_bytes;
+  if (q.in_port >= 0) {
+    ports_[static_cast<size_t>(q.in_port)].ingress_bytes -= q.pkt.size_bytes;
+    maybe_resume(q.in_port);
   }
+  return q;
 }
 
 void Switch::handle_polling(Packet pkt, PortId in_port) {
@@ -205,30 +152,27 @@ void Switch::enqueue(Packet pkt, PortId in_port, PortId out_port) {
                                         : DropReason::kHeadroom);
       return;
     }
-    const int ci = class_of(pkt);
-    ClassState& cs = port.cls[static_cast<size_t>(ci)];
-    const bool paused = egress_paused(out_port, ci);
-    if (ecn_mark(cs.bytes)) pkt.ecn_ce = true;
+    const bool paused = port.paused_until > now;
+    if (ecn_mark(port.data_bytes)) pkt.ecn_ce = true;
 
     telemetry_->on_enqueue(pkt, in_port, out_port,
-                           static_cast<std::int64_t>(cs.queue.size()), paused,
+                           static_cast<std::int64_t>(port.data.size()), paused,
                            now);
 
-    cs.queue.push_back({std::move(pkt), in_port, now});
-    const std::int32_t size = cs.queue.back().pkt.size_bytes;
-    cs.bytes += size;
+    port.data.push_back({std::move(pkt), in_port});
+    const std::int32_t size = port.data.back().pkt.size_bytes;
+    port.data_bytes += size;
     buffered_bytes_ += size;
     if (in_port >= 0) {
-      ClassState& ing =
-          ports_[static_cast<size_t>(in_port)].cls[static_cast<size_t>(ci)];
+      Port& ing = ports_[static_cast<size_t>(in_port)];
       ing.ingress_bytes += size;
       if (!ing.pausing_upstream && ing.ingress_bytes >= cfg_.pfc_xoff_bytes) {
         ing.pausing_upstream = true;
-        send_pause(in_port, ci, cfg_.pause_quanta);
+        send_pause(in_port, cfg_.pause_quanta);
       }
     }
   } else {
-    port.control.push_back({std::move(pkt), in_port, now});
+    port.control.push_back({std::move(pkt), in_port});
   }
   try_transmit(out_port);
 }
@@ -265,32 +209,16 @@ void Switch::try_transmit(PortId port_id) {
     }
   }
 
-  // Control first, then data classes in strict priority order, skipping
-  // PFC-paused classes (pause is per 802.1Qbb priority).
+  // Control first (never paused), then the data FIFO unless PFC-paused.
   Queued q;
-  bool found = false;
   if (!port.control.empty()) {
     q = std::move(port.control.front());
     port.control.pop_front();
-    found = true;
+  } else if (!port.data.empty() && port.paused_until <= now) {
+    q = pop_data(port);
   } else {
-    for (int ci = 0; ci < cfg_.data_classes && !found; ++ci) {
-      ClassState& cs = port.cls[static_cast<size_t>(ci)];
-      if (cs.queue.empty() || cs.paused_until > now) continue;
-      q = std::move(cs.queue.front());
-      cs.queue.pop_front();
-      cs.bytes -= q.pkt.size_bytes;
-      buffered_bytes_ -= q.pkt.size_bytes;
-      if (q.in_port >= 0) {
-        ClassState& ing = ports_[static_cast<size_t>(q.in_port)]
-                              .cls[static_cast<size_t>(ci)];
-        ing.ingress_bytes -= q.pkt.size_bytes;
-        maybe_resume(q.in_port, ci);
-      }
-      found = true;
-    }
+    return;  // nothing eligible (empty, or the data FIFO is paused)
   }
-  if (!found) return;  // nothing eligible (empty, or all data classes paused)
 
   const net::LinkSpec& link = net_.link_at(id(), port_id);
   const double gbps = effective_gbps(port_id, link, now);
@@ -318,39 +246,29 @@ void Switch::finish_transmit(PortId port_id, Queued&& q, Time ser) {
 }
 
 void Switch::handle_pfc_frame(const Packet& pkt, PortId in_port) {
-  // A PAUSE from the peer on `in_port` freezes OUR egress toward it, for
-  // the priority named in the frame.
+  // A PAUSE from the peer on `in_port` freezes OUR data FIFO toward it.
   Port& port = ports_[static_cast<size_t>(in_port)];
-  const int ci = std::clamp(
-      net::data_class_index(static_cast<TrafficClass>(pkt.pfc_priority)), 0,
-      cfg_.data_classes - 1);
-  ClassState& cs = port.cls[static_cast<size_t>(ci)];
   const Time now = net_.simu().now();
   const net::LinkSpec& link = net_.link_at(id(), in_port);
   if (pkt.pause_quanta == 0) {
-    cs.paused_until = 0;  // RESUME
+    port.paused_until = 0;  // RESUME
   } else {
     // Pause quanta are defined in units of the link's *negotiated* speed
     // (802.3x: one quantum = 512 bit times), so a rate override stretches
     // the pause duration too.
     const double quantum_ns =
         net::kPauseQuantumBits / effective_gbps(in_port, link, now);
-    cs.paused_until = now + static_cast<Time>(quantum_ns * pkt.pause_quanta);
+    port.paused_until = now + static_cast<Time>(quantum_ns * pkt.pause_quanta);
     // Wake the transmitter when the pause ages out (RESUME also wakes it).
-    net_.simu().schedule_at(cs.paused_until,
+    net_.simu().schedule_at(port.paused_until,
                             [this, in_port]() { try_transmit(in_port); });
   }
-  // The telemetry PFC status register tracks the port's most restrictive
-  // pause across classes (the paper's per-port status bit).
-  Time max_until = 0;
-  for (const ClassState& c : port.cls) {
-    max_until = std::max(max_until, c.paused_until);
-  }
-  telemetry_->on_pfc_frame(in_port, pkt.pause_quanta, max_until, now);
+  // The paper's per-port PFC status register.
+  telemetry_->on_pfc_frame(in_port, pkt.pause_quanta, port.paused_until, now);
   if (pkt.pause_quanta == 0) try_transmit(in_port);
 }
 
-void Switch::send_pause(PortId in_port, int data_class, std::uint32_t quanta) {
+void Switch::send_pause(PortId in_port, std::uint32_t quanta) {
   // PFC frames are MAC-level control traffic: modelled as bypassing the
   // egress serializer (highest priority, 64 B) so backpressure still
   // propagates when the data path is saturated or wedged (deadlock).
@@ -359,43 +277,34 @@ void Switch::send_pause(PortId in_port, int data_class, std::uint32_t quanta) {
       net::kPfcFrameBytes, effective_gbps(in_port, link, net_.simu().now()));
   ++pause_frames_sent_;
   net_.log_pfc({net_.simu().now(), id(), in_port, quanta, false});
-  net_.deliver(id(), in_port,
-               net::make_pfc(static_cast<std::uint8_t>(
-                                 static_cast<int>(TrafficClass::kData) +
-                                 data_class),
-                             quanta),
-               ser);
+  net_.deliver(id(), in_port, net::make_pfc(quanta), ser);
   if (quanta > 0) {
     const double quantum_ns = net::kPauseQuantumBits /
                               effective_gbps(in_port, link, net_.simu().now());
     const Time refresh = static_cast<Time>(
         quantum_ns * quanta * cfg_.pause_refresh_fraction);
     net_.simu().schedule(std::max<Time>(refresh, 1000),
-                         [this, in_port, data_class]() {
-                           refresh_pause(in_port, data_class);
-                         });
+                         [this, in_port]() { refresh_pause(in_port); });
   }
 }
 
-void Switch::refresh_pause(PortId in_port, int data_class) {
-  ClassState& ing = ports_[static_cast<size_t>(in_port)]
-                        .cls[static_cast<size_t>(data_class)];
+void Switch::refresh_pause(PortId in_port) {
+  Port& ing = ports_[static_cast<size_t>(in_port)];
   if (!ing.pausing_upstream) return;
   // Still above Xon? Keep the upstream paused (802.1Qbb re-advertisement).
   if (ing.ingress_bytes > cfg_.pfc_xon_bytes) {
-    send_pause(in_port, data_class, cfg_.pause_quanta);
+    send_pause(in_port, cfg_.pause_quanta);
   } else {
     ing.pausing_upstream = false;
-    send_pause(in_port, data_class, 0);
+    send_pause(in_port, 0);
   }
 }
 
-void Switch::maybe_resume(PortId in_port, int data_class) {
-  ClassState& ing = ports_[static_cast<size_t>(in_port)]
-                        .cls[static_cast<size_t>(data_class)];
+void Switch::maybe_resume(PortId in_port) {
+  Port& ing = ports_[static_cast<size_t>(in_port)];
   if (ing.pausing_upstream && ing.ingress_bytes <= cfg_.pfc_xon_bytes) {
     ing.pausing_upstream = false;
-    send_pause(in_port, data_class, 0);  // RESUME
+    send_pause(in_port, 0);  // RESUME
   }
 }
 

@@ -28,10 +28,7 @@ class PollingHandler {
 };
 
 struct SwitchConfig {
-  /// Number of lossless data classes (802.1Qbb priorities kData..kData+n-1).
-  /// PFC state, queues and ingress accounting are all per class.
-  int data_classes = 1;
-  /// Per-(ingress port, class) PFC thresholds, bytes.
+  /// Per-ingress-port PFC thresholds, bytes.
   std::int64_t pfc_xoff_bytes = 64 * 1024;
   std::int64_t pfc_xon_bytes = 32 * 1024;
   /// Pause duration advertised in PAUSE frames (802.1Qbb quanta).
@@ -89,19 +86,26 @@ class Switch : public Device {
   const SwitchConfig& config() const { return cfg_; }
   std::int32_t port_count() const { return port_count_; }
 
-  /// Inject a control-class packet (polling forward, report) out `port`.
+  /// Inject a control-class packet (a forwarded polling packet) out `port`.
   void send_control(net::PortId port, net::Packet pkt);
 
-  /// True if any data class of egress `port` is PAUSEd by the peer.
-  bool egress_paused(net::PortId port) const;
-  /// True if the given data class of egress `port` is PAUSEd.
-  bool egress_paused(net::PortId port, int data_class) const;
+  /// True if the data FIFO of egress `port` is PAUSEd by the peer.
+  bool egress_paused(net::PortId port) const {
+    return port_at(port).paused_until > net_.simu().now();
+  }
 
-  /// Bytes buffered that arrived via `in_port` (all classes).
-  std::int64_t ingress_bytes(net::PortId in_port) const;
+  /// Bytes buffered that arrived via `in_port`.
+  std::int64_t ingress_bytes(net::PortId in_port) const {
+    return port_at(in_port).ingress_bytes;
+  }
 
-  std::int64_t queue_bytes(net::PortId port) const;
-  std::int64_t queue_pkts(net::PortId port) const;
+  /// Bytes and packets in the data FIFO of egress `port`.
+  std::int64_t queue_bytes(net::PortId port) const {
+    return port_at(port).data_bytes;
+  }
+  std::int64_t queue_pkts(net::PortId port) const {
+    return static_cast<std::int64_t>(port_at(port).data.size());
+  }
   std::int64_t buffered_bytes() const { return buffered_bytes_; }
   std::uint64_t pause_frames_sent() const { return pause_frames_sent_; }
 
@@ -109,33 +113,34 @@ class Switch : public Device {
   struct Queued {
     net::Packet pkt;
     net::PortId in_port = net::kInvalidPort;
-    sim::Time enqueued_at = 0;
-  };
-  struct ClassState {
-    std::deque<Queued> queue;
-    std::int64_t bytes = 0;
-    sim::Time paused_until = 0;     // set by received PAUSE frames
-    bool pausing_upstream = false;  // (as ingress) we PAUSEd our peer
-    std::int64_t ingress_bytes = 0;  // buffered bytes that arrived here
   };
   struct Port {
     std::deque<Queued> control;
-    std::vector<ClassState> cls;  // one per data class
+    std::deque<Queued> data;
+    std::int64_t data_bytes = 0;
+    sim::Time paused_until = 0;      // set by received PAUSE frames
+    bool pausing_upstream = false;   // (as ingress) we PAUSEd our peer
+    std::int64_t ingress_bytes = 0;  // buffered bytes that arrived here
     bool tx_busy = false;
     /// A wake-up is armed for the end of the current injected link outage
     /// (keeps one event per outage per port, not one per blocked attempt).
     bool down_wake_armed = false;
   };
 
-  int class_of(const net::Packet& pkt) const;
+  const Port& port_at(net::PortId port) const {
+    return ports_[static_cast<size_t>(port)];
+  }
+  /// Pop the head of `port`'s data FIFO, releasing its buffer and ingress
+  /// accounting (and RESUMEing the ingress if it falls back below Xon).
+  Queued pop_data(Port& port);
   void handle_polling(net::Packet pkt, net::PortId in_port);
   void enqueue(net::Packet pkt, net::PortId in_port, net::PortId out_port);
   void try_transmit(net::PortId port);
   void finish_transmit(net::PortId port, Queued&& q, sim::Time ser);
   void handle_pfc_frame(const net::Packet& pkt, net::PortId in_port);
-  void send_pause(net::PortId in_port, int data_class, std::uint32_t quanta);
-  void refresh_pause(net::PortId in_port, int data_class);
-  void maybe_resume(net::PortId in_port, int data_class);
+  void send_pause(net::PortId in_port, std::uint32_t quanta);
+  void refresh_pause(net::PortId in_port);
+  void maybe_resume(net::PortId in_port);
   bool ecn_mark(std::int64_t qbytes);
   /// Negotiated rate of the link behind `port`: the injected per-link rate
   /// override (speed mismatch / oversubscription) when one covers it, the

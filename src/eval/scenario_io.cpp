@@ -29,7 +29,6 @@ std::string_view to_string(TelemetryMode m) {
     case TelemetryMode::kFull: return "full";
     case TelemetryMode::kPortOnly: return "port-only";
     case TelemetryMode::kFlowOnly: return "flow-only";
-    case TelemetryMode::kOff: return "off";
   }
   return "?";
 }

@@ -73,7 +73,6 @@ Testbed::Testbed(const Options& opts)
     if (opts.install_hawkeye) agent->attach(*hosts_.back());
   }
   if (opts.install_hawkeye) agent->start();
-  install_faults(opts.fault_plan);
 }
 
 void Testbed::install_faults(const fault::FaultPlan& plan) {

@@ -39,9 +39,6 @@ class Testbed {
     collect::DetectionAgent::Config agent_cfg;
     /// Install the Hawkeye polling/collection stack (false => plain fabric).
     bool install_hawkeye = true;
-    /// Fault plan to install at construction; a disabled plan installs
-    /// nothing (no injector object, hooks stay null).
-    fault::FaultPlan fault_plan;
   };
 
   Testbed() : Testbed(Options{}) {}

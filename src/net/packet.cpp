@@ -9,7 +9,6 @@ Packet make_data_packet(const FiveTuple& flow, std::uint64_t flow_id,
                         bool last, sim::Time now) {
   Packet p;
   p.kind = PacketKind::kData;
-  p.tclass = TrafficClass::kData;
   p.size_bytes = payload_bytes + kHeaderBytes;
   p.flow = flow;
   p.flow_id = flow_id;
@@ -23,7 +22,6 @@ Packet make_ack(const Packet& data, sim::Time now) {
   (void)now;
   Packet p;
   p.kind = PacketKind::kAck;
-  p.tclass = TrafficClass::kControl;
   p.size_bytes = kAckBytes;
   // ACK travels the reverse tuple.
   p.flow.src_ip = data.flow.dst_ip;
@@ -41,7 +39,6 @@ Packet make_ack(const Packet& data, sim::Time now) {
 Packet make_cnp(const Packet& data) {
   Packet p;
   p.kind = PacketKind::kCnp;
-  p.tclass = TrafficClass::kControl;
   p.size_bytes = kCnpBytes;
   p.flow.src_ip = data.flow.dst_ip;
   p.flow.dst_ip = data.flow.src_ip;
@@ -60,12 +57,10 @@ Packet make_nack(const Packet& data, std::uint32_t expected_seq) {
   return p;
 }
 
-Packet make_pfc(std::uint8_t priority, std::uint32_t quanta) {
+Packet make_pfc(std::uint32_t quanta) {
   Packet p;
   p.kind = PacketKind::kPfc;
-  p.tclass = TrafficClass::kControl;
   p.size_bytes = kPfcFrameBytes;
-  p.pfc_priority = priority;
   p.pause_quanta = quanta;
   return p;
 }
@@ -74,7 +69,6 @@ Packet make_polling(const FiveTuple& victim, std::uint64_t probe_id,
                     PollingFlag flag) {
   Packet p;
   p.kind = PacketKind::kPolling;
-  p.tclass = TrafficClass::kControl;
   p.size_bytes = kPollingBytes;
   p.victim = victim;
   p.probe_id = probe_id;
@@ -84,8 +78,7 @@ Packet make_polling(const FiveTuple& victim, std::uint64_t probe_id,
 
 std::string Packet::to_string() const {
   char buf[128];
-  const char* kind_name[] = {"DATA", "ACK",  "CNP",  "PFC",
-                             "NACK", "POLL", "REPORT"};
+  const char* kind_name[] = {"DATA", "ACK", "CNP", "PFC", "NACK", "POLL"};
   std::snprintf(buf, sizeof(buf), "[%s %s seq=%u %dB]",
                 kind_name[static_cast<int>(kind)], flow.to_string().c_str(),
                 seq, size_bytes);

@@ -8,31 +8,10 @@
 
 namespace hawkeye::net {
 
-/// Wire priorities. RoCEv2 data rides lossless classes subject to
-/// per-priority PFC (802.1Qbb supports 8; this model exposes classes
-/// 3..3+kMaxDataClasses-1); acknowledgements, CNPs and Hawkeye polling
-/// packets share a control class that PFC never pauses (the paper assigns
-/// polling packets "the same priority as control packets (e.g., CNP)").
-enum class TrafficClass : std::uint8_t {
-  kControl = 0,
-  kData = 3,  // first lossless data class
-};
-
-inline constexpr int kMaxDataClasses = 4;
-
-/// Index of a data class within the per-port queue array; -1 for control.
-constexpr int data_class_index(TrafficClass tc) {
-  return static_cast<int>(tc) - static_cast<int>(TrafficClass::kData);
-}
-constexpr bool is_data_class(TrafficClass tc) {
-  const int i = data_class_index(tc);
-  return i >= 0 && i < kMaxDataClasses;
-}
-constexpr TrafficClass data_class(int index) {
-  return static_cast<TrafficClass>(static_cast<int>(TrafficClass::kData) +
-                                   index);
-}
-
+/// RoCEv2 data rides the one lossless class that PFC pauses. ACKs, CNPs,
+/// NACKs and Hawkeye polling packets share a control class that PFC never
+/// pauses (the paper assigns polling packets "the same priority as control
+/// packets (e.g., CNP)"); switches pick the egress FIFO from the kind.
 enum class PacketKind : std::uint8_t {
   kData,     // RoCEv2 payload segment
   kAck,      // per-packet acknowledgement carrying the echoed tx timestamp
@@ -40,7 +19,6 @@ enum class PacketKind : std::uint8_t {
   kPfc,      // 802.1Qbb PAUSE/RESUME frame (link-local, never forwarded)
   kNack,     // out-of-order notification: go-back-N from the carried seq
   kPolling,  // Hawkeye diagnosis polling packet (Figure 5 format)
-  kReport,   // controller -> analyzer telemetry report (accounting only)
 };
 
 /// Hawkeye polling flag values (paper Table 1).
@@ -63,7 +41,6 @@ inline bool traces_pfc_causality(PollingFlag f) {
 /// hop holds its own copy, mirroring how real switches buffer frames.
 struct Packet {
   PacketKind kind = PacketKind::kData;
-  TrafficClass tclass = TrafficClass::kData;
   std::int32_t size_bytes = 0;
 
   // --- data / ack / cnp ---
@@ -75,7 +52,6 @@ struct Packet {
   sim::Time tx_time = 0;          // sender timestamp, echoed by the ACK
 
   // --- pfc ---
-  std::uint8_t pfc_priority = 0;  // paused traffic class
   std::uint32_t pause_quanta = 0; // 0 => RESUME; else pause duration quanta
 
   // --- polling (Figure 5: flag + victim 5-tuple) ---
@@ -83,9 +59,6 @@ struct Packet {
   FiveTuple victim;               // the complained-about flow
   std::uint64_t probe_id = 0;     // diagnosis episode identifier
   std::int32_t poll_hops = 0;     // TTL-style safety bound
-
-  // --- report (controller -> analyzer, for overhead accounting) ---
-  std::int32_t report_switch = kInvalidNode;
 
   std::string to_string() const;
 };
@@ -110,7 +83,7 @@ Packet make_ack(const Packet& data, sim::Time now);
 Packet make_cnp(const Packet& data);
 /// NACK asking the sender to resume from `expected_seq` (go-back-N).
 Packet make_nack(const Packet& data, std::uint32_t expected_seq);
-Packet make_pfc(std::uint8_t priority, std::uint32_t quanta);
+Packet make_pfc(std::uint32_t quanta);
 Packet make_polling(const FiveTuple& victim, std::uint64_t probe_id,
                     PollingFlag flag);
 

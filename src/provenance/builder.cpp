@@ -109,8 +109,7 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
   g.set_collection_contract(ep.expected_switches, ep.path_churned);
 
   std::set<sim::Time> active = anomaly_epoch_starts(ep);
-  bool use_all = !cfg.filter_anomaly_epochs;
-  if (!active.empty() && !use_all && cfg.trigger_scope_ns > 0) {
+  if (!active.empty() && cfg.trigger_scope_ns > 0) {
     // Fabric-scale scoping (see BuilderConfig): keep only anomaly epochs
     // that can explain the trigger — epochs ending within the scope before
     // it, up to and including the epoch the trigger itself landed in.
@@ -128,7 +127,7 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
     }
     if (!recent.empty()) active.swap(recent);
   }
-  if (active.empty() && cfg.filter_anomaly_epochs) {
+  if (active.empty()) {
     // No PFC anywhere (plain contention): use the epochs immediately
     // preceding the detection trigger — the contention that raised the
     // victim's RTT is there, stale epochs would pollute the analysis.
@@ -138,8 +137,8 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
         if (er.start + cfg.epoch_ns >= horizon) active.insert(er.start);
       }
     }
-    if (active.empty()) use_all = true;
   }
+  const bool use_all = active.empty();  // no epoch near the trigger either
   auto epoch_selected = [&](const EpochRecord& er) {
     return use_all || active.count(er.start) > 0;
   };

@@ -11,11 +11,6 @@ struct BuilderConfig {
   /// Epoch duration used by the queue replay (must match the telemetry
   /// configuration of the collecting switches).
   sim::Time epoch_ns = sim::Time{1} << 20;
-  /// Build from "anomaly epochs" only — epochs in which any collected port
-  /// saw PFC-paused packets. Falls back to all epochs when none did (the
-  /// normal-contention case). Disabling this reproduces the long-epoch
-  /// event-conflation failure mode described in §4.2.
-  bool filter_anomaly_epochs = true;
   /// Fabric-scale evidence calibration: when > 0, anomaly epochs are
   /// further restricted to those ending within this many ns before the
   /// episode's trigger. On a large busy fabric PFC pause activity is near
@@ -38,7 +33,12 @@ struct BuilderConfig {
 };
 
 /// Algorithm 1: construct the heterogeneous wait-for provenance graph from
-/// the telemetry reports of one diagnosis episode.
+/// the telemetry reports of one diagnosis episode. The graph is built from
+/// "anomaly epochs" only: epochs in which any collected port saw PFC-paused
+/// packets. When none did (the normal-contention case) it falls back to the
+/// epochs just before the trigger, then to all epochs. Building from every
+/// epoch instead reproduces the long-epoch event-conflation failure mode
+/// described in §4.2.
 ProvenanceGraph build_provenance(const collect::Episode& episode,
                                  const net::Topology& topo,
                                  const BuilderConfig& cfg = {});

@@ -84,7 +84,7 @@ void Simulator::schedule_at_on(int shard, Time at, Action fn) {
   assert(c->child < c->child_cap && "defer_control closures may schedule at most once");
   assert(c->child <= kChildMask && "per-event child-index overflow");
   if (!c->parallel) {
-    // Exclusive context (sequential window, barrier, step): the parent's
+    // Exclusive context (sequential window, barrier): the parent's
     // global rank is already known, so the canonical class-0 key is direct.
     const std::uint64_t seq = (c->parent << kChildBits) | c->child++;
     shards_[static_cast<std::size_t>(tgt)]->cal.push(at, seq, std::move(fn));
@@ -115,22 +115,17 @@ void Simulator::defer_control(Action fn) {
       DefCtl{c->lidx, c->child++, std::move(fn)});
 }
 
-bool Simulator::step() {
-  if (sharded()) return step_sharded();
-  if (!calendar_.prepare_head()) return false;
-  EventCalendar::Event ev = calendar_.pop_head();
-  now_ = ev.at;
-  ev.fn();
-  ++executed_;
-  return true;
-}
-
 void Simulator::run_until(Time until) {
-  if (!sharded()) {
-    while (calendar_.prepare_head() && calendar_.head().at <= until) step();
+  if (sharded()) {
+    run_until_sharded(until);
     return;
   }
-  run_until_sharded(until);
+  while (calendar_.prepare_head() && calendar_.head().at <= until) {
+    EventCalendar::Event ev = calendar_.pop_head();
+    now_ = ev.at;
+    ev.fn();
+    ++executed_;
+  }
 }
 
 std::size_t Simulator::pending() const {
@@ -236,38 +231,6 @@ void Simulator::run_sequential_window(Time cap) {
   }
   tls_ctx_ = nullptr;
   run_round_hooks();
-}
-
-bool Simulator::step_sharded() {
-  const int n = shard_count();
-  int best = -1;
-  Time bat = 0;
-  std::uint64_t bseq = 0;
-  for (int s = 0; s < n; ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    if (!sh.cal.prepare_head()) continue;
-    const EventCalendar::Event& h = sh.cal.head();
-    if (best < 0 || h.at < bat || (h.at == bat && h.seq < bseq)) {
-      best = s;
-      bat = h.at;
-      bseq = h.seq;
-    }
-  }
-  if (best < 0) return false;
-  Shard& sh = *shards_[static_cast<std::size_t>(best)];
-  EventCalendar::Event ev = sh.cal.pop_head();
-  sh.now = ev.at;
-  if (ev.at > now_) now_ = ev.at;
-  ExecCtx ctx;
-  ctx.parallel = false;
-  ctx.shard = best;
-  ctx.parent = next_rank_++;
-  tls_ctx_ = &ctx;
-  ev.fn();
-  tls_ctx_ = nullptr;
-  ++sh.executed;
-  run_round_hooks();
-  return true;
 }
 
 void Simulator::ensure_pool() {

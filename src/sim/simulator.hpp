@@ -147,11 +147,6 @@ class Simulator {
 
   // ---- Execution ----
 
-  /// Run one event (globally earliest, in canonical order); returns false
-  /// if all calendars are empty. In sharded mode this is the sequential
-  /// path: correct for any event, with exclusive state access.
-  bool step();
-
   /// Run until the calendars drain or `until` is passed (events scheduled
   /// beyond `until` remain queued and `now()` stops at the last executed
   /// event's time). An event at exactly `until` still fires.
@@ -246,7 +241,6 @@ class Simulator {
   void flush_target(int t);
   void round_barrier();
   void run_round_hooks();
-  bool step_sharded();
   void ensure_pool();
 
   // Defined in-class so every translation unit reads it as a plain TLS

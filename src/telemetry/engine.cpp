@@ -68,7 +68,6 @@ const TelemetryEngine::Epoch* TelemetryEngine::peek_epoch(sim::Time ts) const {
 void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
                                  net::PortId out_port, std::int64_t qlen_pkts,
                                  bool port_paused, sim::Time now) {
-  if (cfg_.mode == TelemetryMode::kOff) return;
   if (pkt.kind != net::PacketKind::kData) return;
   Epoch& e = locate_epoch(now);
 
@@ -124,10 +123,7 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
 
 void TelemetryEngine::on_transmit(const net::Packet& pkt, net::PortId out_port,
                                   sim::Time now) {
-  if (cfg_.mode == TelemetryMode::kOff ||
-      cfg_.mode == TelemetryMode::kFlowOnly) {
-    return;
-  }
+  if (cfg_.mode == TelemetryMode::kFlowOnly) return;
   if (pkt.kind != net::PacketKind::kData) return;
   Epoch& e = locate_epoch(now);
   e.ports[static_cast<size_t>(out_port)].tx_bytes +=

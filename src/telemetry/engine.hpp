@@ -18,7 +18,6 @@ enum class TelemetryMode : std::uint8_t {
   kFull,      // flow tables + port tables + causality meter (Hawkeye)
   kPortOnly,  // port tables + causality meter, no flow tables
   kFlowOnly,  // flow tables only, no port tables / meter
-  kOff,       // plain switch, nothing recorded
 };
 
 struct TelemetryConfig {

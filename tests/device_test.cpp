@@ -115,7 +115,7 @@ TEST(SwitchTest, PauseFrameFreezesEgressUntilResume) {
   auto& sw = tb.switch_at(sw_id);
   // Deliver a PAUSE frame on port 0 (as if the attached host sent it).
   tb.simu.schedule(100, [&] {
-    sw.receive(net::make_pfc(3, 65535), 0);
+    sw.receive(net::make_pfc(65535), 0);
   });
   tb.simu.run_until(sim::us(1));
   EXPECT_TRUE(sw.egress_paused(0));
@@ -127,8 +127,8 @@ TEST(SwitchTest, PauseFrameFreezesEgressUntilResume) {
 TEST(SwitchTest, ResumeUnfreezesImmediately) {
   Testbed tb(plain());
   auto& sw = tb.switch_at(tb.ft.edges[0]);
-  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(3, 65535), 0); });
-  tb.simu.schedule(200, [&] { sw.receive(net::make_pfc(3, 0), 0); });
+  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(65535), 0); });
+  tb.simu.schedule(200, [&] { sw.receive(net::make_pfc(0), 0); });
   tb.simu.run_until(sim::us(1));
   EXPECT_FALSE(sw.egress_paused(0));
 }
@@ -157,71 +157,6 @@ TEST(NetworkTest, DataHopAccountingCountsSwitchTraversals) {
   tb.run_for(sim::ms(1));
   // 100 packets through exactly 1 switch (same ToR) = 100 packet-hops.
   EXPECT_EQ(tb.net.data_hops(), 100u);
-}
-
-}  // namespace
-}  // namespace hawkeye::device
-
-namespace hawkeye::device {
-namespace {
-
-TEST(MultiClassPfcTest, PauseIsolatesPerPriority) {
-  // Two lossless classes; a class-0 PFC storm at the sink must stall the
-  // class-0 flow while the class-1 flow to the same host runs to
-  // completion through the very same ports (802.1Qbb per-priority pause).
-  eval::Testbed::Options o;
-  o.install_hawkeye = false;
-  o.switch_cfg.data_classes = 2;
-  eval::Testbed tb(o);
-  const net::NodeId sink = tb.ft.hosts[1];
-  FlowSpec f0{tb.ft.hosts[5], sink, 100, 4791, 3'000'000, sim::us(1), true,
-              30.0, net::TrafficClass::kData};
-  FlowSpec f1 = f0;
-  f1.src = tb.ft.hosts[9];
-  f1.src_port = 200;
-  f1.tclass = net::data_class(1);
-  tb.add_flow(f0);
-  tb.add_flow(f1);
-  tb.host(sink).inject_pfc(sim::us(100), sim::us(900), sim::us(50), 65535,
-                           /*data_class=*/0);
-  tb.run_for(sim::ms(3));
-
-  const FlowStats* s0 = tb.stats_of(device::tuple_of(f0));
-  const FlowStats* s1 = tb.stats_of(device::tuple_of(f1));
-  ASSERT_NE(s0, nullptr);
-  ASSERT_NE(s1, nullptr);
-  ASSERT_TRUE(s1->complete());
-  // 3 MB at 30 G is ~800 us; class 1 is unaffected by the storm.
-  EXPECT_LT(s1->fct(), sim::us(1000));
-  EXPECT_LT(s1->max_rtt, 3 * s1->min_rtt);
-  // Class 0 lost ~800 us to the storm.
-  ASSERT_TRUE(s0->complete());
-  EXPECT_GT(s0->fct(), sim::us(1500));
-}
-
-TEST(MultiClassPfcTest, StrictPriorityBetweenClasses) {
-  eval::Testbed::Options o;
-  o.install_hawkeye = false;
-  o.switch_cfg.data_classes = 2;
-  // Disable ECN/PFC interference: deep thresholds.
-  o.switch_cfg.pfc_xoff_bytes = 8 * 1024 * 1024;
-  o.switch_cfg.pfc_xon_bytes = 4 * 1024 * 1024;
-  eval::Testbed tb(o);
-  const net::NodeId sink = tb.ft.hosts[0];
-  // Both classes offered at line rate into the same egress: the lower
-  // class index drains first (strict priority scheduler).
-  FlowSpec hi{tb.ft.hosts[4], sink, 100, 4791, 2'000'000, 0, false, 0,
-              net::TrafficClass::kData};
-  FlowSpec lo{tb.ft.hosts[8], sink, 200, 4791, 2'000'000, 0, false, 0,
-              net::data_class(1)};
-  tb.add_flow(hi);
-  tb.add_flow(lo);
-  tb.run_for(sim::ms(3));
-  const FlowStats* sh = tb.stats_of(device::tuple_of(hi));
-  const FlowStats* sl = tb.stats_of(device::tuple_of(lo));
-  ASSERT_TRUE(sh->complete());
-  ASSERT_TRUE(sl->complete());
-  EXPECT_LT(sh->fct(), sl->fct());
 }
 
 }  // namespace
@@ -321,7 +256,7 @@ TEST(SwitchPfcTest, PausedEgressDrainsOnlyAfterQuantaAgeOut) {
   // The attached host advertises a full pause (65535 quanta at 100G is
   // ~335 us) and then goes silent — the RESUME it would normally send is
   // the frame the fault injector eats in the end-to-end tests.
-  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(3, 65535), host_port); });
+  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(65535), host_port); });
   for (int i = 0; i < 10; ++i) {
     tb.simu.schedule(sim::us(1) + i * 100, [&sw, &t, uplink, i] {
       sw.receive(net::make_data_packet(t, 7, static_cast<std::uint32_t>(i),
@@ -352,7 +287,7 @@ TEST(SwitchPfcTest, PauseReAdvertisedWhileIngressHeldBetweenXonAndXoff) {
 
   // Freeze the egress toward the host, then push the uplink ingress past
   // Xoff (64K): PAUSE #1 goes out of the uplink.
-  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(3, 65535), host_port); });
+  tb.simu.schedule(100, [&] { sw.receive(net::make_pfc(65535), host_port); });
   for (int i = 0; i < 68; ++i) {
     tb.simu.schedule(sim::us(1) + i * 10, [&sw, &t, uplink, i] {
       sw.receive(net::make_data_packet(t, 7, static_cast<std::uint32_t>(i),
@@ -362,9 +297,9 @@ TEST(SwitchPfcTest, PauseReAdvertisedWhileIngressHeldBetweenXonAndXoff) {
   }
   // Un-freeze briefly so the ingress drains into the band BETWEEN Xon
   // (32K) and Xoff (64K), then freeze again before it reaches Xon.
-  tb.simu.schedule(sim::us(10), [&] { sw.receive(net::make_pfc(3, 0), host_port); });
+  tb.simu.schedule(sim::us(10), [&] { sw.receive(net::make_pfc(0), host_port); });
   tb.simu.schedule(sim::us(11) + 500,
-                   [&] { sw.receive(net::make_pfc(3, 65535), host_port); });
+                   [&] { sw.receive(net::make_pfc(65535), host_port); });
 
   tb.simu.run_until(sim::us(50));
   ASSERT_GT(sw.ingress_bytes(uplink), tb.switch_at(sw_id).config().pfc_xon_bytes)
@@ -391,7 +326,6 @@ TEST(SwitchPfcTest, PauseReAdvertisedWhileIngressHeldBetweenXonAndXoff) {
 TEST(CcAlgorithmTest, NoneKeepsFixedRate) {
   Testbed::Options o = plain();
   o.dcqcn.algo = CcAlgorithm::kNone;
-  o.dcqcn.enabled = false;
   Testbed tb(o);
   tb.add_flow({tb.ft.hosts[0], tb.ft.hosts[3], 100, 4791, 1'000'000,
                sim::us(1), true, 20.0});

@@ -73,7 +73,6 @@ TEST(FiveTupleTest, HashSpreadsAcrossFlowTableSlots) {
 TEST(PacketTest, DataPacketFactory) {
   const Packet p = make_data_packet(tuple(1, 2, 7), 99, 5, 1000, true, 1234);
   EXPECT_EQ(p.kind, PacketKind::kData);
-  EXPECT_EQ(p.tclass, TrafficClass::kData);
   EXPECT_EQ(p.size_bytes, 1000 + kHeaderBytes);
   EXPECT_EQ(p.seq, 5u);
   EXPECT_TRUE(p.last_of_flow);
@@ -84,7 +83,6 @@ TEST(PacketTest, AckReversesTupleAndEchoesTimestamp) {
   const Packet d = make_data_packet(tuple(1, 2, 7), 99, 5, 1000, false, 777);
   const Packet a = make_ack(d, 999);
   EXPECT_EQ(a.kind, PacketKind::kAck);
-  EXPECT_EQ(a.tclass, TrafficClass::kControl);
   EXPECT_EQ(a.flow.src_ip, 2u);
   EXPECT_EQ(a.flow.dst_ip, 1u);
   EXPECT_EQ(a.tx_time, 777);  // echoed for RTT measurement
@@ -92,10 +90,10 @@ TEST(PacketTest, AckReversesTupleAndEchoesTimestamp) {
 }
 
 TEST(PacketTest, PfcFrameCarriesQuanta) {
-  const Packet pause = make_pfc(3, 65535);
+  const Packet pause = make_pfc(65535);
   EXPECT_EQ(pause.kind, PacketKind::kPfc);
   EXPECT_EQ(pause.pause_quanta, 65535u);
-  const Packet resume = make_pfc(3, 0);
+  const Packet resume = make_pfc(0);
   EXPECT_EQ(resume.pause_quanta, 0u);
 }
 

@@ -201,17 +201,18 @@ TEST(BuilderTest, AnomalyEpochFilterDropsPreAnomalyContention) {
   fx.report(fx.a).epochs.back().ports.push_back(
       prec(fx.a_to_b, 100, 60, 500));
 
-  provenance::BuilderConfig cfg;
-  const ProvenanceGraph g = build_provenance(fx.ep, fx.ft.topo, cfg);
+  const ProvenanceGraph g = build_provenance(fx.ep, fx.ft.topo);
   // The epoch-0 contention at B must be filtered out.
   const int pn = g.port_node({fx.b, fx.b_hot});
   if (pn >= 0) {
     EXPECT_TRUE(g.port_flows(pn).empty());
   }
 
-  // Disabling the filter (the long-epoch failure mode) lets it back in.
-  cfg.filter_anomaly_epochs = false;
-  const ProvenanceGraph g2 = build_provenance(fx.ep, fx.ft.topo, cfg);
+  // Without the pause at A no epoch is an anomaly epoch, so the no-PFC
+  // fallback keeps epoch 0 and the B contention is back: the filter, not
+  // the fixture, removed it above.
+  fx.report(fx.a).epochs.back().ports.back().paused_cnt = 0;
+  const ProvenanceGraph g2 = build_provenance(fx.ep, fx.ft.topo);
   const int pn2 = g2.port_node({fx.b, fx.b_hot});
   ASSERT_GE(pn2, 0);
   EXPECT_FALSE(g2.port_flows(pn2).empty());

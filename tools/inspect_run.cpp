@@ -1,20 +1,9 @@
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include "eval/runner.hpp"
+#include "parse_int.hpp"
 #include "sim/logger.hpp"
 using namespace hawkeye;
-
-// Integer argument in [lo, hi]; false on anything else (non-numeric,
-// trailing junk, out of range).
-static bool parse_int(const char* s, long lo, long hi, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno != 0 || v < lo || v > hi) return false;
-  out = static_cast<int>(v);
-  return true;
-}
 
 int main(int argc, char** argv) {
   const long max_scenario =

@@ -4,10 +4,19 @@
 #include "provenance/builder.hpp"
 #include "diagnosis/diagnosis.hpp"
 #include "workload/scenario.hpp"
+#include "parse_int.hpp"
 using namespace hawkeye;
 
 int main(int argc, char** argv) {
-  int type_i = argc > 1 ? atoi(argv[1]) : 3;
+  const long max_scenario =
+      (long)diagnosis::AnomalyType::kOversubscribedDownlink;
+  int type_i = 3;
+  if (argc > 1 && !parse_int(argv[1], 0, max_scenario, type_i)) {
+    std::fprintf(stderr,
+                 "usage: inspect_scenario [scenario 0-%ld] [seed] [bg_load]\n",
+                 max_scenario);
+    return 2;
+  }
   std::uint64_t seed = argc > 2 ? strtoull(argv[2], nullptr, 10) : 1;
   sim::Rng rng(seed);
   workload::ScenarioSpec spec;
