@@ -5,52 +5,35 @@
 // from the collected telemetry.
 #include "bench_common.hpp"
 #include "diagnosis/contention_cause.hpp"
-#include "eval/testbed.hpp"
-#include "provenance/builder.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
 
 namespace {
 
-void run_case(const char* label, diagnosis::AnomalyType type,
-              bool imbalance_variant, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = imbalance_variant ? workload::make_ecmp_imbalance(probe, pr, rng)
-                             : workload::make_scenario(type, probe, pr, rng);
-  }
-  eval::Testbed::Options opts;
-  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(opts);
-  tb.install(spec);
-  tb.run_for(spec.duration + sim::us(300));
+eval::RunConfig case_config(diagnosis::AnomalyType type, std::uint64_t seed) {
+  eval::RunConfig cfg;
+  cfg.scenario = type;
+  cfg.seed = seed;
+  cfg.background_load = 0;
+  return cfg;
+}
 
-  const collect::Episode* ep = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const collect::Episode* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim &&
-        cand->triggered_at >= spec.anomaly_start && ep == nullptr) {
-      ep = cand;
-    }
-  }
-  if (ep == nullptr) {
+void run_case(const char* label, std::uint64_t seed, eval::Run& run) {
+  run.simulate();
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  if (!ep) {
     std::printf("%-18s seed=%llu  (no episode)\n", label,
                 static_cast<unsigned long long>(seed));
     return;
   }
-  const auto g = provenance::build_provenance(*ep, tb.ft.topo);
-  const auto dx = diagnosis::diagnose(g, tb.ft.topo, tb.routing, spec.victim);
-  const auto cause =
-      diagnosis::analyze_contention_cause(g, tb.ft.topo, tb.routing, dx);
+  const eval::Run::Diagnosis d = run.diagnose(*ep);
+  const eval::Testbed& tb = run.testbed();
+  const auto cause = diagnosis::analyze_contention_cause(
+      d.graph, tb.ft.topo, tb.routing, d.dx);
   std::printf("%-18s seed=%llu  type=%-22s cause=%-14s imbalance=%.2f srcs=%d\n",
               label, static_cast<unsigned long long>(seed),
-              std::string(to_string(dx.type)).c_str(),
+              std::string(to_string(d.dx.type)).c_str(),
               std::string(to_string(cause.cause)).c_str(),
               cause.ecmp_imbalance_ratio, cause.distinct_sources);
 }
@@ -61,11 +44,16 @@ int main() {
   print_header("Extension", "contention-cause classification");
   std::printf("%-18s %-8s %-28s %-20s\n", "scenario", "", "", "");
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    run_case("incast", diagnosis::AnomalyType::kMicroBurstIncast, false, seed);
+    eval::Run run(case_config(diagnosis::AnomalyType::kMicroBurstIncast, seed));
+    run_case("incast", seed, run);
   }
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    run_case("ecmp-imbalance", diagnosis::AnomalyType::kNormalContention,
-             true, seed);
+    sim::Rng rng(seed);
+    const net::FatTree ft = net::build_fat_tree(4);
+    const net::Routing routing(ft.topo);
+    eval::Run run(case_config(diagnosis::AnomalyType::kNormalContention, seed),
+                  workload::make_ecmp_imbalance(ft, routing, rng));
+    run_case("ecmp-imbalance", seed, run);
   }
   std::printf("\nExpected: incast traces classify as 'incast' (fan-in of\n"
               "distinct sources); skew traces classify as 'ecmp-imbalance'\n"

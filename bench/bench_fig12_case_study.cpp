@@ -2,50 +2,34 @@
 // of §2.1 — (a) PFC backpressure by incast micro-bursts, (b) PFC storm,
 // (c) initiator-in-loop deadlock, (d) initiator-out-of-loop deadlock.
 // Prints each crafted trace's heterogeneous wait-for graph and diagnosis.
+// Exits 1 when any case's verdict type differs from its crafted truth.
 #include "bench_common.hpp"
-#include "eval/testbed.hpp"
-#include "provenance/builder.hpp"
-#include "workload/scenario.hpp"
+#include "eval/runner.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
 
 namespace {
 
-void case_study(char label, diagnosis::AnomalyType type, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing probe_routing(probe.topo);
-    spec = workload::make_scenario(type, probe, probe_routing, rng);
-  }
-  eval::Testbed::Options opts;
-  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(opts);
-  tb.install(spec);
-  tb.run_for(spec.duration);
-
-  const collect::Episode* ep = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const collect::Episode* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim &&
-        cand->triggered_at >= spec.anomaly_start) {
-      if (ep == nullptr || cand->reports.size() > ep->reports.size()) {
-        ep = cand;
-      }
-    }
-  }
+/// True when the verdict type matches the crafted truth.
+bool case_study(char label, diagnosis::AnomalyType type, std::uint64_t seed) {
+  eval::RunConfig cfg;
+  cfg.scenario = type;
+  cfg.seed = seed;
+  cfg.background_load = 0;
+  eval::Run run(cfg);
+  run.simulate();
+  const workload::ScenarioSpec& spec = run.spec();
   std::printf("\n(%c) %s — victim %s\n", label, spec.name.c_str(),
               spec.victim.to_string().c_str());
-  if (ep == nullptr) {
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  if (!ep) {
     std::printf("  (no episode triggered; try another seed)\n");
-    return;
+    return false;
   }
-  const auto g = provenance::build_provenance(*ep, tb.ft.topo);
-  std::printf("%s", g.to_string().c_str());
-  const auto dx = diagnosis::diagnose(g, tb.ft.topo, tb.routing, spec.victim);
+  const eval::Run::Diagnosis d = run.diagnose(*ep);
+  const diagnosis::DiagnosisResult& dx = d.dx;
+  std::printf("%s", d.graph.to_string().c_str());
   std::printf("  diagnosis: %s\n", std::string(to_string(dx.type)).c_str());
   std::printf("    %s\n", dx.narrative.c_str());
   if (!dx.loop_ports.empty()) {
@@ -67,15 +51,21 @@ void case_study(char label, diagnosis::AnomalyType type, std::uint64_t seed) {
   }
   std::printf("    expected: %s\n",
               std::string(to_string(spec.truth.type)).c_str());
+  return dx.type == spec.truth.type;
 }
 
 }  // namespace
 
 int main() {
   print_header("Figure 12", "provenance graphs for the typical anomalies");
-  case_study('a', diagnosis::AnomalyType::kMicroBurstIncast, 7);
-  case_study('b', diagnosis::AnomalyType::kPfcStorm, 1);
-  case_study('c', diagnosis::AnomalyType::kInLoopDeadlock, 1);
-  case_study('d', diagnosis::AnomalyType::kOutOfLoopDeadlockInjection, 2);
+  bool ok = case_study('a', diagnosis::AnomalyType::kMicroBurstIncast, 7);
+  ok = case_study('b', diagnosis::AnomalyType::kPfcStorm, 1) && ok;
+  ok = case_study('c', diagnosis::AnomalyType::kInLoopDeadlock, 1) && ok;
+  ok = case_study('d', diagnosis::AnomalyType::kOutOfLoopDeadlockInjection,
+                  2) && ok;
+  if (!ok) {
+    std::printf("\nFAIL: a case study's verdict differs from its truth\n");
+    return 1;
+  }
   return 0;
 }

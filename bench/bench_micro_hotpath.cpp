@@ -1,95 +1,38 @@
 // Micro-benchmarks of the hot paths: the per-packet telemetry update (the
 // software twin of the Tofino egress pipeline), ECMP lookup, the event
-// loop, and the per-diagnosis analyzer cost (provenance build + signature
-// matching). Not a paper figure; used to keep the simulator fast enough
-// for the trace sweeps.
-//
-// The schedule/dispatch benches compare the current allocation-free core
-// (InlineAction + EventCalendar) against a faithful copy of the seed core
-// (std::priority_queue<std::function>) on the same workloads, and the
-// results are written to BENCH_hotpath.json (override the path with
-// HAWKEYE_BENCH_JSON) so the perf trajectory is tracked across PRs.
+// loop, and the per-diagnosis cost of Run::diagnose (provenance build +
+// signature matching). Not a paper figure; used to keep the simulator fast
+// enough for the trace sweeps. The results are written to
+// BENCH_hotpath.json (override the path with HAWKEYE_BENCH_JSON) so the
+// perf trajectory is tracked across changes.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "diagnosis/diagnosis.hpp"
-#include "eval/testbed.hpp"
 #include "eval/runner.hpp"
 #include "net/routing.hpp"
-#include "provenance/builder.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/engine.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 
 namespace {
 
-/// Verbatim copy of the seed simulator core (PR 0): one global binary heap
-/// of type-erased std::function events. Kept here as the baseline the
-/// calendar+SBO core is measured against.
-class LegacyHeapSimulator {
- public:
-  using Action = std::function<void()>;
-
-  sim::Time now() const { return now_; }
-  void schedule(sim::Time delay, Action fn) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-  void schedule_at(sim::Time at, Action fn) {
-    if (at < now_) at = now_;
-    heap_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  bool step() {
-    if (heap_.empty()) return false;
-    Event& ev = const_cast<Event&>(heap_.top());
-    now_ = ev.at;
-    Action fn = std::move(ev.fn);
-    heap_.pop();
-    fn();
-    ++executed_;
-    return true;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    sim::Time at;
-    std::uint64_t seq;
-    Action fn;
-    bool operator>(const Event& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
-
-/// The schedule+dispatch workload both cores run: `n` self-rescheduling
-/// timers with the capture footprint of the real packet-arrival closure
-/// (four words — pointer, pointer, slot, port), hopping the delay mix the
-/// fabric actually schedules: 80–1103 ns serialization + propagation hops
-/// (MTU at 100 Gbps ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of
-/// events arming a 3 ms retransmit-timeout-like far delay. `timers` is the
-/// pending-event population — k=8 traces hold tens of thousands of
-/// in-flight packets, which is where the global heap's O(log n) sift
-/// thrashes the cache. Each timer fires `hops` times.
-template <typename Sim>
-std::uint64_t pump_events(Sim& simu, int timers, int hops) {
+/// The schedule+dispatch workload: `n` self-rescheduling timers with the
+/// capture footprint of the real packet-arrival closure (four words —
+/// pointer, pointer, slot, port), hopping the delay mix the fabric
+/// actually schedules: 80–1103 ns serialization + propagation hops (MTU at
+/// 100 Gbps ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of events arming
+/// a 3 ms retransmit-timeout-like far delay. `timers` is the pending-event
+/// population — k=8 traces hold tens of thousands of in-flight packets.
+/// Each timer fires `hops` times.
+std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
   std::uint64_t fired = 0;
   struct Timer {
-    Sim* simu;
+    sim::Simulator* simu;
     std::uint64_t* fired;
     std::uint32_t state;
     std::int32_t left;
@@ -109,16 +52,6 @@ std::uint64_t pump_events(Sim& simu, int timers, int hops) {
   simu.run();
   return fired;
 }
-
-void BM_ScheduleDispatchLegacyHeap(benchmark::State& state) {
-  const int timers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    LegacyHeapSimulator simu;
-    benchmark::DoNotOptimize(pump_events(simu, timers, 64));
-  }
-  state.SetItemsProcessed(state.iterations() * timers * 64);
-}
-BENCHMARK(BM_ScheduleDispatchLegacyHeap)->Arg(1000)->Arg(20000)->Arg(100000);
 
 void BM_ScheduleDispatchCalendar(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
@@ -201,33 +134,20 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventLoop);
 
 /// One full diagnosis episode: simulate an incast trace once, then measure
-/// the analyzer (graph construction + signature matching) in isolation.
+/// Run::diagnose (graph construction + signature matching) in isolation.
 void BM_AnalyzerProvenanceAndDiagnosis(benchmark::State& state) {
-  sim::Rng rng(7);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(diagnosis::AnomalyType::kMicroBurstIncast,
-                                   probe, pr, rng);
-  }
-  eval::Testbed tb;
-  tb.install(spec);
-  tb.run_for(spec.duration);
-  const collect::Episode* ep = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const auto* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim) ep = cand;
-  }
-  if (ep == nullptr) {
+  eval::RunConfig cfg;
+  cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
+  cfg.seed = 7;
+  cfg.background_load = 0;
+  eval::Run run(cfg);
+  run.simulate();
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  if (!ep) {
     state.SkipWithError("no episode triggered");
     return;
   }
-  for (auto _ : state) {
-    const auto g = provenance::build_provenance(*ep, tb.ft.topo);
-    benchmark::DoNotOptimize(
-        diagnosis::diagnose(g, tb.ft.topo, tb.routing, spec.victim));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(run.diagnose(*ep));
 }
 BENCHMARK(BM_AnalyzerProvenanceAndDiagnosis)->Unit(benchmark::kMicrosecond);
 
@@ -270,7 +190,7 @@ BENCHMARK(BM_EndToEndIncastTraceSharded)
 
 // BENCHMARK_MAIN, plus a machine-readable copy of every result in
 // BENCH_hotpath.json (HAWKEYE_BENCH_JSON overrides the path) so the
-// schedule/dispatch throughput trajectory is tracked across PRs. An
+// hot-path throughput trajectory is tracked across changes. An
 // explicit --benchmark_out on the command line wins over the default.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);

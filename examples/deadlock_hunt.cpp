@@ -13,25 +13,18 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "diagnosis/diagnosis.hpp"
-#include "eval/testbed.hpp"
+#include "eval/runner.hpp"
 #include "fault/fault.hpp"
-#include "provenance/builder.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
-
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing probe_routing(probe.topo);
-    spec = workload::make_scenario(diagnosis::AnomalyType::kInLoopDeadlock,
-                                   probe, probe_routing, rng);
-  }
+  eval::RunConfig cfg;
+  cfg.scenario = diagnosis::AnomalyType::kInLoopDeadlock;
+  cfg.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  cfg.background_load = 0;
+  eval::Run run(cfg);
+  const workload::ScenarioSpec& spec = run.spec();
 
   std::printf("crafted routing misconfiguration (%zu overrides):\n",
               spec.overrides.size());
@@ -46,12 +39,8 @@ int main(int argc, char** argv) {
   std::printf("\nburst initiator fires at %.0f us\n\n",
               static_cast<double>(spec.anomaly_start) / 1e3);
 
-  eval::Testbed::Options opts;
-  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(opts);
-  tb.install(spec);
-  tb.run_for(spec.duration);
+  run.simulate();
+  eval::Testbed& tb = run.testbed();
 
   // The loop flows freeze: show their stalled state.
   std::printf("flow progress at end of trace:\n");
@@ -64,23 +53,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Diagnose the victim's episode (the most complete collection).
-  const collect::Episode* ep = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const collect::Episode* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim &&
-        cand->triggered_at >= spec.anomaly_start &&
-        (ep == nullptr || cand->reports.size() > ep->reports.size())) {
-      ep = cand;
-    }
-  }
-  if (ep == nullptr) {
+  // Diagnose the victim's merged episode.
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  if (!ep) {
     std::printf("\nno diagnosis episode; try another seed\n");
     return 1;
   }
-
-  const auto g = provenance::build_provenance(*ep, tb.ft.topo);
-  const auto dx = diagnosis::diagnose(g, tb.ft.topo, tb.routing, spec.victim);
+  const diagnosis::DiagnosisResult dx = run.diagnose(*ep).dx;
   std::printf("\ndiagnosis: %s\n", std::string(to_string(dx.type)).c_str());
   if (!dx.loop_ports.empty()) {
     std::printf("  detected CBD:");
@@ -102,34 +81,17 @@ int main(int argc, char** argv) {
 
   // ---- Second pass: same hunt, hostile substrate ----
   std::printf("\n=== re-running with 15%% polling-packet loss injected ===\n");
-  eval::Testbed::Options fopts = opts;
-  fopts.agent_cfg.max_repolls = 3;  // enable the self-healing re-poll loop
-  eval::Testbed ftb(fopts);
-  workload::ScenarioSpec fspec = spec;
-  fspec.faults = fault::FaultPlan::uniform_poll_loss(0.15, seed);
-  ftb.install(fspec);
-  ftb.run_for(fspec.duration + sim::ms(4));
-
-  const collect::Episode* fep = nullptr;
-  for (const auto id : ftb.collector.episode_order()) {
-    const collect::Episode* cand = ftb.collector.episode(id);
-    if (cand->victim == fspec.victim &&
-        cand->triggered_at >= fspec.anomaly_start &&
-        (fep == nullptr || cand->reports.size() > fep->reports.size())) {
-      fep = cand;
-    }
-  }
+  cfg.faults = fault::FaultPlan::uniform_poll_loss(0.15, cfg.seed);
+  eval::Run faulty(cfg);
+  faulty.simulate();
   std::printf("fault injector: %llu polls dropped\n",
-              static_cast<unsigned long long>(ftb.faults->polls_dropped()));
-  if (fep == nullptr) {
+              static_cast<unsigned long long>(
+                  faulty.testbed().faults->polls_dropped()));
+  const std::optional<collect::Episode> fep = faulty.victim_episode();
+  if (!fep) {
     std::printf("no episode survived the faults for this seed\n");
   } else {
-    const auto fg = provenance::build_provenance(*fep, ftb.ft.topo);
-    auto fdx =
-        diagnosis::diagnose(fg, ftb.ft.topo, ftb.routing, fspec.victim);
-    fdx.confidence = diagnosis::collection_confidence(
-        fep->coverage(), fep->failed_collections, fep->stale_epochs_rejected,
-        fep->repolls);
+    const diagnosis::DiagnosisResult fdx = faulty.diagnose(*fep).dx;
     std::printf(
         "self-healed verdict: %s (coverage %.0f%%, %u re-polls, "
         "confidence %.2f%s)\n",

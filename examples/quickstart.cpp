@@ -4,57 +4,40 @@
 //
 //   $ ./quickstart [seed]
 //
-// This is the smallest end-to-end tour of the public API:
-//   workload::make_scenario -> eval::Testbed -> provenance -> diagnosis.
+// This is the smallest end-to-end tour of the public API: eval::Run runs
+// the stages eval::run_one scores — craft the scenario, build the fabric,
+// simulate, merge the victim's episodes, diagnose.
 #include <cstdio>
 #include <cstdlib>
 
-#include "diagnosis/analyzer.hpp"
-#include "eval/testbed.hpp"
-#include "workload/scenario.hpp"
+#include "diagnosis/contention_cause.hpp"
+#include "eval/runner.hpp"
 
 using namespace hawkeye;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-
-  // 1. Craft an incast-burst anomaly trace on a (k=4) fat-tree.
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing probe_routing(probe.topo);
-    spec = workload::make_scenario(diagnosis::AnomalyType::kMicroBurstIncast,
-                                   probe, probe_routing, rng);
-  }
+  // 1. Craft an incast-burst anomaly trace on a (k=4) fat-tree and build
+  //    the simulated fabric with the Hawkeye stack installed, plus the
+  //    default 10% background load.
+  eval::RunConfig cfg;
+  cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
+  cfg.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  eval::Run run(cfg);
+  const workload::ScenarioSpec& spec = run.spec();
   std::printf("scenario: %s, victim flow %s, anomaly at %.0f us\n",
               spec.name.c_str(), spec.victim.to_string().c_str(),
               static_cast<double>(spec.anomaly_start) / 1000.0);
 
-  // 2. Wire up the simulated fabric with the Hawkeye stack installed.
-  eval::Testbed tb;
-  tb.install(spec);
-  for (const auto& f :
-       workload::background_flows(tb.ft, rng, 0.1, sim::us(5), sim::ms(2))) {
-    tb.add_flow(f);
-  }
-
-  // 3. Run the trace.
-  tb.run_for(spec.duration);
+  // 2. Run the trace.
+  run.simulate();
+  const eval::Testbed& tb = run.testbed();
   std::printf("simulated %llu events, %llu data drops\n",
               static_cast<unsigned long long>(tb.simu.executed_events()),
               static_cast<unsigned long long>(tb.net.data_drops()));
 
-  // 4. Grab the victim's diagnosis episode.
-  const collect::Episode* ep = nullptr;
-  for (const std::uint64_t id : tb.collector.episode_order()) {
-    const collect::Episode* cand = tb.collector.episode(id);
-    if (cand != nullptr && cand->victim == spec.victim) {
-      ep = cand;
-      break;
-    }
-  }
-  if (ep == nullptr) {
+  // 3. Merge the victim's diagnosis episodes.
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  if (!ep) {
     std::printf("no episode triggered for the victim — try another seed\n");
     return 1;
   }
@@ -64,14 +47,30 @@ int main(int argc, char** argv) {
               static_cast<long long>(ep->telemetry_bytes),
               static_cast<unsigned long long>(ep->polling_packets));
 
-  // 5. One-call analysis: provenance graph + signature diagnosis +
-  //    contention-cause classification + (for deadlocks) CBD fixes.
-  const diagnosis::Analyzer analyzer(tb.ft.topo, tb.routing);
-  const diagnosis::AnalysisReport rep = analyzer.analyze(*ep);
-  std::printf("%s\n", rep.graph.to_string().c_str());
-  std::printf("%s", rep.summary.c_str());
+  // 4. Provenance graph (Algorithm 1) + signature diagnosis (Algorithm 2),
+  //    then the fine-grained cause of the contention at the initial port.
+  const eval::Run::Diagnosis d = run.diagnose(*ep);
+  const diagnosis::DiagnosisResult& dx = d.dx;
+  std::printf("%s\n", d.graph.to_string().c_str());
+  std::printf("victim %s: %s\n  %s\n", spec.victim.to_string().c_str(),
+              std::string(to_string(dx.type)).c_str(), dx.narrative.c_str());
+  std::printf("  initial congestion: %s\n",
+              net::to_string(dx.initial_port).c_str());
+  for (const auto& f : dx.root_cause_flows) {
+    std::printf("  root-cause flow %s\n", f.to_string().c_str());
+  }
+  const diagnosis::ContentionCauseReport cause =
+      diagnosis::analyze_contention_cause(d.graph, tb.ft.topo, tb.routing, dx);
+  if (cause.cause != diagnosis::ContentionCause::kUnknown) {
+    std::printf("  contention cause: %s (%s)\n",
+                std::string(to_string(cause.cause)).c_str(),
+                cause.narrative.c_str());
+  }
+  for (const auto& f : dx.spreading_flows) {
+    std::printf("  spreading flow %s\n", f.to_string().c_str());
+  }
   std::printf("ground truth: %s with %zu burst flows\n",
               std::string(to_string(spec.truth.type)).c_str(),
               spec.truth.root_cause_flows.size());
-  return rep.dx.type == spec.truth.type ? 0 : 1;
+  return dx.type == spec.truth.type ? 0 : 1;
 }

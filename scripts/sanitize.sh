@@ -7,10 +7,10 @@
 #       allocation-free event calendar and packet-slab paths, every
 #       switch/host/packet suite: PFC, lossless incast sweep, DCQCN,
 #       TIMELY, go-back-N loss recovery), the provenance builder tests,
-#       the fault-plan validation tests and the case-file parser (round
-#       trips plus the corpus mutation fuzz; the slow corpus replay is left
-#       to the plain ctest job). UBSan halts on its first report, so any
-#       undefined behaviour fails the job.
+#       the fault-plan validation tests, the run-stage API tests and the
+#       case-file parser (round trips plus the corpus mutation fuzz; the
+#       slow corpus replay is left to the plain ctest job). UBSan halts on
+#       its first report, so any undefined behaviour fails the job.
 # tsan: TSan build, runs the parallel sweep-runner tests plus the
 #       fault-injection suite (link flaps / PFC frame loss exercise the
 #       injector from every sweep worker thread), the reconvergence /
@@ -38,7 +38,7 @@ run_asan() {
         --target hawkeye_tests hawkeye_hunt_corpus_test
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|HuntCorpusTest\.MutatedCases')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|RunStageTest|HuntCorpusTest\.MutatedCases')
 }
 
 run_tsan() {

@@ -6,9 +6,7 @@
 #include <string_view>
 
 #include "baselines/local_contention.hpp"
-#include "eval/testbed.hpp"
 #include "provenance/builder.hpp"
-#include "sim/logger.hpp"
 
 namespace hawkeye::eval {
 
@@ -222,7 +220,7 @@ Testbed::Options testbed_options(const RunConfig& cfg,
   // above k=8; paper-scale fabrics (k <= 8, where factor x baseline is
   // calibrated already) keep headroom 0 so their traces — and the
   // committed goldens — stay byte-identical. The evidence half of the
-  // calibration (trigger-scoped provenance epochs) is in diagnose_episode.
+  // calibration (trigger-scoped provenance epochs) is in Run::diagnose.
   if (cfg.fat_tree_k > 8) opts.agent_cfg.hop_noise_headroom = sim::us(1);
   opts.agent_cfg.full_polling =
       cfg.method == Method::kFullPolling || cfg.method == Method::kNetSight;
@@ -307,9 +305,6 @@ void record_collection(const RunConfig& cfg, Testbed& tb,
   out.degraded = ep.degraded || !ep.coverage_complete() ||
                  ep.failed_collections > 0 || ep.stale_epochs_rejected > 0 ||
                  polls_hit;
-  out.confidence = diagnosis::collection_confidence(
-      out.collection_coverage, out.failed_collections, out.stale_epochs,
-      out.repolls);
 
   out.telemetry_bytes = ep.telemetry_bytes;
   out.raw_telemetry_bytes = ep.raw_telemetry_bytes;
@@ -353,15 +348,54 @@ void record_collection(const RunConfig& cfg, Testbed& tb,
                            static_cast<double>(causal.size());
 }
 
-/// Algorithm 1 + Algorithm 2 over the merged episode (or the method's
-/// local-contention baseline).
-diagnosis::DiagnosisResult diagnose_episode(const RunConfig& cfg,
-                                            const Testbed::Options& opts,
-                                            const Testbed& tb,
-                                            const workload::ScenarioSpec& spec,
-                                            const collect::Episode& ep) {
+}  // namespace
+
+Run::Run(const RunConfig& cfg)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      spec_(craft_scenario(cfg_, rng_)),
+      opts_(testbed_options(cfg_, spec_)),
+      tb_(opts_) {
+  build();
+}
+
+Run::Run(const RunConfig& cfg, workload::ScenarioSpec spec)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      spec_(std::move(spec)),
+      opts_(testbed_options(cfg_, spec_)),
+      tb_(opts_) {
+  build();
+}
+
+void Run::build() {
+  tb_.install(spec_);
+  install_path_ = tb_.routing.path_of(spec_.victim);
+  for (const auto& f : workload::background_flows(
+           tb_.ft, rng_, cfg_.background_load, sim::us(5),
+           spec_.duration - sim::us(100))) {
+    tb_.add_flow(f);
+  }
+}
+
+void Run::simulate() {
+  // Small margin so asynchronous CPU snapshots scheduled near the end of
+  // the trace still complete. Faulty runs get extra room: the re-poll
+  // backoff chain and stale (delayed) DMA completions can land several
+  // milliseconds after the trace proper.
+  sim::Time margin = 2 * opts_.collector_cfg.snapshot_delay;
+  if (spec_.faults) margin += sim::ms(4);
+  tb_.run_for(spec_.duration + margin);
+}
+
+std::optional<collect::Episode> Run::victim_episode() const {
+  return tb_.collector.merged_episode(spec_.victim, spec_.anomaly_start);
+}
+
+Run::Diagnosis Run::diagnose(const collect::Episode& ep) {
+  Diagnosis out;
   diagnosis::DiagnosisConfig dcfg;
-  dcfg.epoch_ns = opts.switch_cfg.telemetry.epoch.epoch_ns();
+  dcfg.epoch_ns = opts_.switch_cfg.telemetry.epoch.epoch_ns();
   // Ranking half of the fabric-scale calibration (§14), now on at every
   // size: with concurrent background congestion the busiest core port
   // out-masses the anomaly's initial point, so the terminal ranking
@@ -371,80 +405,70 @@ diagnosis::DiagnosisResult diagnose_episode(const RunConfig& cfg,
   // cells already rank their server-facing terminal first, so goldens are
   // unchanged.
   dcfg.signature_rank = true;
-  if (diagnoses_locally(cfg.method)) {
-    return baselines::diagnose_local_contention(ep, tb.ft.topo, tb.routing,
-                                                spec.victim, dcfg);
+  const bool local = diagnoses_locally(cfg_.method);
+  if (local) {
+    out.dx = baselines::diagnose_local_contention(ep, tb_.ft.topo, tb_.routing,
+                                                  ep.victim, dcfg);
+  } else {
+    provenance::BuilderConfig bcfg;
+    bcfg.epoch_ns = dcfg.epoch_ns;
+    // Evidence half of the fabric-scale calibration (§14): when the
+    // pause-activity epoch filter saturates (some port is pausing
+    // somewhere nearly always) the graph would aggregate every transient
+    // hot spot the rings remember, and a long-dead core event can
+    // out-mass the live anomaly at the terminal ranking. Scope the
+    // anomaly epochs tightly around the first detection: the trigger's
+    // own epoch plus one epoch of lookback covers the RTT excursion that
+    // fired it, and nothing else. On above k=8 (saturation from scale
+    // alone) and — since the misdiagnosis hunter reproduced the same
+    // background-capture at k=4 — above the calibrated default background
+    // load of 0.1 (saturation from load). At the default load the
+    // deadlock cells rely on the wider evidence window (the loop's
+    // contention mass accumulates across epochs), so the paper-scale
+    // cells and every golden keep the unscoped selection.
+    if (cfg_.fat_tree_k > 8 || cfg_.background_load > 0.1) {
+      bcfg.trigger_scope_ns = bcfg.epoch_ns;
+    }
+    out.graph = provenance::build_provenance(ep, tb_.ft.topo, bcfg);
+    out.dx = diagnosis::diagnose(out.graph, tb_.ft.topo, tb_.routing,
+                                 ep.victim, dcfg);
   }
-  provenance::BuilderConfig bcfg;
-  bcfg.epoch_ns = dcfg.epoch_ns;
-  // Evidence half of the fabric-scale calibration (§14): when the
-  // pause-activity epoch filter saturates (some port is pausing
-  // somewhere nearly always) the graph would aggregate every transient
-  // hot spot the rings remember, and a long-dead core event can
-  // out-mass the live anomaly at the terminal ranking. Scope the
-  // anomaly epochs tightly around the first detection: the trigger's
-  // own epoch plus one epoch of lookback covers the RTT excursion that
-  // fired it, and nothing else. On above k=8 (saturation from scale
-  // alone) and — since the misdiagnosis hunter reproduced the same
-  // background-capture at k=4 — above the calibrated default background
-  // load of 0.1 (saturation from load). At the default load the
-  // deadlock cells rely on the wider evidence window (the loop's
-  // contention mass accumulates across epochs), so the paper-scale
-  // cells and every golden keep the unscoped selection.
-  if (cfg.fat_tree_k > 8 || cfg.background_load > 0.1) {
-    bcfg.trigger_scope_ns = bcfg.epoch_ns;
+  out.dx.confidence = diagnosis::collection_confidence(
+      ep.coverage(), ep.failed_collections, ep.stale_epochs_rejected,
+      ep.repolls);
+
+  // ---- Refine with fleet evidence ----
+  // The operator-visible fleet counters (MAC FCS registers, negotiated
+  // port speeds, NIC DMA drain gauges) rewrite the provenance verdict
+  // where a fleet signature row matches. Baseline methods have no
+  // fleet-health pipeline — part of the capability gap the comparison
+  // benches measure.
+  if (tb_.faults != nullptr && tb_.faults->plan().fleet_enabled() && !local) {
+    out.fleet_evidence = tb_.faults->fleet_evidence(
+        tb_.ft.topo, net::Topology::node_of_ip(ep.victim.dst_ip),
+        ep.triggered_at);
+    out.fleet_evidence.sender_retransmissions =
+        tb_.host(net::Topology::node_of_ip(ep.victim.src_ip))
+            .retransmissions();
+    if (!out.fleet_evidence.empty()) {
+      out.dx = diagnosis::refine_fleet_verdict(
+          out.dx, out.fleet_evidence, tb_.ft.topo, tb_.routing, ep.victim);
+    }
   }
-  const provenance::ProvenanceGraph g =
-      provenance::build_provenance(ep, tb.ft.topo, bcfg);
-  diagnosis::DiagnosisResult dx =
-      diagnosis::diagnose(g, tb.ft.topo, tb.routing, spec.victim, dcfg);
-  if (cfg.verbose) {
-    sim::Logger::info("%s", g.to_string().c_str());
-    sim::Logger::info("diagnosis: %s", dx.narrative.c_str());
-  }
-  return dx;
+  return out;
 }
 
-}  // namespace
-
-RunResult run_one(const RunConfig& cfg) {
+RunResult Run::result() {
   RunResult out;
+  out.scenario_name = spec_.name;
+  out.truth_type = spec_.truth.type;
+  record_fabric(tb_, spec_, install_path_, out);
 
-  // ---- Craft the scenario, then derive the fabric it needs ----
-  sim::Rng rng(cfg.seed);
-  const workload::ScenarioSpec spec = craft_scenario(cfg, rng);
-  const Testbed::Options opts = testbed_options(cfg, spec);
-  out.scenario_name = spec.name;
-  out.truth_type = spec.truth.type;
-
-  // ---- Build: install the scenario, then background traffic ----
-  Testbed tb(opts);
-  tb.install(spec);
-  const std::vector<net::PortRef> install_path =
-      tb.routing.path_of(spec.victim);
-  for (const auto& f : workload::background_flows(
-           tb.ft, rng, cfg.background_load, sim::us(5),
-           spec.duration - sim::us(100))) {
-    tb.add_flow(f);
-  }
-
-  // ---- Simulate ----
-  // Small margin so asynchronous CPU snapshots scheduled near the end of
-  // the trace still complete. Faulty runs get extra room: the re-poll
-  // backoff chain and stale (delayed) DMA completions can land several
-  // milliseconds after the trace proper.
-  sim::Time margin = 2 * opts.collector_cfg.snapshot_delay;
-  if (spec.faults) margin += sim::ms(4);
-  tb.run_for(spec.duration + margin);
-  record_fabric(tb, spec, install_path, out);
-
-  // ---- Merge the victim's episodes ----
-  const std::optional<collect::Episode> merged =
-      tb.collector.merged_episode(spec.victim, spec.anomaly_start);
+  const std::optional<collect::Episode> merged = victim_episode();
   out.triggered = merged.has_value();
   if (!merged) {
     out.fn = true;
-    if (tb.faults != nullptr) {
+    if (tb_.faults != nullptr) {
       // Detection itself never fired under injected faults: no telemetry
       // at all, so the (absent) verdict carries no confidence.
       out.degraded = true;
@@ -453,41 +477,27 @@ RunResult run_one(const RunConfig& cfg) {
     }
     return out;
   }
-  record_collection(cfg, tb, spec, *merged, out);
+  record_collection(cfg_, tb_, spec_, *merged, out);
+  Diagnosis d = diagnose(*merged);
+  out.dx = std::move(d.dx);
+  out.fleet_evidence = std::move(d.fleet_evidence);
+  out.confidence = out.dx.confidence;
 
-  // ---- Diagnose ----
-  out.dx = diagnose_episode(cfg, opts, tb, spec, *merged);
-  out.dx.confidence = out.confidence;
-
-  // ---- Refine with fleet evidence ----
-  // The operator-visible fleet counters (MAC FCS registers, negotiated
-  // port speeds, NIC DMA drain gauges) rewrite the provenance verdict
-  // where a fleet signature row matches. Baseline methods have no
-  // fleet-health pipeline — part of the capability gap the comparison
-  // benches measure.
-  if (tb.faults != nullptr && tb.faults->plan().fleet_enabled() &&
-      !diagnoses_locally(cfg.method)) {
-    out.fleet_evidence = tb.faults->fleet_evidence(
-        tb.ft.topo, net::Topology::node_of_ip(spec.victim.dst_ip),
-        merged->triggered_at);
-    out.fleet_evidence.sender_retransmissions = out.retransmissions;
-    if (!out.fleet_evidence.empty()) {
-      out.dx = diagnosis::refine_fleet_verdict(
-          out.dx, out.fleet_evidence, tb.ft.topo, tb.routing, spec.victim);
-      out.confidence = out.dx.confidence;
-    }
-  }
-
-  // ---- Score ----
   if (!out.dx.detected()) {
     out.fn = true;
-  } else if (diagnosis_correct(out.dx, spec.truth,
-                               acceptable_roots(tb, spec))) {
+  } else if (diagnosis_correct(out.dx, spec_.truth,
+                               acceptable_roots(tb_, spec_))) {
     out.tp = true;
   } else {
     out.fp = true;
   }
   return out;
+}
+
+RunResult run_one(const RunConfig& cfg) {
+  Run run(cfg);
+  run.simulate();
+  return run.result();
 }
 
 }  // namespace hawkeye::eval

@@ -1,10 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "collect/episode.hpp"
 #include "diagnosis/diagnosis.hpp"
+#include "eval/testbed.hpp"
+#include "provenance/graph.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/engine.hpp"
 #include "workload/overlay.hpp"
@@ -49,7 +53,6 @@ struct RunConfig {
   /// collect_all touches every switch from one event, which has no
   /// shard-local formulation.
   int shards = 1;
-  bool verbose = false;
 
   /// Collection-pipeline faults (robustness sweep). Disabled by default;
   /// the injector seed is mixed with `seed` so every sweep point draws an
@@ -152,7 +155,62 @@ struct RunResult {
   fault::FleetEvidence fleet_evidence;
 };
 
-/// Simulate one crafted trace end-to-end and score the diagnosis.
+/// One run, stage by stage (DESIGN.md §5): the object run_one drives, for
+/// callers that look between the stages — print the crafted scenario or the
+/// provenance graph, dump the fabric, or diagnose several victims of one
+/// trace. Every stage is configured exactly as run_one configures it.
+class Run {
+ public:
+  /// Crafts cfg's scenario (craft_scenario), derives the fabric options,
+  /// builds the testbed, installs the scenario and adds the background
+  /// flows from the same RNG stream.
+  explicit Run(const RunConfig& cfg);
+  /// The same for a scenario the caller crafted. The crafting inputs
+  /// (cfg.scenario, cfg.faults, cfg.overlay) are ignored.
+  Run(const RunConfig& cfg, workload::ScenarioSpec spec);
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  /// Run the trace plus the collection margin.
+  void simulate();
+
+  /// The victim's episodes merged (Collector::merged_episode from the
+  /// anomaly onset); nullopt when the victim never triggered.
+  std::optional<collect::Episode> victim_episode() const;
+
+  struct Diagnosis {
+    provenance::ProvenanceGraph graph;  // empty for the local baselines
+    diagnosis::DiagnosisResult dx;
+    fault::FleetEvidence fleet_evidence;
+  };
+  /// Algorithm 1 + Algorithm 2 over `episode` (or the method's local
+  /// baseline) with the telemetry's epoch, signature ranking and the
+  /// trigger-scope rule, then the collection-health confidence and the
+  /// fleet refinement. For victim_episode() this is run_one's verdict.
+  Diagnosis diagnose(const collect::Episode& episode);
+
+  /// Records the fabric and collection counters, diagnoses the merged
+  /// victim episode and scores it: run_one's result.
+  RunResult result();
+
+  const workload::ScenarioSpec& spec() const { return spec_; }
+  Testbed& testbed() { return tb_; }
+
+ private:
+  void build();
+
+  RunConfig cfg_;
+  sim::Rng rng_;
+  workload::ScenarioSpec spec_;
+  Testbed::Options opts_;
+  Testbed tb_;
+  /// The victim path at install time (fault attribution needs it next to
+  /// the end-of-run path).
+  std::vector<net::PortRef> install_path_;
+};
+
+/// Simulate one crafted trace end-to-end and score the diagnosis:
+/// Run(cfg), simulate(), result().
 RunResult run_one(const RunConfig& cfg);
 
 /// The crafting half of run_one, exposed as a mutation/shrinking hook for

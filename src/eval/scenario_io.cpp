@@ -127,8 +127,8 @@ void decode(const std::string& line, const std::string& v,
 
 // ---- Field lists, in case-file order ----
 // Like fault::fields: `f(key, member)` per field. A third argument is the
-// range parse_case enforces once every line is read, so a rule may span
-// two fields.
+// range config_error checks (parse_case calls it once every line is read),
+// so a rule may span two fields.
 
 template <MaybeConst<RunConfig> C, typename F>
 void fields(C& c, F&& f) {
@@ -267,6 +267,16 @@ std::string serialize_case(const HuntCase& c) {
   return os.str();
 }
 
+std::string config_error(const RunConfig& cfg) {
+  std::string err;
+  fields(cfg, [&err](std::string_view key, const auto& v, auto&&... ok) {
+    if (err.empty() && !(ok(v) && ...)) {
+      err = std::string(key) + "=" + encode(v);
+    }
+  });
+  return err;
+}
+
 HuntCase parse_case(const std::string& text) {
   HuntCase c;
   std::istringstream in(text);
@@ -289,11 +299,9 @@ HuntCase parse_case(const std::string& text) {
     }
   }
   if (!saw_magic) fail("<empty>", "missing magic line");
-  fields(c.cfg, [](std::string_view key, const auto& v, auto&&... ok) {
-    if (!(ok(v) && ...)) {
-      fail(std::string(key) + "=" + encode(v), "value out of range");
-    }
-  });
+  if (const std::string err = config_error(c.cfg); !err.empty()) {
+    fail(err, "value out of range");
+  }
   // A parsed case must be installable: a corrupted fixture fails here, at
   // parse time, instead of deep inside Testbed::install_faults.
   if (c.cfg.faults.enabled()) {

@@ -59,6 +59,11 @@ std::string serialize_case(const HuntCase& c);
 /// consulted so a corrupted fixture cannot reach the injector).
 HuntCase parse_case(const std::string& text);
 
+/// The first RunConfig value a run cannot take, as "key=value" (empty when
+/// every value is in range): the range rules parse_case enforces on a case
+/// file (DESIGN.md §15), for any caller that builds a config from input.
+std::string config_error(const RunConfig& cfg);
+
 /// Stable content fingerprint of a case (FNV-1a over the serialization) —
 /// the corpus filename suffix, so identical finds from different campaigns
 /// collide into one file instead of accumulating duplicates.

@@ -19,7 +19,8 @@ namespace hawkeye::eval {
 /// A fully-wired simulated RDMA fabric with the Hawkeye stack installed:
 /// topology + routing + devices + telemetry + collection. Owns every
 /// object; non-copyable and non-movable (devices hold references).
-/// Examples and tests build small experiments directly on this.
+/// eval::Run builds one per run; tests build small experiments directly
+/// on it.
 class Testbed {
  public:
   struct Options {

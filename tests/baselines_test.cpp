@@ -143,8 +143,8 @@ TEST(ContentionCauseTest, ClassifiesIncastFanIn) {
   cfg.seed = 3;
   const auto r = eval::run_one(cfg);
   ASSERT_TRUE(r.tp);
-  // The cause analyzer is exercised on the synthetic graph directly in
-  // run_one's verbose path; here just sanity-check the fan-in heuristic.
+  // The cause analyzer runs end to end in bench_contention_causes and the
+  // quickstart; here just sanity-check the fan-in heuristic.
   ContentionCauseConfig ccfg;
   EXPECT_GE(ccfg.incast_min_sources, 2);
 }

@@ -301,76 +301,87 @@ TEST(CbdResolutionTest, IntactLoopIsNotReportedBroken) {
 }  // namespace
 }  // namespace hawkeye::diagnosis
 
-#include "diagnosis/analyzer.hpp"
-#include "eval/testbed.hpp"
+#include "diagnosis/resolution.hpp"
+#include "eval/runner.hpp"
 
-namespace hawkeye::diagnosis {
+namespace hawkeye::eval {
 namespace {
 
-const collect::Episode* victim_episode(eval::Testbed& tb,
-                                       const workload::ScenarioSpec& spec) {
-  const collect::Episode* best = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const collect::Episode* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim &&
-        cand->triggered_at >= spec.anomaly_start &&
-        (best == nullptr || cand->reports.size() > best->reports.size())) {
-      best = cand;
+using diagnosis::AnomalyType;
+
+TEST(RunStageTest, InLoopDeadlockReportsLoopAndFixSuggestions) {
+  RunConfig cfg;
+  cfg.scenario = AnomalyType::kInLoopDeadlock;
+  cfg.seed = 2;
+  cfg.background_load = 0;
+  eval::Run run(cfg);
+  run.simulate();
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  ASSERT_TRUE(ep.has_value());
+  const eval::Run::Diagnosis d = run.diagnose(*ep);
+
+  EXPECT_EQ(d.dx.type, AnomalyType::kInLoopDeadlock);
+  EXPECT_EQ(d.dx.loop_ports.size(), 4u);
+  EXPECT_TRUE(d.graph.has_port_level_edges());
+  EXPECT_FALSE(diagnosis::cbd_break_suggestions(
+                   d.dx.loop_ports, run.testbed().routing,
+                   run.testbed().ft.topo)
+                   .empty())
+      << "the loop must implicate the crafted route overrides";
+}
+
+TEST(RunStageTest, SlowReceiverDiagnosedAsInjection) {
+  sim::Rng rng(1);
+  const net::FatTree ft = net::build_fat_tree(4);
+  RunConfig cfg;
+  cfg.background_load = 0;
+  eval::Run run(cfg,
+                workload::make_slow_receiver(ft, net::Routing(ft.topo), rng));
+  run.simulate();
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  ASSERT_TRUE(ep.has_value());
+  const diagnosis::DiagnosisResult dx = run.diagnose(*ep).dx;
+  EXPECT_EQ(dx.type, AnomalyType::kPfcStorm);
+  EXPECT_EQ(dx.injecting_peer, run.spec().truth.injecting_host);
+}
+
+/// The stages benches and examples call must give the verdict run_one
+/// scores, field by field.
+TEST(RunStageTest, PublicStagesReproduceRunOne) {
+  std::vector<RunConfig> cfgs;
+  for (int s = static_cast<int>(AnomalyType::kMicroBurstIncast);
+       s <= static_cast<int>(AnomalyType::kNormalContention); ++s) {
+    for (const Method m : {Method::kHawkeye, Method::kSpiderMon}) {
+      RunConfig cfg;
+      cfg.scenario = static_cast<AnomalyType>(s);
+      cfg.method = m;
+      cfgs.push_back(cfg);
     }
   }
-  return best;
-}
+  RunConfig fleet;
+  fleet.scenario = AnomalyType::kDegradedLink;
+  cfgs.push_back(fleet);
 
-TEST(AnalyzerTest, OneCallDeadlockReportWithFixSuggestions) {
-  sim::Rng rng(2);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(AnomalyType::kInLoopDeadlock, probe, pr,
-                                   rng);
+  for (const RunConfig& cfg : cfgs) {
+    SCOPED_TRACE(std::string(diagnosis::to_string(cfg.scenario)) + " / " +
+                 std::string(to_string(cfg.method)));
+    const RunResult want = run_one(cfg);
+    eval::Run run(cfg);
+    run.simulate();
+    const std::optional<collect::Episode> ep = run.victim_episode();
+    ASSERT_TRUE(ep.has_value());
+    const diagnosis::DiagnosisResult got = run.diagnose(*ep).dx;
+    EXPECT_EQ(got.type, want.dx.type);
+    EXPECT_EQ(got.root_cause_flows, want.dx.root_cause_flows);
+    EXPECT_EQ(got.injecting_peer, want.dx.injecting_peer);
+    EXPECT_EQ(got.initial_port, want.dx.initial_port);
+    EXPECT_EQ(got.loop_ports, want.dx.loop_ports);
+    EXPECT_EQ(got.spreading_path, want.dx.spreading_path);
+    EXPECT_EQ(got.spreading_flows, want.dx.spreading_flows);
+    EXPECT_EQ(got.narrative, want.dx.narrative);
+    EXPECT_EQ(got.confidence, want.dx.confidence);
   }
-  eval::Testbed::Options o;
-  if (spec.xoff_bytes) o.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) o.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(o);
-  tb.install(spec);
-  tb.run_for(spec.duration + sim::us(300));
-
-  const collect::Episode* ep = victim_episode(tb, spec);
-  ASSERT_NE(ep, nullptr);
-  const Analyzer analyzer(tb.ft.topo, tb.routing);
-  const AnalysisReport rep = analyzer.analyze(*ep);
-
-  EXPECT_EQ(rep.dx.type, AnomalyType::kInLoopDeadlock);
-  EXPECT_EQ(rep.dx.loop_ports.size(), 4u);
-  EXPECT_FALSE(rep.cbd_suggestions.empty())
-      << "the analyzer must implicate the crafted route overrides";
-  EXPECT_NE(rep.summary.find("in-loop-deadlock"), std::string::npos);
-  EXPECT_NE(rep.summary.find("CBD loop"), std::string::npos);
-  EXPECT_NE(rep.summary.find("fix:"), std::string::npos);
-  EXPECT_TRUE(rep.graph.has_port_level_edges());
-}
-
-TEST(AnalyzerTest, SlowReceiverDiagnosedAsInjection) {
-  sim::Rng rng(1);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_slow_receiver(probe, pr, rng);
-  }
-  eval::Testbed tb;
-  tb.install(spec);
-  tb.run_for(spec.duration + sim::us(300));
-
-  const collect::Episode* ep = victim_episode(tb, spec);
-  ASSERT_NE(ep, nullptr);
-  const Analyzer analyzer(tb.ft.topo, tb.routing);
-  const AnalysisReport rep = analyzer.analyze(*ep);
-  EXPECT_EQ(rep.dx.type, AnomalyType::kPfcStorm);
-  EXPECT_EQ(rep.dx.injecting_peer, spec.truth.injecting_host);
 }
 
 }  // namespace
-}  // namespace hawkeye::diagnosis
+}  // namespace hawkeye::eval

@@ -16,19 +16,33 @@
 // (shard_identity_test.cpp), so these cells double as a standing regression
 // that the parallel simulator reproduces pinned bytes on a bigger fabric.
 //
+// A third tier, the parity records (run_records.txt), pins every
+// deterministic RunResult field (eval::canonical_record) over 182 seed-1
+// configs: 11 scenarios x 5 methods x two background loads, polling loss,
+// PFC loss and frozen / reconverging victim-path flaps on the six Table-2
+// anomalies, the four fleet classes x three workloads x two severities,
+// the six anomalies at k=8 on 2 shards, and the three telemetry ablations.
+// A refactor that claims "run_one output unchanged" passes this tier as
+// is; a deliberate re-baseline shows up as a reviewed fixture diff.
+//
 // Refreshing fixtures after an INTENTIONAL behaviour change:
 //   HAWKEYE_UPDATE_GOLDEN=1 ./build/tests/hawkeye_golden_test
 // then review the textual diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "eval/canonical.hpp"
 #include "eval/runner.hpp"
+#include "eval/sweep.hpp"
+#include "fault/fault.hpp"
 
 #ifndef HAWKEYE_GOLDEN_DIR
 #error "HAWKEYE_GOLDEN_DIR must point at the committed fixture directory"
@@ -73,22 +87,21 @@ bool update_mode() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// key -> full line per fabric, loaded once; empty if a fixture is missing.
-const std::map<std::string, std::string>& fixture_lines(int k) {
-  static const std::map<int, std::map<std::string, std::string>> by_k = [] {
-    std::map<int, std::map<std::string, std::string>> all;
-    for (const int k : kFabrics) {
-      std::map<std::string, std::string>& m = all[k];
-      std::ifstream in(golden_path(k));
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#') continue;
-        m[line.substr(0, line.find(' '))] = line;
-      }
+/// key (first token) -> full line of the fixture at `path`, loaded once;
+/// empty if the fixture is missing.
+const std::map<std::string, std::string>& fixture_lines(
+    const std::string& path) {
+  static std::map<std::string, std::map<std::string, std::string>> by_path;
+  const auto [it, fresh] = by_path.try_emplace(path);
+  if (fresh) {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      it->second[line.substr(0, line.find(' '))] = line;
     }
-    return all;
-  }();
-  return by_k.at(k);
+  }
+  return it->second;
 }
 
 class GoldenTrace
@@ -98,7 +111,7 @@ class GoldenTrace
 TEST_P(GoldenTrace, RunResultMatchesFixture) {
   const auto [k, scenario, seed] = GetParam();
   if (update_mode()) GTEST_SKIP() << "fixture regeneration run";
-  const auto& fixtures = fixture_lines(k);
+  const auto& fixtures = fixture_lines(golden_path(k));
   ASSERT_FALSE(fixtures.empty())
       << "no fixtures at " << golden_path(k)
       << " — regenerate with HAWKEYE_UPDATE_GOLDEN=1";
@@ -136,6 +149,129 @@ INSTANTIATE_TEST_SUITE_P(CellsK8, GoldenTrace,
                                             ::testing::ValuesIn(kSeeds)),
                          cell_name);
 
+// ---- Parity tier ----
+
+struct ParityCell {
+  std::string key;  // fixture key; the test name is its sanitised form
+  RunConfig cfg;
+};
+
+void PrintTo(const ParityCell& c, std::ostream* os) { *os << c.key; }
+
+std::string records_path() {
+  return std::string(HAWKEYE_GOLDEN_DIR) + "/run_records.txt";
+}
+
+std::vector<ParityCell> parity_cells() {
+  constexpr Method kMethods[] = {Method::kHawkeye, Method::kFullPolling,
+                                 Method::kVictimOnly, Method::kSpiderMon,
+                                 Method::kNetSight};
+  const auto name = [](AnomalyType t) {
+    return std::string(diagnosis::to_string(t));
+  };
+  std::vector<ParityCell> cells;
+  for (int s = 0; s <= static_cast<int>(AnomalyType::kOversubscribedDownlink);
+       ++s) {
+    for (const Method m : kMethods) {
+      for (const double load : {0.1, 0.3}) {
+        RunConfig cfg;
+        cfg.scenario = static_cast<AnomalyType>(s);
+        cfg.method = m;
+        cfg.background_load = load;
+        cells.push_back({std::string(to_string(m)) + "/" +
+                             name(cfg.scenario) + "/load" +
+                             (load == 0.1 ? "0.1" : "0.3"),
+                         cfg});
+      }
+    }
+  }
+  const std::pair<const char*, fault::FaultPlan> plans[] = {
+      {"poll-loss", fault::FaultPlan::uniform_poll_loss(0.10, 1)},
+      {"pfc-loss", fault::FaultPlan::uniform_pfc_loss(0.25, 1)},
+      {"flap-frozen", fault::FaultPlan::victim_path_flaps(sim::us(500), 0, 1)},
+      {"flap-reconverge",
+       fault::FaultPlan::victim_path_flaps(sim::us(500), sim::us(50), 1)},
+  };
+  for (const auto& [label, plan] : plans) {
+    for (const AnomalyType t : kScenarios) {
+      RunConfig cfg;
+      cfg.scenario = t;
+      cfg.faults = plan;
+      cells.push_back({std::string(label) + "/" + name(t), cfg});
+    }
+  }
+  for (int s = static_cast<int>(AnomalyType::kDegradedLink);
+       s <= static_cast<int>(AnomalyType::kOversubscribedDownlink); ++s) {
+    for (const auto w : {workload::FleetWorkload::kCrafted,
+                         workload::FleetWorkload::kRpcClientServer,
+                         workload::FleetWorkload::kAllToAll}) {
+      for (const double severity : {0.5, 2.0}) {
+        RunConfig cfg;
+        cfg.scenario = static_cast<AnomalyType>(s);
+        cfg.fleet_workload = w;
+        cfg.fleet_severity = severity;
+        cells.push_back({"fleet/" + name(cfg.scenario) + "/" +
+                             std::string(workload::to_string(w)) + "/sev" +
+                             (severity == 0.5 ? "0.5" : "2"),
+                         cfg});
+      }
+    }
+  }
+  for (const AnomalyType t : kScenarios) {
+    RunConfig cfg;
+    cfg.scenario = t;
+    cfg.fat_tree_k = 8;
+    cfg.shards = 2;
+    cells.push_back({"k8-2shards/" + name(t), cfg});
+  }
+  const std::tuple<const char*, telemetry::TelemetryMode, bool> ablations[] = {
+      {"port-only", telemetry::TelemetryMode::kPortOnly, false},
+      {"flow-only", telemetry::TelemetryMode::kFlowOnly, false},
+      {"one-bit-meter", telemetry::TelemetryMode::kFull, true},
+  };
+  for (const auto& [label, mode, one_bit] : ablations) {
+    for (const AnomalyType t : kScenarios) {
+      RunConfig cfg;
+      cfg.scenario = t;
+      cfg.tele_mode = mode;
+      cfg.one_bit_meter = one_bit;
+      cells.push_back({std::string(label) + "/" + name(t), cfg});
+    }
+  }
+  return cells;
+}
+
+std::string record_line(const ParityCell& c, const RunResult& r) {
+  return c.key + " " + canonical_record(c.cfg.scenario, c.cfg.seed, r);
+}
+
+class GoldenRecord : public ::testing::TestWithParam<ParityCell> {};
+
+TEST_P(GoldenRecord, RunRecordMatchesFixture) {
+  const ParityCell& cell = GetParam();
+  if (update_mode()) GTEST_SKIP() << "fixture regeneration run";
+  const auto& fixtures = fixture_lines(records_path());
+  ASSERT_FALSE(fixtures.empty())
+      << "no fixtures at " << records_path()
+      << " — regenerate with HAWKEYE_UPDATE_GOLDEN=1";
+  const auto it = fixtures.find(cell.key);
+  ASSERT_NE(it, fixtures.end()) << "no fixture line for " << cell.key;
+  EXPECT_EQ(record_line(cell, run_one(cell.cfg)), it->second)
+      << "RunResult drifted from the committed parity record. If the change "
+         "is intentional, regenerate: HAWKEYE_UPDATE_GOLDEN=1 "
+         "./hawkeye_golden_test, and review the fixture diff.";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Records, GoldenRecord, ::testing::ValuesIn(parity_cells()),
+    [](const ::testing::TestParamInfo<ParityCell>& info) {
+      std::string name = info.param.key;
+      for (char& c : name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+      }
+      return name;
+    });
+
 /// Not a check: when HAWKEYE_UPDATE_GOLDEN is set, rewrite the fixture
 /// files from the current build. Runs last so a regeneration pass is one
 /// command.
@@ -160,6 +296,17 @@ TEST(GoldenTraceUpdate, RegenerateFixturesWhenRequested) {
             << "\n";
       }
     }
+  }
+  const std::vector<ParityCell> cells = parity_cells();
+  std::vector<RunConfig> cfgs;
+  for (const ParityCell& c : cells) cfgs.push_back(c.cfg);
+  const std::vector<RunResult> results = run_sweep(cfgs);
+  std::ofstream out(records_path(), std::ios::trunc);
+  ASSERT_TRUE(out.good()) << "cannot write " << records_path();
+  out << "# Golden RunResult records (every deterministic field) — "
+         "regenerate with HAWKEYE_UPDATE_GOLDEN=1 ./hawkeye_golden_test\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out << record_line(cells[i], results[i]) << "\n";
   }
 }
 
