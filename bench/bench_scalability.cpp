@@ -16,11 +16,19 @@
 // `--k16` (or HAWKEYE_BENCH_K16=1) adds the headline k=16 cells: the
 // microburst-incast scenario at shards 1 vs 8 (576 switches, tens of
 // millions of events). Off by default — a k=16 run takes minutes.
+//
+// Each cell runs in a fresh child process, so its `peak_rss_mb` is that
+// cell's own high-water mark (ru_maxrss never falls within a process).
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include "bench_common.hpp"
 
@@ -39,6 +47,7 @@ struct Cell {
   double precision = 0;
   double recall = 0;
   double collected = 0;
+  double peak_rss_mb = 0;
   sim::Simulator::ShardStats st;  // summed over the cell's runs
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
@@ -86,6 +95,56 @@ Cell run_cell(int k, int shards, diagnosis::AnomalyType anomaly, int seeds) {
   return c;
 }
 
+/// run_cell in a forked child: the child writes its Cell into a pipe and
+/// wait4 returns its rusage, whose ru_maxrss (KiB) is the cell's peak RSS.
+Cell run_cell_in_child(int k, int shards, diagnosis::AnomalyType anomaly,
+                       int seeds) {
+  static_assert(std::is_trivially_copyable_v<Cell>);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const Cell c = run_cell(k, shards, anomaly, seeds);
+    const char* p = reinterpret_cast<const char*>(&c);
+    for (std::size_t left = sizeof(c); left > 0;) {
+      const ssize_t n = write(fds[1], p, left);
+      if (n <= 0) _exit(1);
+      p += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  Cell c;
+  char* p = reinterpret_cast<char*>(&c);
+  std::size_t got = 0;
+  while (got < sizeof(c)) {
+    const ssize_t n = read(fds[0], p + got, sizeof(c) - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  close(fds[0]);
+  int status = 0;
+  rusage ru{};
+  if (wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0 || got != sizeof(c)) {
+    std::fprintf(stderr, "cell k=%d shards=%d failed in its child\n", k,
+                 shards);
+    std::exit(1);
+  }
+  c.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  return c;
+}
+
 std::string json_cell(const Cell& c, double wall_1shard) {
   char buf[1024];
   std::string s;
@@ -93,10 +152,10 @@ std::string json_cell(const Cell& c, double wall_1shard) {
                 "{\"k\": %d, \"shards\": %d, \"anomaly\": \"%s\", "
                 "\"seeds\": %d, \"wall_s\": %.3f, \"events\": %.0f, "
                 "\"events_per_sec\": %.0f, \"precision\": %.3f, "
-                "\"recall\": %.3f",
+                "\"recall\": %.3f, \"peak_rss_mb\": %.1f",
                 c.k, c.shards, std::string(to_string(c.anomaly)).c_str(),
                 c.seeds, c.wall_s, c.events, c.events_per_sec(), c.precision,
-                c.recall);
+                c.recall, c.peak_rss_mb);
   s += buf;
   if (c.shards > 1) {
     std::snprintf(
@@ -172,9 +231,9 @@ int main(int argc, char** argv) {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::printf("host_cpus=%u (wall-clock speedup from sharding needs >1)\n\n",
               host_cpus);
-  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s\n", "k",
-              "shards", "anomaly", "precision", "recall", "collected",
-              "Mevents", "wall-s", "Mev/s");
+  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s %-8s\n",
+              "k", "shards", "anomaly", "precision", "recall", "collected",
+              "Mevents", "wall-s", "Mev/s", "rss-MB");
 
   std::vector<Cell> cells;
   // wall_s of the shards=1 cell for each (k, anomaly), for speedup ratios.
@@ -189,12 +248,12 @@ int main(int argc, char** argv) {
     for (const auto type : {diagnosis::AnomalyType::kMicroBurstIncast,
                             diagnosis::AnomalyType::kInLoopDeadlock}) {
       for (const int s : shard_counts) {
-        const Cell c = run_cell(k, s, type, n);
-        std::printf(
-            "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f\n",
-            c.k, c.shards, std::string(to_string(type)).c_str(), c.precision,
-            c.recall, c.collected, c.events / 1e6, c.wall_s,
-            c.events_per_sec() / 1e6);
+        const Cell c = run_cell_in_child(k, s, type, n);
+        std::printf("%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f "
+                    "%-8.2f %-8.1f\n",
+                    c.k, c.shards, std::string(to_string(type)).c_str(),
+                    c.precision, c.recall, c.collected, c.events / 1e6,
+                    c.wall_s, c.events_per_sec() / 1e6, c.peak_rss_mb);
         cells.push_back(c);
       }
     }
@@ -203,15 +262,16 @@ int main(int argc, char** argv) {
   if (k16) {
     std::printf("\nk=16 headline (576 switches, microburst incast):\n");
     for (const int s : {1, 8}) {
-      const Cell c = run_cell(16, s, diagnosis::AnomalyType::kMicroBurstIncast,
-                              /*seeds=*/1);
+      const Cell c = run_cell_in_child(
+          16, s, diagnosis::AnomalyType::kMicroBurstIncast, /*seeds=*/1);
       std::printf(
-          "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f\n",
+          "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f "
+          "%-8.1f\n",
           c.k, c.shards,
           std::string(to_string(diagnosis::AnomalyType::kMicroBurstIncast))
               .c_str(),
           c.precision, c.recall, c.collected, c.events / 1e6, c.wall_s,
-          c.events_per_sec() / 1e6);
+          c.events_per_sec() / 1e6, c.peak_rss_mb);
       if (c.shards > 1) {
         const double w1 = base_wall(16, c.anomaly);
         std::printf("     drain=%.2fs merge=%.2fs flush=%.2fs seq=%.2fs "

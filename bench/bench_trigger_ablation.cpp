@@ -51,7 +51,7 @@ TriggerStats run_case(diagnosis::AnomalyType type, std::uint64_t seed) {
       for (const net::NodeId sw : tb.ft.topo.switches()) {
         auto& s = tb.switch_at(sw);
         for (net::PortId p = 0; p < s.port_count(); ++p) {
-          if (s.telemetry().recent_paused_count(p, tb.simu.now()) > 0) {
+          if (s.telemetry().recent_paused_count(p) > 0) {
             self_triggered.insert(sw);
           }
         }

@@ -21,7 +21,7 @@ std::vector<net::PortId> ItsyDetector::next_hops(device::Switch& sw,
                                                  net::PortId in_port,
                                                  sim::Time now) const {
   std::vector<net::PortId> out;
-  for (const net::PortId p : sw.telemetry().causal_out_ports(in_port, now)) {
+  for (const net::PortId p : sw.telemetry().causal_out_ports(in_port)) {
     if (sw.telemetry().port_paused(p, now)) out.push_back(p);
   }
   return out;

@@ -85,7 +85,7 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   // --- PFC causality multicast (flag 1x) ---
   if (net::traces_pfc_causality(pkt.poll_flag) && cfg_.trace_pfc_causality &&
       in_port >= 0) {
-    std::vector<PortId> cands = tele.causal_out_ports(in_port, now);
+    std::vector<PortId> cands = tele.causal_out_ports(in_port);
     if (cands.empty()) {
       // The causality meters for this ingress have aged out of the epoch
       // ring (a long-frozen deadlock stops all traffic while background
@@ -98,7 +98,7 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
     for (const PortId out : cands) {
       if (out == in_port) continue;
       const bool paused =
-          tele.recent_paused_count(out, now) > 0 || tele.port_paused(out, now);
+          tele.recent_paused_count(out) > 0 || tele.port_paused(out, now);
       if (!paused) continue;  // initial congestion point — recursion ends
       const net::PortRef peer = topo.peer(sw.id(), out);
       if (!peer.valid() || topo.is_host(peer.node)) continue;  // host end
@@ -111,8 +111,8 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
     const PortId out = sw.routing().egress_port(sw.id(), pkt.victim);
     if (out != net::kInvalidPort) {
       const bool victim_paused =
-          tele.recent_flow_paused_count(pkt.victim, now) > 0 ||
-          tele.recent_paused_count(out, now) > 0 ||
+          tele.recent_flow_paused_count(pkt.victim) > 0 ||
+          tele.recent_paused_count(out) > 0 ||
           tele.port_paused(out, now);
       const bool pfc_bit = victim_paused && cfg_.trace_pfc_causality;
       forward(sw, pkt, out, combine(true, pfc_bit));

@@ -44,6 +44,13 @@ namespace hawkeye::sim {
 /// seq are monotonic), so the two-lane merge preserves the total order.
 /// Buckets only group events; they never reorder them. The evaluation
 /// harness depends on this for bit-identical precision/recall numbers.
+///
+/// Memory: a drained wheel slot keeps storage for at most
+/// kRetainedBucketEvents events, so the calendar retains at most
+/// kBucketCount * kRetainedBucketEvents * 64 B = 8 MB beyond its pending
+/// events and the drain arena's one bucket, however large the largest
+/// bucket a run drained (`retained_events()` reports it). Capacity never
+/// decides which events a bucket holds, so the cap cannot change pop order.
 class EventCalendar {
  public:
   /// One scheduled event — exactly one 64-byte cache line (8-byte time +
@@ -61,6 +68,9 @@ class EventCalendar {
                                                << kBucketCountLog2;
   static constexpr std::int64_t kBucketMask = kBucketCount - 1;
   static constexpr Time kBucketWidthNs = Time{1} << kBucketWidthShift;
+  /// Event capacity a drained wheel slot may keep for its next revolution;
+  /// larger storage is freed (DESIGN.md §7 gives the choice of 8).
+  static constexpr std::size_t kRetainedBucketEvents = 8;
 
   EventCalendar() : wheel_(static_cast<std::size_t>(kBucketCount)) {}
   EventCalendar(const EventCalendar&) = delete;
@@ -68,6 +78,14 @@ class EventCalendar {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+
+  /// Event capacity held by the wheel slots and the drain arena, occupied
+  /// or not: what the retention cap bounds.
+  std::size_t retained_events() const {
+    std::size_t n = cur_slots_.capacity();
+    for (const std::vector<Event>& slot : wheel_) n += slot.capacity();
+    return n;
+  }
 
   void push(Time at, std::uint64_t seq, InlineAction fn) {
     const std::int64_t b = bucket_of(at);
@@ -216,8 +234,9 @@ class EventCalendar {
   /// Move the events of absolute bucket `b` into the drain tier; events of
   /// the same masked slot but a later wheel revolution stay behind. In the
   /// overwhelmingly common single-revolution case the bucket vector is
-  /// *swapped in* as the drain arena — zero per-event moves; vector
-  /// capacities recycle between the wheel slot and the arena.
+  /// *swapped in* as the drain arena — zero per-event moves. The wheel slot
+  /// gets the arena's old storage back only when it holds at most
+  /// kRetainedBucketEvents; larger storage is released first.
   void take_bucket(std::int64_t b) {
     auto& vec = wheel_[static_cast<std::size_t>(b & kBucketMask)];
     bool stale = false;
@@ -230,10 +249,14 @@ class EventCalendar {
     if (!stale) {
       wheel_count_ -= vec.size();
       if (cur_slots_.empty()) {
+        if (cur_slots_.capacity() > kRetainedBucketEvents) {
+          cur_slots_ = std::vector<Event>();
+        }
         cur_slots_.swap(vec);
       } else {  // arena pre-seeded by a same-bucket far migration
         for (Event& ev : vec) cur_slots_.push_back(std::move(ev));
         vec.clear();
+        if (vec.capacity() > kRetainedBucketEvents) vec = std::vector<Event>();
       }
       drain_keys_.reserve(cur_slots_.size());
       for (std::uint32_t i = 0; i < cur_slots_.size(); ++i) {

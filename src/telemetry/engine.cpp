@@ -20,7 +20,8 @@ TelemetryEngine::TelemetryEngine(net::NodeId sw, std::int32_t port_count,
     : sw_(sw), port_count_(port_count), cfg_(cfg) {
   ring_.resize(static_cast<size_t>(cfg_.epoch.epoch_count()));
   for (auto& e : ring_) {
-    e.flows.resize(cfg_.mode == TelemetryMode::kPortOnly ? 0 : cfg_.flow_slots);
+    e.pos.assign(cfg_.mode == TelemetryMode::kPortOnly ? 0 : cfg_.flow_slots,
+                 0);
     e.ports.resize(static_cast<size_t>(port_count_));
     e.meter.assign(static_cast<size_t>(port_count_) *
                        static_cast<size_t>(port_count_),
@@ -35,7 +36,8 @@ void TelemetryEngine::reset_epoch(Epoch& e, std::uint64_t id,
   e.id = id;
   e.start = start;
   e.live = true;
-  for (auto& s : e.flows) s = FlowSlot{};
+  for (const FlowSlot& s : e.flows) e.pos[s.slot] = 0;
+  e.flows.clear();
   for (auto& p : e.ports) {
     const auto port = p.port;
     p = PortRecord{};
@@ -55,14 +57,6 @@ TelemetryEngine::Epoch& TelemetryEngine::locate_epoch(sim::Time ts) {
     }
   }
   return e;
-}
-
-const TelemetryEngine::Epoch* TelemetryEngine::peek_epoch(sim::Time ts) const {
-  if (ts < 0) return nullptr;
-  const int idx = cfg_.epoch.index_of(ts);
-  const Epoch& e = ring_[static_cast<size_t>(idx)];
-  if (!e.live || e.id != cfg_.epoch.id_of(ts)) return nullptr;
-  return &e;
 }
 
 void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
@@ -87,12 +81,17 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
     }
   }
 
-  if (cfg_.mode != TelemetryMode::kPortOnly && !e.flows.empty()) {
+  if (!e.pos.empty()) {
     // Flow table: hash-indexed slot, XOR 5-tuple match, evict on mismatch.
-    const std::size_t slot_idx =
-        static_cast<std::size_t>(pkt.flow.hash() % cfg_.flow_slots);
-    FlowSlot& slot = e.flows[slot_idx];
-    if (slot.occupied && !(slot.flow == pkt.flow)) {
+    const auto slot_idx =
+        static_cast<std::uint32_t>(pkt.flow.hash() % cfg_.flow_slots);
+    std::uint32_t& pos = e.pos[slot_idx];
+    if (pos == 0) {
+      e.flows.push_back(FlowSlot{pkt.flow, 0, 0, 0, out_port, slot_idx});
+      pos = static_cast<std::uint32_t>(e.flows.size());
+    }
+    FlowSlot& slot = e.flows[pos - 1];
+    if (!(slot.flow == pkt.flow)) {
       if (evict_sink_) {
         FlowRecord rec;
         rec.flow = slot.flow;
@@ -103,12 +102,7 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
         rec.epoch_start = e.start;
         evict_sink_(rec);
       }
-      slot = FlowSlot{};
-    }
-    if (!slot.occupied) {
-      slot.occupied = true;
-      slot.flow = pkt.flow;
-      slot.egress_port = out_port;
+      slot = FlowSlot{pkt.flow, 0, 0, 0, out_port, slot_idx};
     }
     slot.pkt_cnt += 1;
     if (port_paused) {
@@ -158,9 +152,7 @@ sim::Time TelemetryEngine::pause_deadline(net::PortId port) const {
 // data traffic, so the evidence lives in older epochs that are never
 // overwritten (epochs reset lazily, on the first enqueue of a new period).
 
-std::uint64_t TelemetryEngine::recent_paused_count(net::PortId port,
-                                                   sim::Time now) const {
-  (void)now;
+std::uint64_t TelemetryEngine::recent_paused_count(net::PortId port) const {
   if (cfg_.mode == TelemetryMode::kFlowOnly) return 0;
   std::uint64_t total = 0;
   for (const Epoch& e : ring_) {
@@ -170,22 +162,20 @@ std::uint64_t TelemetryEngine::recent_paused_count(net::PortId port,
 }
 
 std::uint64_t TelemetryEngine::recent_flow_paused_count(
-    const net::FiveTuple& flow, sim::Time now) const {
-  (void)now;
+    const net::FiveTuple& flow) const {
   if (cfg_.mode == TelemetryMode::kPortOnly || cfg_.flow_slots == 0) return 0;
+  const auto slot_idx = static_cast<size_t>(flow.hash() % cfg_.flow_slots);
   std::uint64_t total = 0;
   for (const Epoch& e : ring_) {
-    if (!e.live) continue;
-    const FlowSlot& slot =
-        e.flows[static_cast<size_t>(flow.hash() % cfg_.flow_slots)];
-    if (slot.occupied && slot.flow == flow) total += slot.paused_cnt;
+    if (!e.live || e.pos[slot_idx] == 0) continue;
+    const FlowSlot& slot = e.flows[e.pos[slot_idx] - 1];
+    if (slot.flow == flow) total += slot.paused_cnt;
   }
   return total;
 }
 
 std::vector<net::PortId> TelemetryEngine::causal_out_ports(
-    net::PortId in_port, sim::Time now) const {
-  (void)now;
+    net::PortId in_port) const {
   std::vector<net::PortId> out;
   if (cfg_.mode == TelemetryMode::kFlowOnly || in_port < 0) return out;
   for (net::PortId p = 0; p < port_count_; ++p) {
@@ -212,8 +202,9 @@ SwitchTelemetryReport TelemetryEngine::snapshot(
     EpochRecord er;
     er.epoch_id = e.id;
     er.start = e.start;
-    for (const FlowSlot& s : e.flows) {
-      if (!s.occupied || s.pkt_cnt == 0) continue;
+    for (const std::uint32_t pos : e.pos) {
+      if (pos == 0) continue;
+      const FlowSlot& s = e.flows[pos - 1];
       FlowRecord rec;
       rec.flow = s.flow;
       rec.pkt_cnt = s.pkt_cnt;

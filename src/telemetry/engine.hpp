@@ -80,23 +80,22 @@ class TelemetryEngine {
   /// the observable the PFC-fault tests assert on.
   std::uint64_t pfc_frames_seen(net::PortId port) const;
 
-  /// Paused-packet count for `port` in the epoch containing `now` plus the
-  /// previous epoch — the line-rate check the polling pipeline performs
-  /// ("checks the number of paused packets on the egress pipeline").
-  std::uint64_t recent_paused_count(net::PortId port, sim::Time now) const;
+  /// Paused-packet count for `port` summed over every live epoch in the
+  /// ring — the line-rate check the polling pipeline performs ("checks the
+  /// number of paused packets on the egress pipeline").
+  std::uint64_t recent_paused_count(net::PortId port) const;
 
   /// Same check narrowed to one flow (victim-path PFC detection).
-  std::uint64_t recent_flow_paused_count(const net::FiveTuple& flow,
-                                         sim::Time now) const;
+  std::uint64_t recent_flow_paused_count(const net::FiveTuple& flow) const;
 
-  /// Egress ports with recent causal traffic from `in_port`
-  /// (meter[in][out] > 0 in the epoch of `now` or the one before):
-  /// the Figure 3 lookup driving polling multicast pruning.
-  std::vector<net::PortId> causal_out_ports(net::PortId in_port,
-                                            sim::Time now) const;
+  /// Egress ports with causal traffic from `in_port` (meter[in][out] > 0
+  /// in any live epoch of the ring): the Figure 3 lookup driving polling
+  /// multicast pruning.
+  std::vector<net::PortId> causal_out_ports(net::PortId in_port) const;
 
-  /// Export every live epoch (zero slots skipped; raw sizes are derived by
-  /// the controller from `config()` for the Fig 14 accounting).
+  /// Export every live epoch, flows in ascending slot order (empty slots
+  /// skipped; raw sizes are derived by the controller from `config()` for
+  /// the Fig 14 accounting).
   /// `queue_pkts(port)` supplies the instantaneous egress occupancy for the
   /// port-status records (frozen deadlock queues are invisible to the
   /// enqueue-time depth averages); pass nullptr to skip.
@@ -105,30 +104,36 @@ class TelemetryEngine {
       const std::function<std::int64_t(net::PortId)>& queue_pkts = {}) const;
 
   /// Raw (unfiltered) register footprint in bytes, for the "data-plane
-  /// packet generation" comparison of Fig 14.
+  /// packet generation" comparison of Fig 14. Counts the full `flow_slots`
+  /// hardware table, not just the occupied slots the twin stores.
   std::int64_t raw_dump_bytes() const;
 
  private:
+  /// One occupied flow-table slot.
   struct FlowSlot {
     net::FiveTuple flow;
     std::uint32_t pkt_cnt = 0;
     std::uint32_t paused_cnt = 0;
     std::uint64_t qdepth_pkts_sum = 0;
     net::PortId egress_port = net::kInvalidPort;
-    bool occupied = false;
+    std::uint32_t slot = 0;  // index into the hardware table (`pos`)
   };
 
+  /// The flow table stores only its occupied slots: `pos` maps each of the
+  /// `flow_slots` hardware slots to 1 + its index in `flows` (0 = empty),
+  /// so a switch holds 4 B per slot per epoch and an epoch reset touches
+  /// only the slots that epoch used.
   struct Epoch {
     std::uint64_t id = ~0ull;
     sim::Time start = 0;
     bool live = false;
-    std::vector<FlowSlot> flows;
+    std::vector<std::uint32_t> pos;  // [flow_slots] 0 or 1 + flows index
+    std::vector<FlowSlot> flows;     // occupants, in first-use order
     std::vector<PortRecord> ports;
     std::vector<std::uint64_t> meter;  // [in * port_count + out] bytes
   };
 
   Epoch& locate_epoch(sim::Time ts);
-  const Epoch* peek_epoch(sim::Time ts) const;
   void reset_epoch(Epoch& e, std::uint64_t id, sim::Time start);
 
   net::NodeId sw_;

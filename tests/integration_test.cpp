@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "baselines/local_contention.hpp"
 #include "eval/runner.hpp"
@@ -130,6 +131,22 @@ TEST(ParameterSensitivity, LongEpochsDegradeStormDiagnosis) {
   }
   EXPECT_GE(ok_small, ok_large);
   EXPECT_GE(ok_small, 2);
+}
+
+// Memory follows what a run holds: drained calendar buckets give their
+// storage back and the flow tables store only occupied slots. This run
+// peaks near 20 MB; an uncapped calendar alone takes it past 300 MB.
+// ctest runs each case in its own process, so ru_maxrss is this run's
+// high-water mark.
+TEST(RunMemoryTest, K8MicroburstPeakRssBounded) {
+  RunConfig cfg = base(AnomalyType::kMicroBurstIncast, 1);
+  cfg.fat_tree_k = 8;
+  cfg.shards = 2;
+  const RunResult r = run_one(cfg);
+  EXPECT_TRUE(r.tp);
+  rusage ru{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+  EXPECT_LT(ru.ru_maxrss, 100 * 1024) << "peak RSS in KiB";
 }
 
 TEST(PrecisionRecallTest, AccumulatorMath) {

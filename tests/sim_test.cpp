@@ -279,6 +279,42 @@ TEST(CalendarTest, FarHorizonEventsFireInOrder) {
             (std::vector<Time>{0, 50, ms(2), ms(5), ms(10), ms(20)}));
 }
 
+TEST(CalendarTest, DrainedBucketsKeepBoundedStorage) {
+  // 256 consecutive buckets each take a burst of 1000 events; every event
+  // fires once more one wheel revolution later, and a last event sits past
+  // the second revolution. A drained wheel slot may keep capacity for only
+  // kRetainedBucketEvents events, so once the bursts are gone the calendar
+  // holds little more than the wheel's cap, not 1000 events per slot.
+  EventCalendar cal;
+  constexpr int kBursts = 256;
+  constexpr int kPerBurst = 1000;
+  constexpr Time kWidth = EventCalendar::kBucketWidthNs;
+  constexpr Time kRevolution = EventCalendar::kBucketCount * kWidth;
+  std::uint64_t seq = 0;
+  for (int b = 1; b <= kBursts; ++b) {
+    for (int i = 0; i < kPerBurst; ++i) {
+      cal.push(b * kWidth + i % kWidth, seq++, [] {});
+    }
+  }
+  cal.push(2 * kRevolution + 1000, seq++, [] {});
+  const std::size_t cap = static_cast<std::size_t>(EventCalendar::kBucketCount) *
+                          EventCalendar::kRetainedBucketEvents;
+  std::pair<Time, std::uint64_t> last{-1, 0};
+  std::size_t popped = 0;
+  while (cal.prepare_head()) {
+    if (cal.head().at / kWidth != last.first / kWidth) {  // bucket changed
+      EXPECT_LE(cal.retained_events(), cap + cal.size());
+    }
+    const EventCalendar::Event ev = cal.pop_head();
+    ASSERT_LT(last, (std::pair<Time, std::uint64_t>{ev.at, ev.seq}));
+    last = {ev.at, ev.seq};
+    if (ev.at < kRevolution) cal.push(ev.at + kRevolution, seq++, [] {});
+    ++popped;
+  }
+  EXPECT_EQ(popped, 2u * kBursts * kPerBurst + 1);
+  EXPECT_LE(cal.retained_events(), cap);
+}
+
 TEST(CalendarTest, DeterministicAcrossIdenticalRuns) {
   // Two identical self-rescheduling workloads must execute the exact same
   // event sequence — the property the evaluation harness leans on for

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include "net/packet.hpp"
+#include "sim/random.hpp"
 #include "telemetry/engine.hpp"
 #include "telemetry/resource_model.hpp"
 
@@ -129,10 +134,10 @@ TEST(TelemetryEngineTest, CausalityMeterTracksPortPairs) {
   eng.on_enqueue(data_pkt(1, 2, 100), 0, 1, 0, false, 100);
   eng.on_enqueue(data_pkt(1, 2, 100), 0, 1, 0, false, 150);
   eng.on_enqueue(data_pkt(3, 4, 300), 2, 1, 0, false, 160);
-  const auto cands0 = eng.causal_out_ports(0, 200);
+  const auto cands0 = eng.causal_out_ports(0);
   ASSERT_EQ(cands0.size(), 1u);
   EXPECT_EQ(cands0[0], 1);
-  EXPECT_TRUE(eng.causal_out_ports(3, 200).empty());
+  EXPECT_TRUE(eng.causal_out_ports(3).empty());
   const auto rep = eng.snapshot(200);
   // Two meter entries: (0->1) and (2->1).
   ASSERT_EQ(rep.epochs[0].meters.size(), 2u);
@@ -190,7 +195,7 @@ TEST(TelemetryEngineTest, FlowOnlyModeSkipsPortState) {
   EXPECT_FALSE(rep.epochs[0].flows.empty());
   EXPECT_TRUE(rep.epochs[0].ports.empty());
   EXPECT_TRUE(rep.epochs[0].meters.empty());
-  EXPECT_TRUE(eng.causal_out_ports(0, 200).empty());
+  EXPECT_TRUE(eng.causal_out_ports(0).empty());
 }
 
 TEST(TelemetryEngineTest, ZeroSlotsFilteredFromSnapshot) {
@@ -202,6 +207,159 @@ TEST(TelemetryEngineTest, ZeroSlotsFilteredFromSnapshot) {
   EXPECT_EQ(rep.epochs[0].flows.size(), 1u);
   // Raw dump is orders of magnitude bigger than the filtered report.
   EXPECT_GT(eng.raw_dump_bytes(), 10 * serialized_bytes(rep));
+}
+
+/// The flow tables as the hardware lays them out: every epoch holds all
+/// `flow_slots` slots and a reset rewrites each of them. The engine stores
+/// only occupied slots and must stay indistinguishable from this.
+class DenseFlowTables {
+ public:
+  explicit DenseFlowTables(const TelemetryConfig& cfg)
+      : cfg_(cfg), ring_(static_cast<std::size_t>(cfg.epoch.epoch_count())) {
+    for (Epoch& e : ring_) e.slots.resize(cfg.flow_slots);
+  }
+
+  void enqueue(const net::Packet& pkt, net::PortId out, std::int64_t qlen,
+               bool paused, sim::Time now, std::vector<FlowRecord>& evicted) {
+    Epoch& e = ring_[static_cast<std::size_t>(cfg_.epoch.index_of(now))];
+    const std::uint64_t id = cfg_.epoch.id_of(now);
+    if (!e.live || e.id != id) {
+      e.id = id;
+      e.start = cfg_.epoch.epoch_start(now);
+      e.live = true;
+      for (Slot& s : e.slots) s = Slot{};
+    }
+    Slot& s = e.slots[pkt.flow.hash() % cfg_.flow_slots];
+    if (s.occupied && !(s.rec.flow == pkt.flow)) {
+      evicted.push_back(s.rec);
+      evicted.back().epoch_start = e.start;
+      s = Slot{};
+    }
+    if (!s.occupied) {
+      s.occupied = true;
+      s.rec.flow = pkt.flow;
+      s.rec.egress_port = out;
+    }
+    s.rec.pkt_cnt += 1;
+    if (paused) {
+      s.rec.paused_cnt += 1;
+    } else {
+      s.rec.qdepth_pkts_sum += static_cast<std::uint64_t>(qlen);
+    }
+  }
+
+  /// Live epochs by start time, each with its occupied slots in slot order.
+  std::vector<EpochRecord> epochs() const {
+    std::vector<EpochRecord> out;
+    for (const Epoch& e : ring_) {
+      if (!e.live) continue;
+      EpochRecord er;
+      er.epoch_id = e.id;
+      er.start = e.start;
+      for (const Slot& s : e.slots) {
+        if (s.occupied) er.flows.push_back(s.rec);
+      }
+      out.push_back(std::move(er));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const EpochRecord& a, const EpochRecord& b) {
+                return a.start < b.start;
+              });
+    return out;
+  }
+
+  std::uint64_t paused_count(const net::FiveTuple& flow) const {
+    std::uint64_t total = 0;
+    for (const Epoch& e : ring_) {
+      if (!e.live) continue;
+      const Slot& s = e.slots[flow.hash() % cfg_.flow_slots];
+      if (s.occupied && s.rec.flow == flow) total += s.rec.paused_cnt;
+    }
+    return total;
+  }
+
+ private:
+  struct Slot {
+    bool occupied = false;
+    FlowRecord rec;
+  };
+  struct Epoch {
+    std::uint64_t id = 0;
+    sim::Time start = 0;
+    bool live = false;
+    std::vector<Slot> slots;
+  };
+  TelemetryConfig cfg_;
+  std::vector<Epoch> ring_;
+};
+
+auto fields(const FlowRecord& r) {
+  return std::tuple(r.flow.src_ip, r.flow.dst_ip, r.flow.src_port,
+                    r.flow.dst_port, r.pkt_cnt, r.paused_cnt,
+                    r.qdepth_pkts_sum, r.egress_port, r.epoch_start);
+}
+
+void expect_same_flows(const std::vector<FlowRecord>& got,
+                       const std::vector<FlowRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(fields(got[i]), fields(want[i])) << "record " << i;
+  }
+}
+
+void check_against_dense_tables(std::uint32_t flow_slots) {
+  SCOPED_TRACE("flow_slots=" + std::to_string(flow_slots));
+  TelemetryConfig cfg = small_cfg();  // 4 epochs x 1024 ns
+  cfg.flow_slots = flow_slots;
+  TelemetryEngine eng(1, 4, cfg);
+  std::vector<FlowRecord> evicted;
+  eng.set_evict_sink([&](const FlowRecord& r) { evicted.push_back(r); });
+  DenseFlowTables ref(cfg);
+  std::vector<FlowRecord> ref_evicted;
+
+  // More distinct flows than the largest table has slots, so every size
+  // sees collisions; time crosses the 4096 ns ring about 20 times, with
+  // occasional jumps that leave whole epochs stale.
+  sim::Rng rng(flow_slots);
+  const auto flow_of = [](std::int64_t i) {
+    return data_pkt(static_cast<std::uint32_t>(1 + i % 97),
+                    static_cast<std::uint32_t>(200 + i / 97),
+                    static_cast<std::uint16_t>(i));
+  };
+  sim::Time now = 0;
+  for (int n = 1; n <= 40000; ++n) {
+    now += rng.chance(0.001) ? rng.uniform_int(1000, 6000)
+                             : rng.uniform_int(0, 3);
+    const net::Packet pkt = flow_of(rng.uniform_int(0, 5999));
+    const auto out = static_cast<net::PortId>(rng.uniform_int(0, 3));
+    const std::int64_t qlen = rng.uniform_int(0, 40);
+    const bool paused = rng.chance(0.3);
+    eng.on_enqueue(pkt, 0, out, qlen, paused, now);
+    ref.enqueue(pkt, out, qlen, paused, now, ref_evicted);
+    if (n % 500 != 0) continue;
+    const auto got = eng.snapshot(now).epochs;
+    const auto want = ref.epochs();
+    ASSERT_EQ(got.size(), want.size()) << "after " << n << " packets";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].epoch_id, want[i].epoch_id);
+      EXPECT_EQ(got[i].start, want[i].start);
+      expect_same_flows(got[i].flows, want[i].flows);
+    }
+    for (int q = 0; q < 20; ++q) {
+      const net::FiveTuple f =
+          q == 0 ? pkt.flow : flow_of(rng.uniform_int(0, 5999)).flow;
+      EXPECT_EQ(eng.recent_flow_paused_count(f), ref.paused_count(f));
+    }
+  }
+  EXPECT_GT(now, 20 * cfg.epoch.epoch_ns() * cfg.epoch.epoch_count());
+  EXPECT_FALSE(evicted.empty());
+  expect_same_flows(evicted, ref_evicted);
+}
+
+TEST(TelemetryEngineTest, MatchesDenseReferenceTable) {
+  for (const std::uint32_t slots : {1u, 64u, 4096u}) {
+    check_against_dense_tables(slots);
+  }
 }
 
 // ---------- Resource model (Fig 13) ----------
