@@ -2,16 +2,18 @@
 // software twin of the Tofino egress pipeline), ECMP lookup, the event
 // loop, and the per-diagnosis cost of Run::diagnose (provenance build +
 // signature matching). Not a paper figure; used to keep the simulator fast
-// enough for the trace sweeps. The results are written to
+// enough for the trace sweeps. The results are merged into
 // BENCH_hotpath.json (override the path with HAWKEYE_BENCH_JSON) so the
 // perf trajectory is tracked across changes.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "eval/runner.hpp"
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
@@ -190,20 +192,24 @@ BENCHMARK(BM_EndToEndIncastTraceSharded)
 
 // BENCHMARK_MAIN, plus a machine-readable copy of every result in
 // BENCH_hotpath.json (HAWKEYE_BENCH_JSON overrides the path) so the
-// hot-path throughput trajectory is tracked across changes. An
-// explicit --benchmark_out on the command line wins over the default.
+// hot-path throughput trajectory is tracked across changes. google-benchmark
+// writes its JSON to a temporary file next to it; its `context` and
+// `benchmarks` are then merged in, so the file's other keys (`scalability`
+// from bench_scalability, a recorded `parent`) survive. An explicit
+// --benchmark_out on the command line wins over all of this.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
   }
+  const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
+  const std::string json_path =
+      env_path != nullptr ? env_path : "BENCH_hotpath.json";
+  const std::string tmp_path = json_path + ".gbench.tmp";
+  std::string out_flag = "--benchmark_out=" + tmp_path;
   std::string fmt_flag = "--benchmark_out_format=json";
   if (!has_out) {
-    const char* json_path = std::getenv("HAWKEYE_BENCH_JSON");
-    out_flag = std::string("--benchmark_out=") +
-               (json_path != nullptr ? json_path : "BENCH_hotpath.json");
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
@@ -214,5 +220,21 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (has_out) return 0;
+  const auto members = bench::json_members(bench::read_file(tmp_path));
+  std::remove(tmp_path.c_str());
+  if (!members) {
+    std::fprintf(stderr, "bench_micro_hotpath: unreadable results in %s\n",
+                 tmp_path.c_str());
+    return 1;
+  }
+  for (const auto& [key, value] : *members) {
+    if ((key == "context" || key == "benchmarks") &&
+        !bench::merge_json_key(json_path, key, value)) {
+      std::fprintf(stderr, "bench_micro_hotpath: cannot merge into %s\n",
+                   json_path.c_str());
+      return 1;
+    }
+  }
   return 0;
 }

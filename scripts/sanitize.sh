@@ -6,8 +6,10 @@
 # asan: ASan+UBSan build, runs the simulator-core and device tests (the
 #       allocation-free event calendar and packet-slab paths, every
 #       switch/host/packet suite: PFC, lossless incast sweep, DCQCN,
-#       TIMELY, go-back-N loss recovery), the telemetry engine tests (the
-#       flow tables' occupied-slot index), the provenance builder tests,
+#       TIMELY, go-back-N loss recovery), the routing and topology tests
+#       (the flat routing table's offset arithmetic), the telemetry engine
+#       tests (the flow tables' occupied-slot index), the provenance
+#       builder tests,
 #       the fault-plan validation tests, the run-stage API tests and the
 #       case-file parser (round trips plus the corpus mutation fuzz; the
 #       slow corpus replay is left to the plain ctest job). UBSan halts on
@@ -39,7 +41,7 @@ run_asan() {
         --target hawkeye_tests hawkeye_hunt_corpus_test
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|RunStageTest|HuntCorpusTest\.MutatedCases')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|RunStageTest|HuntCorpusTest\.MutatedCases')
 }
 
 run_tsan() {

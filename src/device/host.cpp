@@ -25,7 +25,7 @@ net::FiveTuple tuple_of(const FlowSpec& spec) {
 Host::Host(Network& net, net::NodeId id, DcqcnParams cc)
     : Device(id), net_(net), cc_(cc) {
   line_gbps_ = net.link_at(id, 0).gbps;
-  uplink_peer_ = net.topo().peer(id, 0).node;
+  uplink_peer_ = net.wire(id, 0).peer.node;
   net_.attach(this);
 }
 
@@ -113,10 +113,11 @@ void Host::try_send() {
     return;
   }
   rr_cursor_ = (chosen + 1) % n;
-  send_segment(flows_[chosen]);
+  send_segment(chosen);
 }
 
-void Host::send_segment(FlowState& f) {
+void Host::send_segment(std::size_t idx) {
+  FlowState& f = flows_[idx];
   const Time now = net_.simu().now();
   const std::int64_t remaining = f.total_bytes - f.sent_bytes;
   const std::int32_t payload = static_cast<std::int32_t>(
@@ -130,7 +131,7 @@ void Host::send_segment(FlowState& f) {
     f.done_sending = true;
     arm_rto(f.id);  // recover if the tail of the flow gets dropped
   }
-  FlowStats& st = stats_[flow_index_[f.id]];
+  FlowStats& st = stats_[idx];
   st.pkts_sent += 1;
   st.last_send = now;
 
@@ -247,7 +248,7 @@ void Host::on_ack(const Packet& ack) {
   const Time now = net_.simu().now();
   const Time rtt = now - ack.tx_time;
 
-  FlowStats& st = stats_[flow_index_[f->id]];
+  FlowStats& st = stats_of(*f);
   st.pkts_acked += 1;
   st.last_ack = now;
   if (st.min_rtt == 0 || rtt < st.min_rtt) st.min_rtt = rtt;
@@ -298,12 +299,11 @@ void Host::on_nack(const Packet& nack) {
 }
 
 void Host::rewind_flow(FlowState& f, std::uint32_t to_seq) {
-  const std::uint32_t delivered =
-      stats_[flow_index_[f.id]].pkts_acked;
-  to_seq = std::max(to_seq, delivered);  // never re-send delivered prefix
+  FlowStats& st = stats_of(f);
+  to_seq = std::max(to_seq, st.pkts_acked);  // never re-send delivered prefix
   if (to_seq >= f.next_seq) return;
   retransmissions_ += f.next_seq - to_seq;
-  stats_[flow_index_[f.id]].retx_pkts += f.next_seq - to_seq;
+  st.retx_pkts += f.next_seq - to_seq;
   f.next_seq = to_seq;
   f.sent_bytes = static_cast<std::int64_t>(to_seq) * net::kMtuBytes;
   if (f.sent_bytes > f.total_bytes) f.sent_bytes = f.total_bytes;
@@ -319,7 +319,7 @@ void Host::arm_rto(std::uint64_t flow_id) {
     FlowState* fs = flow_by_id(flow_id);
     if (fs == nullptr) return;
     fs->rto_armed = false;
-    FlowStats& st = stats_[flow_index_[fs->id]];
+    const FlowStats& st = stats_of(*fs);
     if (st.complete()) return;
     if (fs->done_sending && st.pkts_acked < fs->total_pkts) {
       // Tail loss: the final segments (or their ACKs) vanished.

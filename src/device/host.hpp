@@ -147,7 +147,7 @@ class Host : public Device {
   void start_flow(std::size_t idx);
   void try_send();
   void schedule_wake(sim::Time at);
-  void send_segment(FlowState& f);
+  void send_segment(std::size_t idx);
   void on_ack(const net::Packet& ack);
   void on_cnp(const net::Packet& cnp);
   void on_data(const net::Packet& data);
@@ -157,6 +157,10 @@ class Host : public Device {
   void dcqcn_timer(std::uint64_t flow_id);
   void timely_update(FlowState& f, sim::Time rtt);
   FlowState* flow_by_id(std::uint64_t id);
+  /// The stats of `f`, which sits at the same index in flows_.
+  FlowStats& stats_of(const FlowState& f) {
+    return stats_[static_cast<std::size_t>(&f - flows_.data())];
+  }
   /// Negotiated uplink rate at `now` (rate override when one covers the
   /// host's access link, the nominal speed otherwise).
   double effective_line_gbps(sim::Time now) const;

@@ -7,11 +7,32 @@
 
 namespace hawkeye::device {
 
+Network::Network(sim::Simulator& simu, const net::Topology& topo)
+    : simu_(simu),
+      topo_(topo),
+      devices_(topo.node_count(), nullptr),
+      pfc_traces_(1),
+      slabs_(1),
+      counters_(1) {
+  port_base_.reserve(topo.node_count() + 1);
+  port_base_.push_back(0);
+  for (std::size_t n = 0; n < topo.node_count(); ++n) {
+    const auto node = static_cast<net::NodeId>(n);
+    for (net::PortId p = 0; p < topo.port_count(node); ++p) {
+      const std::int64_t lid = topo.link_of(node, p);
+      wires_.push_back(
+          Wire{topo.peer(node, p),
+               lid < 0 ? nullptr : &topo.link(static_cast<std::size_t>(lid))});
+    }
+    port_base_.push_back(static_cast<std::int32_t>(wires_.size()));
+  }
+}
+
 const net::LinkSpec& Network::link_at(net::NodeId node,
                                       net::PortId port) const {
-  const std::int64_t lid = topo_.link_of(node, port);
-  if (lid < 0) throw std::out_of_range("Network::link_at: unwired port");
-  return topo_.link(static_cast<std::size_t>(lid));
+  const net::LinkSpec* link = wire(node, port).link;
+  if (link == nullptr) throw std::out_of_range("Network::link_at: unwired port");
+  return *link;
 }
 
 void Network::deliver(net::NodeId from, net::PortId port, net::Packet pkt,
@@ -19,12 +40,13 @@ void Network::deliver(net::NodeId from, net::PortId port, net::Packet pkt,
   const DropReason reason = pkt.kind == net::PacketKind::kPolling
                                 ? DropReason::kPolling
                                 : DropReason::kData;
-  const net::PortRef peer = topo_.peer(from, port);
-  if (!peer.valid()) {
+  const Wire& w = wire(from, port);
+  if (w.link == nullptr) {
     count_drop(reason);
     return;
   }
-  const net::LinkSpec& link = link_at(from, port);
+  const net::PortRef peer = w.peer;
+  const net::LinkSpec& link = *w.link;
   Device* dst = device(peer.node);
   if (dst == nullptr) {
     count_drop(reason);

@@ -72,18 +72,20 @@ struct PfcEvent {
   bool host_injected = false;            // true for storm-style injection
 };
 
+/// What one (node, port) is wired to: the peer endpoint and the link, read
+/// once from the topology when the Network is built.
+struct Wire {
+  net::PortRef peer;
+  const net::LinkSpec* link = nullptr;  // null when unwired
+};
+
 /// Glue between devices and the topology: looks up link properties and
 /// schedules packet arrival at the peer after serialization + propagation.
 /// Also hosts the global drop/PFC accounting used by tests and benches.
 class Network {
  public:
-  Network(sim::Simulator& simu, const net::Topology& topo)
-      : simu_(simu),
-        topo_(topo),
-        devices_(topo.node_count(), nullptr),
-        pfc_traces_(1),
-        slabs_(1),
-        counters_(1) {}
+  /// `topo` must be complete: the per-port wire table is read from it here.
+  Network(sim::Simulator& simu, const net::Topology& topo);
 
   sim::Simulator& simu() { return simu_; }
   const net::Topology& topo() const { return topo_; }
@@ -132,6 +134,17 @@ class Network {
   /// serialization + link propagation.
   void deliver(net::NodeId from, net::PortId port, net::Packet pkt,
                sim::Time ser_ns);
+
+  /// What (node, port) is wired to. An unwired or nonexistent port has an
+  /// invalid peer and a null link.
+  const Wire& wire(net::NodeId node, net::PortId port) const {
+    const auto n = static_cast<std::size_t>(node);
+    if (node < 0 || port < 0 || n + 1 >= port_base_.size() ||
+        port >= port_base_[n + 1] - port_base_[n]) {
+      return kUnwired;
+    }
+    return wires_[static_cast<std::size_t>(port_base_[n] + port)];
+  }
 
   /// Link feeding (node, port); throws if unwired.
   const net::LinkSpec& link_at(net::NodeId node, net::PortId port) const;
@@ -232,8 +245,13 @@ class Network {
     return pkt;
   }
 
+  static constexpr Wire kUnwired{};
+
   sim::Simulator& simu_;
   const net::Topology& topo_;
+  /// Wire table: node n's ports are wires_[port_base_[n], port_base_[n+1]).
+  std::vector<std::int32_t> port_base_;
+  std::vector<Wire> wires_;
   fault::FaultInjector* faults_ = nullptr;
   std::vector<Device*> devices_;
   std::vector<int> node_shard_;             // empty => unsharded

@@ -1,6 +1,7 @@
 #include "device/switch.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "sim/logger.hpp"
 
@@ -66,7 +67,8 @@ void Switch::receive(Packet pkt, PortId in_port) {
     case PacketKind::kAck:
     case PacketKind::kCnp:
     case PacketKind::kNack: {
-      const PortId out = routing_.egress_port(id(), pkt.flow);
+      const PortId out = routing_.egress_port(
+          id(), net::Topology::node_of_ip(pkt.flow().dst_ip), pkt.flow_hash());
       if (out == net::kInvalidPort) {
         net_.count_drop(DropReason::kData);
         return;
@@ -81,7 +83,7 @@ void Switch::on_port_withdrawn(PortId port_id) {
   if (port_id < 0 || port_id >= port_count_) return;
   Port& port = ports_[static_cast<size_t>(port_id)];
   const Time now = net_.simu().now();
-  const net::PortRef peer = net_.topo().peer(id(), port_id);
+  const net::PortRef peer = net_.wire(id(), port_id).peer;
   const auto drop = [&](const Queued& q) {
     net_.count_drop(DropReason::kLinkDown);
     if (faults_ != nullptr && peer.valid()) {
@@ -119,12 +121,11 @@ void Switch::handle_polling(Packet pkt, PortId in_port) {
   }
 }
 
-double Switch::effective_gbps(net::PortId port, const net::LinkSpec& link,
-                              sim::Time now) const {
-  if (faults_ == nullptr || !faults_->has_rate_overrides()) return link.gbps;
-  const net::PortRef peer = net_.topo().peer(id(), port);
-  if (!peer.valid()) return link.gbps;
-  return faults_->link_gbps(id(), peer.node, link.gbps, now);
+double Switch::effective_gbps(const Wire& wire, sim::Time now) const {
+  assert(wire.link != nullptr && "a switch port is always wired");
+  const double gbps = wire.link->gbps;
+  if (faults_ == nullptr || !faults_->has_rate_overrides()) return gbps;
+  return faults_->link_gbps(id(), wire.peer.node, gbps, now);
 }
 
 bool Switch::ecn_mark(std::int64_t qbytes) {
@@ -192,8 +193,8 @@ void Switch::try_transmit(PortId port_id) {
     // the queue builds — the head packet is NOT popped and dropped, because
     // a real MAC holds its FIFO while the link renegotiates. Backpressure
     // (PFC toward our ingresses) follows from the growing queue as usual.
-    const net::PortRef peer = net_.topo().peer(id(), port_id);
-    if (peer.valid() && faults_->link_down(id(), peer.node, now)) {
+    const net::PortRef peer = net_.wire(id(), port_id).peer;
+    if (faults_->link_down(id(), peer.node, now)) {
       if (!port.down_wake_armed) {
         port.down_wake_armed = true;
         faults_->note_link_stall(id(), peer.node, now);
@@ -220,13 +221,12 @@ void Switch::try_transmit(PortId port_id) {
     return;  // nothing eligible (empty, or the data FIFO is paused)
   }
 
-  const net::LinkSpec& link = net_.link_at(id(), port_id);
-  const double gbps = effective_gbps(port_id, link, now);
-  if (gbps < link.gbps) {
+  const Wire& wire = net_.wire(id(), port_id);
+  const double gbps = effective_gbps(wire, now);
+  if (gbps < wire.link->gbps) {
     // Injected speed mismatch / oversubscription actually bit: this frame
     // serializes below the fabric's nominal rate.
-    const net::PortRef peer = net_.topo().peer(id(), port_id);
-    faults_->note_rate_limited(id(), peer.node, now);
+    faults_->note_rate_limited(id(), wire.peer.node, now);
   }
   const Time ser = sim::serialization_ns(q.pkt.size_bytes, gbps);
   port.tx_busy = true;
@@ -249,7 +249,6 @@ void Switch::handle_pfc_frame(const Packet& pkt, PortId in_port) {
   // A PAUSE from the peer on `in_port` freezes OUR data FIFO toward it.
   Port& port = ports_[static_cast<size_t>(in_port)];
   const Time now = net_.simu().now();
-  const net::LinkSpec& link = net_.link_at(id(), in_port);
   if (pkt.pause_quanta == 0) {
     port.paused_until = 0;  // RESUME
   } else {
@@ -257,7 +256,7 @@ void Switch::handle_pfc_frame(const Packet& pkt, PortId in_port) {
     // (802.3x: one quantum = 512 bit times), so a rate override stretches
     // the pause duration too.
     const double quantum_ns =
-        net::kPauseQuantumBits / effective_gbps(in_port, link, now);
+        net::kPauseQuantumBits / effective_gbps(net_.wire(id(), in_port), now);
     port.paused_until = now + static_cast<Time>(quantum_ns * pkt.pause_quanta);
     // Wake the transmitter when the pause ages out (RESUME also wakes it).
     net_.simu().schedule_at(port.paused_until,
@@ -272,15 +271,15 @@ void Switch::send_pause(PortId in_port, std::uint32_t quanta) {
   // PFC frames are MAC-level control traffic: modelled as bypassing the
   // egress serializer (highest priority, 64 B) so backpressure still
   // propagates when the data path is saturated or wedged (deadlock).
-  const net::LinkSpec& link = net_.link_at(id(), in_port);
+  const Wire& wire = net_.wire(id(), in_port);
   const Time ser = sim::serialization_ns(
-      net::kPfcFrameBytes, effective_gbps(in_port, link, net_.simu().now()));
+      net::kPfcFrameBytes, effective_gbps(wire, net_.simu().now()));
   ++pause_frames_sent_;
   net_.log_pfc({net_.simu().now(), id(), in_port, quanta, false});
   net_.deliver(id(), in_port, net::make_pfc(quanta), ser);
   if (quanta > 0) {
-    const double quantum_ns = net::kPauseQuantumBits /
-                              effective_gbps(in_port, link, net_.simu().now());
+    const double quantum_ns =
+        net::kPauseQuantumBits / effective_gbps(wire, net_.simu().now());
     const Time refresh = static_cast<Time>(
         quantum_ns * quanta * cfg_.pause_refresh_fraction);
     net_.simu().schedule(std::max<Time>(refresh, 1000),

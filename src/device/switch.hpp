@@ -142,11 +142,11 @@ class Switch : public Device {
   void refresh_pause(net::PortId in_port);
   void maybe_resume(net::PortId in_port);
   bool ecn_mark(std::int64_t qbytes);
-  /// Negotiated rate of the link behind `port`: the injected per-link rate
-  /// override (speed mismatch / oversubscription) when one covers it, the
-  /// nominal topology speed otherwise. One branch in fault-free runs.
-  double effective_gbps(net::PortId port, const net::LinkSpec& link,
-                        sim::Time now) const;
+  /// Negotiated rate of the link on `wire` (one of this switch's ports):
+  /// the injected per-link rate override (speed mismatch /
+  /// oversubscription) when one covers it, the nominal topology speed
+  /// otherwise. One branch in fault-free runs.
+  double effective_gbps(const Wire& wire, sim::Time now) const;
 
   Network& net_;
   const net::Routing& routing_;

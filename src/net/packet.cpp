@@ -4,13 +4,28 @@
 
 namespace hawkeye::net {
 
+namespace {
+
+/// The tuple of the opposite direction: what ACKs, CNPs and NACKs carry.
+FiveTuple reverse(const FiveTuple& t) {
+  FiveTuple r;
+  r.src_ip = t.dst_ip;
+  r.dst_ip = t.src_ip;
+  r.src_port = t.dst_port;
+  r.dst_port = t.src_port;
+  r.protocol = t.protocol;
+  return r;
+}
+
+}  // namespace
+
 Packet make_data_packet(const FiveTuple& flow, std::uint64_t flow_id,
                         std::uint32_t seq, std::int32_t payload_bytes,
                         bool last, sim::Time now) {
   Packet p;
   p.kind = PacketKind::kData;
   p.size_bytes = payload_bytes + kHeaderBytes;
-  p.flow = flow;
+  p.set_flow(flow);
   p.flow_id = flow_id;
   p.seq = seq;
   p.last_of_flow = last;
@@ -23,12 +38,7 @@ Packet make_ack(const Packet& data, sim::Time now) {
   Packet p;
   p.kind = PacketKind::kAck;
   p.size_bytes = kAckBytes;
-  // ACK travels the reverse tuple.
-  p.flow.src_ip = data.flow.dst_ip;
-  p.flow.dst_ip = data.flow.src_ip;
-  p.flow.src_port = data.flow.dst_port;
-  p.flow.dst_port = data.flow.src_port;
-  p.flow.protocol = data.flow.protocol;
+  p.set_flow(reverse(data.flow()));  // ACK travels the reverse tuple
   p.flow_id = data.flow_id;
   p.seq = data.seq;
   p.last_of_flow = data.last_of_flow;
@@ -40,11 +50,7 @@ Packet make_cnp(const Packet& data) {
   Packet p;
   p.kind = PacketKind::kCnp;
   p.size_bytes = kCnpBytes;
-  p.flow.src_ip = data.flow.dst_ip;
-  p.flow.dst_ip = data.flow.src_ip;
-  p.flow.src_port = data.flow.dst_port;
-  p.flow.dst_port = data.flow.src_port;
-  p.flow.protocol = data.flow.protocol;
+  p.set_flow(reverse(data.flow()));
   p.flow_id = data.flow_id;
   return p;
 }
@@ -80,7 +86,7 @@ std::string Packet::to_string() const {
   char buf[128];
   const char* kind_name[] = {"DATA", "ACK", "CNP", "PFC", "NACK", "POLL"};
   std::snprintf(buf, sizeof(buf), "[%s %s seq=%u %dB]",
-                kind_name[static_cast<int>(kind)], flow.to_string().c_str(),
+                kind_name[static_cast<int>(kind)], flow_.to_string().c_str(),
                 seq, size_bytes);
   return buf;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -39,29 +40,51 @@ inline bool traces_pfc_causality(PollingFlag f) {
 /// One simulated packet. A single struct covers every kind; the unused
 /// per-kind fields stay at their defaults. Packets are value types — each
 /// hop holds its own copy, mirroring how real switches buffer frames.
+///
+/// The transport flow is set only through set_flow(), which also caches
+/// its FiveTuple::hash(): every switch hop reads the hash twice (ECMP
+/// selection and the telemetry flow-table slot), so it is computed once
+/// per packet instead of twice per hop, and no packet can carry a hash of
+/// some other tuple.
 struct Packet {
   PacketKind kind = PacketKind::kData;
+  bool last_of_flow = false;      // data / ack: final segment of the flow
+  bool ecn_ce = false;            // CE mark set by congested egress queues
+  PollingFlag poll_flag = PollingFlag::kUseless;  // polling: Table 1 flag
   std::int32_t size_bytes = 0;
 
-  // --- data / ack / cnp ---
-  FiveTuple flow;                 // the transport flow this packet belongs to
+  // --- data / ack / cnp / nack (the flow itself: flow(), set_flow()) ---
   std::uint64_t flow_id = 0;      // simulator-side flow handle
   std::uint32_t seq = 0;          // segment index within the flow
-  bool last_of_flow = false;
-  bool ecn_ce = false;            // CE mark set by congested egress queues
-  sim::Time tx_time = 0;          // sender timestamp, echoed by the ACK
-
   // --- pfc ---
   std::uint32_t pause_quanta = 0; // 0 => RESUME; else pause duration quanta
+  // --- data / ack ---
+  sim::Time tx_time = 0;          // sender timestamp, echoed by the ACK
 
   // --- polling (Figure 5: flag + victim 5-tuple) ---
-  PollingFlag poll_flag = PollingFlag::kUseless;
   FiveTuple victim;               // the complained-about flow
   std::uint64_t probe_id = 0;     // diagnosis episode identifier
   std::int32_t poll_hops = 0;     // TTL-style safety bound
 
+  /// The transport flow this packet belongs to.
+  const FiveTuple& flow() const { return flow_; }
+  /// flow().hash(), computed when the flow was set.
+  std::uint64_t flow_hash() const {
+    assert(flow_hash_ == flow_.hash() && "stale packet flow hash");
+    return flow_hash_;
+  }
+  void set_flow(const FiveTuple& flow) {
+    flow_ = flow;
+    flow_hash_ = flow.hash();
+  }
+
   std::string to_string() const;
+
+ private:
+  FiveTuple flow_;
+  std::uint64_t flow_hash_ = FiveTuple{}.hash();
 };
+static_assert(sizeof(Packet) == 88, "the cached flow hash fits the padding");
 
 /// Canonical on-wire sizes (bytes).
 inline constexpr std::int32_t kMtuBytes = 1000;        // data segment payload

@@ -3,18 +3,34 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <stdexcept>
 
 namespace hawkeye::net {
 
 Routing::Routing(const Topology& topo) : topo_(topo) { rebuild(); }
 
 void Routing::rebuild() {
+  const std::vector<OverrideInfo> kept = overrides_;
+  overrides_.clear();
   const std::size_t n = topo_.node_count();
-  base_table_.assign(n, {});
-  for (auto& row : base_table_) row.assign(n, {});
+  row_.assign(n, -1);
+  col_.assign(n, -1);
+  std::int32_t rows = 0;
+  std::int32_t cols = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (topo_.is_switch(static_cast<NodeId>(i))) {
+      row_[i] = rows++;
+    } else {
+      col_[i] = cols++;
+    }
+  }
+  host_count_ = static_cast<std::size_t>(cols);
+  entries_.assign(static_cast<std::size_t>(rows) * host_count_, Entry{});
+  ports_.clear();
 
   // BFS from every destination host; equal-cost next hops are the
   // neighbours one step closer to the destination.
+  std::vector<PortId> cands;
   for (const NodeId dst : topo_.hosts()) {
     std::vector<int> dist(n, std::numeric_limits<int>::max());
     std::deque<NodeId> q;
@@ -36,10 +52,9 @@ void Routing::rebuild() {
       }
     }
     for (const NodeId sw : topo_.switches()) {
-      auto& cands =
-          base_table_[static_cast<size_t>(sw)][static_cast<size_t>(dst)];
       if (dist[static_cast<size_t>(sw)] == std::numeric_limits<int>::max())
         continue;
+      cands.clear();
       for (PortId p = 0; p < topo_.port_count(sw); ++p) {
         const PortRef pr = topo_.peer(sw, p);
         if (!pr.valid()) continue;
@@ -49,100 +64,121 @@ void Routing::rebuild() {
           cands.push_back(p);
         }
       }
+      // The live set starts as a copy of the pristine one.
+      Entry& e = *entry(sw, dst);
+      e.offset = static_cast<std::uint32_t>(ports_.size());
+      e.count = e.live = static_cast<std::uint16_t>(cands.size());
+      ports_.insert(ports_.end(), cands.begin(), cands.end());
+      ports_.insert(ports_.end(), cands.begin(), cands.end());
     }
   }
-  // The live table starts as a copy of the pristine one; any ports disabled
-  // before the rebuild stay disabled afterwards (and count as a mutation,
-  // since paths may differ from the pre-rebuild table).
-  table_ = base_table_;
+  for (const OverrideInfo& ov : kept) add_override(ov.sw, ov.dst, ov.port);
+  // Ports disabled before the rebuild stay disabled afterwards (and count
+  // as a mutation, since paths may differ from the pre-rebuild table).
   if (!disabled_.empty()) {
-    for (const std::int64_t key : disabled_) {
-      apply_disabled(static_cast<NodeId>(key >> 32),
-                     static_cast<PortId>(key & 0xffffffff));
-    }
+    for (const PortRef& d : disabled_) apply_disabled(d.node, d.port);
     ++epoch_;
   }
 }
 
+std::span<Routing::Entry> Routing::row(NodeId sw) {
+  const std::int32_t r = row_[static_cast<size_t>(sw)];
+  if (r < 0) return {};  // a host has no entries
+  return {entries_.data() + static_cast<std::size_t>(r) * host_count_,
+          host_count_};
+}
+
 void Routing::apply_disabled(NodeId sw, PortId port) {
-  for (auto& cands : table_[static_cast<size_t>(sw)]) {
-    const auto it = std::find(cands.begin(), cands.end(), port);
+  for (Entry& e : row(sw)) {
+    PortId* const live = ports_.data() + e.offset;
+    PortId* const end = live + e.live;
+    PortId* const it = std::find(live, end, port);
     // A port is only withdrawn where an ECMP alternative exists. With no
     // alternative (e.g. a core's single downlink into a pod) the route is
     // kept: traffic keeps forwarding into the dead link and is dropped
     // there as an injected kLinkDown loss — never re-counted as a kData
     // routing drop, which the losslessness accounting treats as a model
     // bug.
-    if (it != cands.end() && cands.size() > 1) cands.erase(it);
+    if (it != end && e.live > 1) {
+      std::copy(it + 1, end, it);
+      --e.live;
+    }
   }
 }
 
 bool Routing::disable_port(NodeId sw, PortId port) {
-  if (sw < 0 || static_cast<size_t>(sw) >= table_.size()) return false;
-  if (!disabled_.insert(pkey(sw, port)).second) return false;
+  if (sw < 0 || static_cast<size_t>(sw) >= row_.size()) return false;
+  if (port_disabled(sw, port)) return false;
+  disabled_.push_back({sw, port});
   apply_disabled(sw, port);
   ++epoch_;
   return true;
 }
 
 bool Routing::enable_port(NodeId sw, PortId port) {
-  if (sw < 0 || static_cast<size_t>(sw) >= table_.size()) return false;
-  if (disabled_.erase(pkey(sw, port)) == 0) return false;
-  const auto& base_row = base_table_[static_cast<size_t>(sw)];
-  auto& live_row = table_[static_cast<size_t>(sw)];
-  for (std::size_t dst = 0; dst < base_row.size(); ++dst) {
-    const auto& base = base_row[dst];
-    if (std::find(base.begin(), base.end(), port) == base.end()) continue;
-    auto& live = live_row[dst];
+  if (sw < 0 || static_cast<size_t>(sw) >= row_.size()) return false;
+  const auto d =
+      std::find(disabled_.begin(), disabled_.end(), PortRef{sw, port});
+  if (d == disabled_.end()) return false;
+  disabled_.erase(d);
+  for (Entry& e : row(sw)) {
+    PortId* const live = ports_.data() + e.offset;
+    PortId* const end = live + e.live;
+    const PortId* const base = live + e.count;
+    if (std::find(base, base + e.count, port) == base + e.count) continue;
     // Candidates were built in ascending port order; re-insert in place so
     // the hash -> port mapping returns to its pre-flap value exactly.
-    const auto pos = std::lower_bound(live.begin(), live.end(), port);
-    if (pos == live.end() || *pos != port) live.insert(pos, port);
+    PortId* const pos = std::lower_bound(live, end, port);
+    if (pos != end && *pos == port) continue;
+    std::copy_backward(pos, end, end + 1);
+    *pos = port;
+    ++e.live;
   }
   ++epoch_;
   return true;
 }
 
 void Routing::add_override(NodeId sw, NodeId dst, PortId port) {
-  overrides_[okey(sw, dst)] = port;
+  Entry* e = entry(sw, dst);
+  if (e == nullptr) {
+    throw std::invalid_argument(
+        "Routing::add_override: not a (switch, host) pair");
+  }
+  e->override_port = port;
+  for (OverrideInfo& ov : overrides_) {
+    if (ov.sw == sw && ov.dst == dst) {
+      ov.port = port;
+      return;
+    }
+  }
+  overrides_.push_back({sw, dst, port});
 }
 
 void Routing::remove_override(NodeId sw, NodeId dst) {
-  overrides_.erase(okey(sw, dst));
+  Entry* e = entry(sw, dst);
+  if (e == nullptr) return;
+  e->override_port = kNoOverride;
+  std::erase_if(overrides_, [&](const OverrideInfo& ov) {
+    return ov.sw == sw && ov.dst == dst;
+  });
 }
 
-void Routing::clear_overrides() { overrides_.clear(); }
-
-std::vector<Routing::OverrideInfo> Routing::overrides() const {
-  std::vector<OverrideInfo> out;
-  out.reserve(overrides_.size());
-  for (const auto& [key, port] : overrides_) {
-    out.push_back({static_cast<NodeId>(key >> 32),
-                   static_cast<NodeId>(key & 0xffffffff), port});
+void Routing::clear_overrides() {
+  for (const OverrideInfo& ov : overrides_) {
+    entry(ov.sw, ov.dst)->override_port = kNoOverride;
   }
-  return out;
+  overrides_.clear();
 }
 
 PortId Routing::egress_port(NodeId sw, const FiveTuple& flow) const {
   return egress_port(sw, Topology::node_of_ip(flow.dst_ip), flow.hash());
 }
 
-PortId Routing::egress_port(NodeId sw, NodeId dst,
-                            std::uint64_t flow_hash) const {
-  if (const auto it = overrides_.find(okey(sw, dst)); it != overrides_.end()) {
-    return it->second;
-  }
-  const auto& cands = candidates(sw, dst);
-  if (cands.empty()) return kInvalidPort;
-  return cands[flow_hash % cands.size()];
-}
-
-const std::vector<PortId>& Routing::candidates(NodeId sw, NodeId dst) const {
-  if (sw < 0 || dst < 0 || static_cast<size_t>(sw) >= table_.size() ||
-      static_cast<size_t>(dst) >= table_.size()) {
-    return empty_;
-  }
-  return table_[static_cast<size_t>(sw)][static_cast<size_t>(dst)];
+std::vector<PortId> Routing::candidates(NodeId sw, NodeId dst) const {
+  const Entry* e = entry(sw, dst);
+  if (e == nullptr) return {};
+  const auto live = ports_.begin() + e->offset;
+  return std::vector<PortId>(live, live + e->live);
 }
 
 std::vector<PortRef> Routing::path_of(const FiveTuple& flow,
@@ -154,9 +190,10 @@ std::vector<PortRef> Routing::path_of(const FiveTuple& flow,
   // Host NIC egress (hosts have a single uplink port 0).
   path.push_back({src, 0});
   PortRef cur = topo_.peer(src, 0);
+  const std::uint64_t hash = flow.hash();
   int hops = 0;
   while (cur.valid() && cur.node != dst && ++hops <= max_hops) {
-    const PortId out = egress_port(cur.node, dst, flow.hash());
+    const PortId out = egress_port(cur.node, dst, hash);
     if (out == kInvalidPort) break;
     path.push_back({cur.node, out});
     cur = topo_.peer(cur.node, out);

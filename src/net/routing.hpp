@@ -1,9 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,12 @@ namespace hawkeye::net {
 /// NOT affected by disabled ports: they model pinned static routes, which
 /// real fabrics keep forwarding into a dead port (that black hole is a
 /// diagnosable anomaly, not a model bug).
+///
+/// Storage: one flat table with an entry per (switch, destination host).
+/// An entry holds its override port and the offset of its candidates in
+/// one contiguous port array: the live set first, then the pristine BFS
+/// set it is restored from. A hop reads one entry and one port, and a
+/// copy is a handful of flat vector copies.
 class Routing {
  public:
   explicit Routing(const Topology& topo);
@@ -37,7 +44,9 @@ class Routing {
   /// so is the disabled-port set (a rebuild re-applies it).
   void rebuild();
 
-  /// Force `sw` to send traffic destined to host `dst` out of `port`.
+  /// Force switch `sw` to send traffic destined to host `dst` out of
+  /// `port`. Throws std::invalid_argument unless `sw` is a switch and `dst`
+  /// a host.
   void add_override(NodeId sw, NodeId dst, PortId port);
   void remove_override(NodeId sw, NodeId dst);
   void clear_overrides();
@@ -47,8 +56,9 @@ class Routing {
     NodeId dst;
     PortId port;
   };
-  /// Snapshot of the installed overrides (for configuration audit).
-  std::vector<OverrideInfo> overrides() const;
+  /// Snapshot of the installed overrides, in installation order (for
+  /// configuration audit).
+  std::vector<OverrideInfo> overrides() const { return overrides_; }
 
   /// Remove `port` from every ECMP candidate set on `sw` (link declared
   /// dead after hold-down). Candidate sets where the port is the ONLY
@@ -66,7 +76,8 @@ class Routing {
   bool enable_port(NodeId sw, PortId port);
 
   bool port_disabled(NodeId sw, PortId port) const {
-    return disabled_.count(pkey(sw, port)) > 0;
+    return std::find(disabled_.begin(), disabled_.end(), PortRef{sw, port}) !=
+           disabled_.end();
   }
 
   /// Monotone counter of candidate-set mutations (disable/enable/rebuild
@@ -78,10 +89,18 @@ class Routing {
   PortId egress_port(NodeId sw, const FiveTuple& flow) const;
 
   /// Egress port toward destination host `dst` for a flow with this hash.
-  PortId egress_port(NodeId sw, NodeId dst, std::uint64_t flow_hash) const;
+  PortId egress_port(NodeId sw, NodeId dst, std::uint64_t flow_hash) const {
+    const Entry* e = entry(sw, dst);
+    if (e == nullptr) return kInvalidPort;
+    if (e->override_port != kNoOverride) return e->override_port;
+    if (e->live == 0) return kInvalidPort;
+    return ports_[e->offset + flow_hash % e->live];
+  }
 
-  /// All equal-cost candidate ports (before override/hash selection).
-  const std::vector<PortId>& candidates(NodeId sw, NodeId dst) const;
+  /// All live equal-cost candidate ports (before override/hash selection),
+  /// in ascending port order; empty unless `sw` is a switch and `dst` a
+  /// host.
+  std::vector<PortId> candidates(NodeId sw, NodeId dst) const;
 
   /// Full forwarding path of a flow from src host to dst host, as the list
   /// of egress PortRefs taken (first entry is the host NIC port). Follows
@@ -108,25 +127,45 @@ class Routing {
   const Topology& topo() const { return topo_; }
 
  private:
-  const Topology& topo_;
-  // table_[sw][dst] -> live candidate ports (disabled ports removed).
-  std::vector<std::vector<std::vector<PortId>>> table_;
-  // Pristine candidates as computed by the BFS; enable_port restores from
-  // here so flap-heal cycles cannot drift the table.
-  std::vector<std::vector<std::vector<PortId>>> base_table_;
-  std::unordered_map<std::int64_t, PortId> overrides_;  // key: sw<<32 | dst
-  std::unordered_set<std::int64_t> disabled_;           // key: sw<<32 | port
-  std::uint64_t epoch_ = 0;
-  std::vector<PortId> empty_;
+  /// "No override": any PortId, kInvalidPort included, may be forced.
+  static constexpr PortId kNoOverride = std::numeric_limits<PortId>::min();
+  /// One (switch, destination host) route. Its live candidates are
+  /// ports_[offset, offset + live) and its pristine ones
+  /// ports_[offset + count, offset + 2 * count), both in ascending order.
+  struct Entry {
+    std::uint32_t offset = 0;
+    std::uint16_t count = 0;  // pristine candidates
+    std::uint16_t live = 0;   // live candidates, <= count
+    PortId override_port = kNoOverride;
+  };
 
+  const Entry* entry(NodeId sw, NodeId dst) const {
+    if (sw < 0 || dst < 0 || static_cast<std::size_t>(sw) >= row_.size() ||
+        static_cast<std::size_t>(dst) >= row_.size()) {
+      return nullptr;
+    }
+    const std::int32_t r = row_[static_cast<std::size_t>(sw)];
+    const std::int32_t c = col_[static_cast<std::size_t>(dst)];
+    if (r < 0 || c < 0) return nullptr;
+    return &entries_[static_cast<std::size_t>(r) * host_count_ +
+                     static_cast<std::size_t>(c)];
+  }
+  Entry* entry(NodeId sw, NodeId dst) {
+    return const_cast<Entry*>(std::as_const(*this).entry(sw, dst));
+  }
+  /// Switch `sw`'s entries, one per destination host; empty for a host.
+  std::span<Entry> row(NodeId sw);
   void apply_disabled(NodeId sw, PortId port);
 
-  static std::int64_t okey(NodeId sw, NodeId dst) {
-    return (static_cast<std::int64_t>(sw) << 32) | static_cast<std::uint32_t>(dst);
-  }
-  static std::int64_t pkey(NodeId sw, PortId port) {
-    return (static_cast<std::int64_t>(sw) << 32) | static_cast<std::uint32_t>(port);
-  }
+  const Topology& topo_;
+  std::vector<std::int32_t> row_;  // node -> switch row; -1 for hosts
+  std::vector<std::int32_t> col_;  // node -> host column; -1 for switches
+  std::size_t host_count_ = 0;
+  std::vector<Entry> entries_;     // [switch row][host column]
+  std::vector<PortId> ports_;      // live + pristine candidates per entry
+  std::vector<OverrideInfo> overrides_;  // installation order
+  std::vector<PortRef> disabled_;        // withdrawal order
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace hawkeye::net

@@ -49,7 +49,7 @@ struct FiveTuple {
   /// Do NOT change the mixing: ECMP uses this value, so any change
   /// re-routes every flow and breaks bit-for-bit reproducibility of the
   /// paper figures against recorded runs.
-  std::uint64_t hash() const {
+  constexpr std::uint64_t hash() const {
     std::uint64_t h = 1469598103934665603ULL;
     auto mix = [&h](std::uint64_t v, int bytes) {
       for (int i = 0; i < bytes; ++i) {

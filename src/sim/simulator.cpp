@@ -61,7 +61,7 @@ int Simulator::current_shard() const {
   return sharded() ? setup_shard_ : 0;
 }
 
-void Simulator::schedule_at_on(int shard, Time at, Action fn) {
+void Simulator::schedule_at_on(int shard, Time at, Action&& fn) {
   if (!sharded()) {
     if (at < now_) at = now_;
     calendar_.push(at, next_seq_++, std::move(fn));

@@ -127,12 +127,12 @@ class Simulator {
 
   /// Schedule `fn` to run `delay` ns from now on the current shard.
   /// Negative delays clamp to 0.
-  void schedule(Time delay, Action fn) {
+  void schedule(Time delay, Action&& fn) {
     schedule_at_on(-1, now() + (delay < 0 ? 0 : delay), std::move(fn));
   }
 
   /// Schedule `fn` at an absolute time (>= now) on the current shard.
-  void schedule_at(Time at, Action fn) {
+  void schedule_at(Time at, Action&& fn) {
     schedule_at_on(-1, at, std::move(fn));
   }
 
@@ -140,10 +140,10 @@ class Simulator {
   /// `fn` (the shard owning the device the closure touches, or
   /// control_shard() for global-state events). Cross-shard delays must be
   /// >= min_lookahead() for parallel rounds to preserve canonical order.
-  void schedule_on(int shard, Time delay, Action fn) {
+  void schedule_on(int shard, Time delay, Action&& fn) {
     schedule_at_on(shard, now() + (delay < 0 ? 0 : delay), std::move(fn));
   }
-  void schedule_at_on(int shard, Time at, Action fn);
+  void schedule_at_on(int shard, Time at, Action&& fn);
 
   // ---- Execution ----
 

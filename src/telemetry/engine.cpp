@@ -84,14 +84,14 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
   if (!e.pos.empty()) {
     // Flow table: hash-indexed slot, XOR 5-tuple match, evict on mismatch.
     const auto slot_idx =
-        static_cast<std::uint32_t>(pkt.flow.hash() % cfg_.flow_slots);
+        static_cast<std::uint32_t>(pkt.flow_hash() % cfg_.flow_slots);
     std::uint32_t& pos = e.pos[slot_idx];
     if (pos == 0) {
-      e.flows.push_back(FlowSlot{pkt.flow, 0, 0, 0, out_port, slot_idx});
+      e.flows.push_back(FlowSlot{pkt.flow(), 0, 0, 0, out_port, slot_idx});
       pos = static_cast<std::uint32_t>(e.flows.size());
     }
     FlowSlot& slot = e.flows[pos - 1];
-    if (!(slot.flow == pkt.flow)) {
+    if (!(slot.flow == pkt.flow())) {
       if (evict_sink_) {
         FlowRecord rec;
         rec.flow = slot.flow;
@@ -102,7 +102,7 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
         rec.epoch_start = e.start;
         evict_sink_(rec);
       }
-      slot = FlowSlot{pkt.flow, 0, 0, 0, out_port, slot_idx};
+      slot = FlowSlot{pkt.flow(), 0, 0, 0, out_port, slot_idx};
     }
     slot.pkt_cnt += 1;
     if (port_paused) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "eval/testbed.hpp"
 
 namespace hawkeye::device {
@@ -149,6 +151,30 @@ TEST(DcqcnTest, EcnFeedbackTamesPersistentContention) {
   // After convergence the shared queue is bounded (ECN marks did their job).
   EXPECT_LT(tb.switch_at(tor).queue_bytes(to_sink), 2'000'000);
   EXPECT_EQ(tb.net.data_drops(), 0u);
+}
+
+TEST(NetworkTest, WireTableMatchesTopology) {
+  Testbed tb(plain());
+  const net::Topology& topo = tb.ft.topo;
+  for (std::size_t i = 0; i < topo.node_count(); ++i) {
+    const auto n = static_cast<net::NodeId>(i);
+    for (net::PortId p = 0; p < topo.port_count(n); ++p) {
+      const Wire& w = tb.net.wire(n, p);
+      EXPECT_EQ(w.peer, topo.peer(n, p));
+      ASSERT_NE(w.link, nullptr);
+      EXPECT_EQ(w.link, &topo.link(static_cast<std::size_t>(topo.link_of(n, p))));
+      EXPECT_EQ(&tb.net.link_at(n, p), w.link);
+    }
+    // Past the last port, and negative ports, are unwired.
+    for (const net::PortId p : {topo.port_count(n), net::PortId{-1}}) {
+      EXPECT_FALSE(tb.net.wire(n, p).peer.valid());
+      EXPECT_EQ(tb.net.wire(n, p).link, nullptr);
+      EXPECT_THROW(tb.net.link_at(n, p), std::out_of_range);
+    }
+  }
+  const auto nodes = static_cast<net::NodeId>(topo.node_count());
+  EXPECT_EQ(tb.net.wire(nodes, 0).link, nullptr);
+  EXPECT_EQ(tb.net.wire(-1, 0).link, nullptr);
 }
 
 TEST(NetworkTest, DataHopAccountingCountsSwitchTraversals) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -83,10 +84,29 @@ TEST(PacketTest, AckReversesTupleAndEchoesTimestamp) {
   const Packet d = make_data_packet(tuple(1, 2, 7), 99, 5, 1000, false, 777);
   const Packet a = make_ack(d, 999);
   EXPECT_EQ(a.kind, PacketKind::kAck);
-  EXPECT_EQ(a.flow.src_ip, 2u);
-  EXPECT_EQ(a.flow.dst_ip, 1u);
+  EXPECT_EQ(a.flow().src_ip, 2u);
+  EXPECT_EQ(a.flow().dst_ip, 1u);
   EXPECT_EQ(a.tx_time, 777);  // echoed for RTT measurement
   EXPECT_EQ(a.flow_id, 99u);
+}
+
+TEST(PacketTest, CarriedFlowHashMatchesTheTuple) {
+  // Every factory sets the flow through set_flow(), so each kind carries
+  // the hash of its own tuple: the data tuple, the reversed one for the
+  // ACK/CNP/NACK, the empty one for PFC and polling frames.
+  const Packet d = make_data_packet(tuple(1, 2, 7), 99, 5, 1000, false, 777);
+  for (const Packet& p : {d, make_ack(d, 1), make_cnp(d), make_nack(d, 3),
+                          make_pfc(1), make_polling(tuple(4, 5, 6), 1,
+                                                    PollingFlag::kBoth),
+                          Packet{}}) {
+    EXPECT_EQ(p.flow_hash(), p.flow().hash()) << p.to_string();
+  }
+  EXPECT_EQ(d.flow_hash(), tuple(1, 2, 7).hash());
+  EXPECT_NE(make_ack(d, 1).flow_hash(), d.flow_hash());
+  // A hand-built packet gets its hash the same way.
+  Packet p;
+  p.set_flow(tuple(3, 4, 9));
+  EXPECT_EQ(p.flow_hash(), tuple(3, 4, 9).hash());
 }
 
 TEST(PacketTest, PfcFrameCarriesQuanta) {
@@ -340,6 +360,46 @@ TEST(RoutingTest, OverridesBypassDisabledPorts) {
   const FiveTuple t =
       tuple(Topology::ip_of(ft.hosts[0]), Topology::ip_of(dst), 5);
   EXPECT_EQ(routing.egress_port(sw, t), forced);
+}
+
+TEST(RoutingTest, CopiesAreIndependent) {
+  const FatTree ft = build_fat_tree(4);
+  Routing routing(ft.topo);
+  const NodeId sw = ft.edges[0];
+  const NodeId dst = ft.hosts[9];
+  const PortId forced = ft.topo.port_towards(sw, ft.aggs[1]);
+  routing.add_override(sw, dst, forced);
+  Routing copy = routing;
+  copy.remove_override(sw, dst);
+  const PortId dead = copy.candidates(sw, ft.hosts[15])[0];
+  copy.disable_port(sw, dead);
+  const FiveTuple t =
+      tuple(Topology::ip_of(ft.hosts[0]), Topology::ip_of(dst), 5);
+  EXPECT_EQ(routing.egress_port(sw, t), forced);
+  EXPECT_EQ(routing.overrides().size(), 1u);
+  EXPECT_EQ(routing.candidates(sw, ft.hosts[15]).size(), 2u);
+  EXPECT_EQ(routing.epoch(), 0u);
+  EXPECT_FALSE(routing.port_disabled(sw, dead));
+  EXPECT_TRUE(copy.overrides().empty());
+  EXPECT_EQ(copy.candidates(sw, ft.hosts[15]).size(), 1u);
+  EXPECT_EQ(copy.egress_port(sw, t), copy.candidates(sw, dst)[0]);
+  EXPECT_TRUE(copy.port_disabled(sw, dead));
+  EXPECT_EQ(copy.epoch(), 1u);
+}
+
+TEST(RoutingTest, OverridesNeedASwitchAndAHost) {
+  const FatTree ft = build_fat_tree(4);
+  Routing routing(ft.topo);
+  EXPECT_THROW(routing.add_override(ft.hosts[0], ft.hosts[1], 0),
+               std::invalid_argument);
+  EXPECT_THROW(routing.add_override(ft.edges[0], ft.aggs[0], 0),
+               std::invalid_argument);
+  EXPECT_TRUE(routing.overrides().empty());
+  // Only (switch, host) pairs have candidates.
+  EXPECT_TRUE(routing.candidates(ft.hosts[0], ft.hosts[1]).empty());
+  EXPECT_TRUE(routing.candidates(ft.edges[0], ft.aggs[0]).empty());
+  EXPECT_EQ(routing.egress_port(ft.edges[0], ft.aggs[0], 7), kInvalidPort);
+  EXPECT_EQ(routing.egress_port(-1, ft.hosts[1], 7), kInvalidPort);
 }
 
 TEST(RoutingTest, RebuildReappliesDisabledPorts) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -313,6 +315,100 @@ TEST(CalendarTest, DrainedBucketsKeepBoundedStorage) {
   }
   EXPECT_EQ(popped, 2u * kBursts * kPerBurst + 1);
   EXPECT_LE(cal.retained_events(), cap);
+}
+
+TEST(CalendarTest, MatchesReferenceOrderUnderInterleavedPushPop) {
+  // Differential guard on the calendar's storage: a seeded interleaving of
+  // pushes and pops must pop in exactly the order of a std::priority_queue
+  // on (time, seq). The pushes cover every tier transition: zero-delay and
+  // same-bucket pushes while a bucket drains, pushes into the next bucket,
+  // bursts sharing one bucket (tied timestamps included), far-tier pushes
+  // beyond the ~1.05 ms wheel horizon followed by wheel pushes into the same
+  // buckets once those come within the horizon, and events that refire
+  // exactly one wheel revolution later.
+  using Key = std::pair<Time, std::uint64_t>;
+  constexpr Time kWidth = EventCalendar::kBucketWidthNs;
+  constexpr Time kRevolution = EventCalendar::kBucketCount * kWidth;
+  constexpr std::size_t kPushPopOps = 120'000;
+  const std::size_t cap = static_cast<std::size_t>(EventCalendar::kBucketCount) *
+                          EventCalendar::kRetainedBucketEvents;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    EventCalendar cal;
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+    Rng rng(seed);
+    std::uint64_t seq = 0;
+    std::size_t ops = 0;
+    Time now = 0;
+    Time last_bucket = -1;
+    std::vector<Time> far_times;  // far pushes awaiting wheel company
+    const auto push = [&](Time at) {
+      cal.push(at, seq, [] {});
+      ref.emplace(at, seq++);
+      ++ops;
+    };
+    while (!ref.empty() || ops < kPushPopOps) {
+      const bool pushing =
+          ops < kPushPopOps &&
+          (ref.empty() || rng.chance(ref.size() < 64 ? 0.7 : 0.45));
+      if (pushing) {
+        switch (rng.uniform_int(0, 6)) {
+          case 0:  // zero delay: into the bucket being drained
+            push(now);
+            break;
+          case 1:  // later in the bucket being drained
+            push(now + rng.uniform_int(0, kWidth - 1 - now % kWidth));
+            break;
+          case 2:  // the next bucket
+            push((now / kWidth + 1) * kWidth + rng.uniform_int(0, kWidth - 1));
+            break;
+          case 3: {  // a burst sharing one bucket a few buckets ahead
+            const Time start = (now / kWidth + rng.uniform_int(1, 8)) * kWidth;
+            const std::int64_t n = rng.uniform_int(2, 32);
+            for (std::int64_t i = 0; i < n; ++i) {
+              push(start + rng.uniform_int(0, 3) * 16);
+            }
+            break;
+          }
+          case 4:  // elsewhere on the wheel
+            push(now + rng.uniform_int(kWidth, 100'000));
+            break;
+          case 5: {  // the far tier, beyond the wheel horizon
+            const Time at = now + kRevolution + rng.uniform_int(0, 200'000);
+            push(at);
+            far_times.push_back(at);
+            break;
+          }
+          case 6: {  // a wheel push into a far push's bucket, now in range
+            std::erase_if(far_times, [&](Time t) { return t < now + kWidth; });
+            const auto it =
+                std::find_if(far_times.begin(), far_times.end(), [&](Time t) {
+                  return t < now + kRevolution - kWidth;
+                });
+            if (it == far_times.end()) break;
+            push(*it / kWidth * kWidth + rng.uniform_int(0, kWidth - 1));
+            far_times.erase(it);
+            break;
+          }
+        }
+        continue;
+      }
+      ASSERT_TRUE(cal.prepare_head());
+      if (cal.head().at / kWidth != last_bucket) {  // bucket changed
+        last_bucket = cal.head().at / kWidth;
+        EXPECT_LE(cal.retained_events(), cap + cal.size());
+      }
+      const EventCalendar::Event ev = cal.pop_head();
+      ASSERT_EQ((Key{ev.at, ev.seq}), ref.top()) << "seed " << seed;
+      ref.pop();
+      ++ops;
+      ASSERT_EQ(cal.size(), ref.size());
+      now = ev.at;
+      // Refire exactly one revolution later: the same wheel slot.
+      if (ops < kPushPopOps && rng.chance(0.05)) push(ev.at + kRevolution);
+    }
+    EXPECT_FALSE(cal.prepare_head());
+    EXPECT_GE(ops, 100'000u);
+  }
 }
 
 TEST(CalendarTest, DeterministicAcrossIdenticalRuns) {

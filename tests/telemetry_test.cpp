@@ -229,15 +229,15 @@ class DenseFlowTables {
       e.live = true;
       for (Slot& s : e.slots) s = Slot{};
     }
-    Slot& s = e.slots[pkt.flow.hash() % cfg_.flow_slots];
-    if (s.occupied && !(s.rec.flow == pkt.flow)) {
+    Slot& s = e.slots[pkt.flow().hash() % cfg_.flow_slots];
+    if (s.occupied && !(s.rec.flow == pkt.flow())) {
       evicted.push_back(s.rec);
       evicted.back().epoch_start = e.start;
       s = Slot{};
     }
     if (!s.occupied) {
       s.occupied = true;
-      s.rec.flow = pkt.flow;
+      s.rec.flow = pkt.flow();
       s.rec.egress_port = out;
     }
     s.rec.pkt_cnt += 1;
@@ -347,7 +347,7 @@ void check_against_dense_tables(std::uint32_t flow_slots) {
     }
     for (int q = 0; q < 20; ++q) {
       const net::FiveTuple f =
-          q == 0 ? pkt.flow : flow_of(rng.uniform_int(0, 5999)).flow;
+          q == 0 ? pkt.flow() : flow_of(rng.uniform_int(0, 5999)).flow();
       EXPECT_EQ(eng.recent_flow_paused_count(f), ref.paused_count(f));
     }
   }
