@@ -165,29 +165,6 @@ void BM_EndToEndIncastTrace(benchmark::State& state) {
 BENCHMARK(BM_EndToEndIncastTrace)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-/// Per-shard-count wall-clock of the same end-to-end trace. The sharded
-/// simulator's output is bitwise identical at every shard count, so this
-/// row isolates pure execution-strategy cost: the spread between shard
-/// counts is bookkeeping overhead on a single core and parallel speedup on
-/// a multi-core host (compare `num_cpus` in the JSON context block).
-void BM_EndToEndIncastTraceSharded(benchmark::State& state) {
-  for (auto _ : state) {
-    eval::RunConfig cfg;
-    cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
-    cfg.seed = 7;
-    cfg.shards = static_cast<int>(state.range(0));
-    benchmark::DoNotOptimize(eval::run_one(cfg));
-  }
-  state.SetLabel("shards=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_EndToEndIncastTraceSharded)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(3);
-
 }  // namespace
 
 // BENCHMARK_MAIN, plus a machine-readable copy of every result in

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Sanitizer CI pass (see ISSUE: CI/tooling satellite).
+# Sanitizer pass, run by CI's sanitize job.
 #
 #   scripts/sanitize.sh [asan|tsan|all]
 #
@@ -14,18 +14,19 @@
 #       case-file parser (round trips plus the corpus mutation fuzz; the
 #       slow corpus replay is left to the plain ctest job). UBSan halts on
 #       its first report, so any undefined behaviour fails the job.
-# tsan: TSan build, runs the parallel sweep-runner tests plus the
+# tsan: TSan build. Every run executes on one event calendar on one
+#       thread; the only threads are eval::run_sweep's workers, each
+#       running whole runs. TSan runs the sweep-runner tests plus the suites
+#       that drive run_sweep or share an object across its workers: the
 #       fault-injection suite (link flaps / PFC frame loss exercise the
 #       injector from every sweep worker thread), the reconvergence /
 #       fault-attribution suites (routing withdrawal callbacks fire inside
-#       sweep workers), the misdiagnosis-hunter campaign (HuntCampaignTest:
-#       batched trial evaluation through multi-threaded run_sweep), and the
-#       sharded-simulator suites (ShardIdentity /
-#       ShardEdge): intra-run parallel rounds drain per-shard calendars
-#       from a persistent worker pool, exactly the data-race surface TSan
-#       exists for. The golden-trace k=4 suite is deliberately NOT run
-#       under TSan: it replays single deterministic simulations with no
-#       cross-thread surface, and the plain ctest job already covers it.
+#       sweep workers), the calibration suite and the misdiagnosis-hunter
+#       campaign (HuntCampaignTest: batched trial evaluation through
+#       multi-threaded run_sweep). The golden-trace suite is deliberately
+#       NOT run under TSan: it replays single deterministic simulations
+#       with no cross-thread surface, and the plain ctest job already
+#       covers it.
 #
 # Each flavour builds into its own tree (build-asan/, build-tsan/) so the
 # default build/ stays sanitizer-free.
@@ -48,9 +49,9 @@ run_tsan() {
   cmake -B build-tsan -S . -DHAWKEYE_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)" \
-        --target hawkeye_tests hawkeye_shard_identity_test
+        --target hawkeye_tests
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-        -R 'SweepTest|FaultPlanTest|FaultInjectorTest|FaultRunnerTest|LinkFlapTest|PfcFrameFaultTest|TargetedRepollTest|SelfHealingTest|ReconvergenceTest|FaultAttributionTest|ConfidenceCurveTest|FleetPlanTest|FleetRunTest|CalibrationTest|ShardIdentity|ShardEdgeTest|HuntCampaignTest')
+        -R 'SweepTest|FaultPlanTest|FaultInjectorTest|FaultRunnerTest|LinkFlapTest|PfcFrameFaultTest|TargetedRepollTest|SelfHealingTest|ReconvergenceTest|FaultAttributionTest|ConfidenceCurveTest|FleetPlanTest|FleetRunTest|CalibrationTest|HuntCampaignTest')
 }
 
 case "$flavour" in

@@ -4,16 +4,6 @@
 
 namespace hawkeye::collect {
 
-void Collector::attach_simulator(sim::Simulator& simu) {
-  simu_ = &simu;
-  if (simu.sharded()) {
-    pending_.assign(static_cast<std::size_t>(simu.control_shard()) + 1, {});
-    simu.add_round_hook([this] {
-      for (auto& lane : pending_) lane.clear();
-    });
-  }
-}
-
 void Collector::register_switch(device::Switch& sw) {
   switches_.push_back(&sw);
   const net::NodeId id = sw.id();
@@ -48,15 +38,8 @@ void Collector::collect_from(device::Switch& sw, std::uint64_t probe_id,
     const fault::DmaVerdict v = faults_->on_dma(sw.id(), now);
     if (v.failed) {
       // The REGISTER_SYNC never completes; the episode will notice the
-      // missing hop in its coverage check and re-poll. Episode bookkeeping
-      // is shared across shards, so it lands on the control lane.
-      if (simu_ != nullptr) {
-        simu_->defer_control([this, probe_id] {
-          if (Episode* ep = episode(probe_id)) ++ep->failed_collections;
-        });
-      } else if (Episode* ep = episode(probe_id)) {
-        ++ep->failed_collections;
-      }
+      // missing hop in its coverage check and re-poll.
+      if (Episode* ep = episode(probe_id)) ++ep->failed_collections;
       return;
     }
     delay += v.extra_delay;  // stale read: snapshot lands late
@@ -72,28 +55,14 @@ void Collector::collect_from(device::Switch& sw, std::uint64_t probe_id,
   do_collect(sw, probe_id, now, now);
 }
 
-bool Collector::stage_pending(std::uint64_t probe_id, net::NodeId id) {
-  if (pending_.empty()) return false;  // unsharded: inline commits dedup
-  auto& lane = pending_[static_cast<std::size_t>(simu_->current_shard())];
-  for (const auto& [p, n] : lane) {
-    if (p == probe_id && n == id) return true;
-  }
-  lane.emplace_back(probe_id, id);
-  return false;
-}
-
 void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
                            sim::Time now, sim::Time mirror) {
-  // Read phase — runs on the switch's own shard. Episode reads are safe
-  // during parallel rounds (all episode writes happen at barriers); the
-  // per-switch cache below is shard-local by construction.
   Episode* ep = episode(probe_id);
   if (ep == nullptr) return;
 
   const net::NodeId id = sw.id();
   const auto idx = static_cast<std::size_t>(id);
   if (ep->has_report(id)) return;  // already in this episode
-  if (stage_pending(probe_id, id)) return;  // committing this round already
 
   telemetry::SwitchTelemetryReport rep;
   if (last_collect_[idx] >= 0 &&
@@ -145,24 +114,12 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
       cfg_.dma_per_epoch * static_cast<sim::Time>(std::max<std::size_t>(
                                rep.epochs.size(), 1));
 
-  // Commit phase — episode mutation, staged to the deterministic barrier
-  // when sharded (inline otherwise).
-  auto commit = [this, probe_id, id, stale_rejected, filtered, raw,
-                 dma_latency, rep = std::move(rep)]() mutable {
-    Episode* e = episode(probe_id);
-    if (e == nullptr) return;
-    if (!e->put_report(id, std::move(rep))) return;
-    e->stale_epochs_rejected += stale_rejected;
-    account_report(*e, filtered, raw);
-    // Per-switch CPU polls run in parallel (asynchronous, triggered within
-    // an end-to-end delay of each other), so episode latency is the max.
-    e->collection_latency = std::max(e->collection_latency, dma_latency);
-  };
-  if (simu_ != nullptr) {
-    simu_->defer_control(std::move(commit));
-  } else {
-    commit();
-  }
+  if (!ep->put_report(id, std::move(rep))) return;
+  ep->stale_epochs_rejected += stale_rejected;
+  account_report(*ep, filtered, raw);
+  // Per-switch CPU polls run in parallel (asynchronous, triggered within an
+  // end-to-end delay of each other), so episode latency is the max.
+  ep->collection_latency = std::max(ep->collection_latency, dma_latency);
 }
 
 void Collector::account_report(Episode& e, std::int64_t filtered,
@@ -198,16 +155,9 @@ void Collector::collect_missing(std::uint64_t probe_id, sim::Time now) {
 
 void Collector::count_polling_packet(std::uint64_t probe_id,
                                      std::int32_t bytes) {
-  auto bump = [this, probe_id, bytes] {
-    if (Episode* ep = episode(probe_id)) {
-      ep->polling_packets += 1;
-      ep->polling_bytes += bytes;
-    }
-  };
-  if (simu_ != nullptr) {
-    simu_->defer_control(std::move(bump));
-  } else {
-    bump();
+  if (Episode* ep = episode(probe_id)) {
+    ep->polling_packets += 1;
+    ep->polling_bytes += bytes;
   }
 }
 

@@ -21,14 +21,6 @@ namespace hawkeye::collect {
 /// records into MTU-sized report packets and attributes the data to the
 /// triggering episode. Collections on one switch are rate-limited so
 /// concurrent polling packets do not duplicate data.
-///
-/// Sharded-simulation contract: all per-switch state (last collect time,
-/// cached report, evicted records) is NodeId-indexed and only ever touched
-/// from the shard that owns that switch, so the snapshot hot path stays
-/// lock-free. Episode state is shared across shards, so every episode
-/// mutation goes through Simulator::defer_control — executed inline in
-/// exclusive contexts (unsharded runs, sequential windows, barriers) and
-/// deferred to the deterministic round barrier during parallel rounds.
 class Collector {
  public:
   struct Config {
@@ -54,8 +46,7 @@ class Collector {
   /// With a simulator attached, register snapshots happen
   /// `config().snapshot_delay` after the mirror (asynchronous CPU read);
   /// without one they are taken synchronously (unit-test convenience).
-  /// On a sharded simulator this also arms the per-round dedup lanes.
-  void attach_simulator(sim::Simulator& simu);
+  void attach_simulator(sim::Simulator& simu) { simu_ = &simu; }
 
   /// Install the fault-injection substrate (nullptr => fault-free). DMA
   /// snapshot failures and stale reads are decided here, at the point the
@@ -68,8 +59,7 @@ class Collector {
   /// pointer for full-network polling.
   void register_switch(device::Switch& sw);
 
-  /// Begin an episode (called by the detection agent on trigger; exclusive
-  /// context only — callers defer through the control lane when sharded).
+  /// Begin an episode (called by the detection agent on trigger).
   Episode& open_episode(std::uint64_t probe_id, const net::FiveTuple& victim,
                         sim::Time now);
 
@@ -121,10 +111,6 @@ class Collector {
   void do_collect(device::Switch& sw, std::uint64_t probe_id, sim::Time now,
                   sim::Time mirror);
 
-  /// True if a commit for (probe, sw) is already staged on the current
-  /// shard's lane this round (parallel rounds only). Records when absent.
-  bool stage_pending(std::uint64_t probe_id, net::NodeId id);
-
   /// Add one switch report's bytes to `e`'s overhead accounting: `filtered`
   /// batched into MTU-sized CPU report packets, `raw` into PHV-sized
   /// data-plane export packets.
@@ -138,16 +124,11 @@ class Collector {
   std::vector<std::uint64_t> order_;
   std::vector<device::Switch*> switches_;
   std::atomic<std::uint64_t> snapshot_requests_{0};
-  // Per-switch snapshot cache, NodeId-indexed (only the owning shard reads
-  // or writes slot `id`, so no synchronization is needed). last_collect_
-  // uses -1 as the "never collected" sentinel.
+  // Per-switch snapshot cache, NodeId-indexed. last_collect_ uses -1 as the
+  // "never collected" sentinel.
   std::vector<sim::Time> last_collect_;
   std::vector<telemetry::SwitchTelemetryReport> last_report_;
   std::vector<std::vector<telemetry::FlowRecord>> evicted_;
-  // Per-shard (probe, switch) commits staged this round; cleared by the
-  // round hook. Empty (and unused) on unsharded simulators, where
-  // defer_control commits inline and has_report alone dedups.
-  std::vector<std::vector<std::pair<std::uint64_t, net::NodeId>>> pending_;
 };
 
 }  // namespace hawkeye::collect

@@ -15,9 +15,6 @@ DetectionAgent::DetectionAgent(device::Network& net,
       routing_(routing),
       collector_(collector),
       cfg_(cfg),
-      lanes_(net.simu().sharded()
-                 ? static_cast<std::size_t>(net.simu().control_shard()) + 1
-                 : 1),
       probe_seq_(net.topo().node_count() + 1, 0) {}
 
 void DetectionAgent::attach(device::Host& host) {
@@ -31,16 +28,7 @@ void DetectionAgent::attach(device::Host& host) {
 void DetectionAgent::start() {
   if (scanning_) return;
   scanning_ = true;
-  // The scan walks every host's flow table: control-shard event, so the
-  // whole lookahead window it lands in runs sequentially (exclusive).
-  net_.simu().schedule_at_on(net_.simu().control_shard(),
-                             net_.simu().now() + cfg_.stall_scan_period,
-                             [this]() { stall_scan(); });
-}
-
-std::size_t DetectionAgent::trigger_lane(net::NodeId src) const {
-  if (lanes_.size() == 1 || src < 0) return 0;
-  return static_cast<std::size_t>(net_.shard_of(src));
+  net_.simu().schedule(cfg_.stall_scan_period, [this]() { stall_scan(); });
 }
 
 std::uint64_t DetectionAgent::alloc_probe_id(net::NodeId src) {
@@ -52,26 +40,22 @@ std::uint64_t DetectionAgent::alloc_probe_id(net::NodeId src) {
 
 DetectionAgent::Baseline DetectionAgent::baseline(
     const net::FiveTuple& flow) const {
-  Lane& lane = lanes_[lanes_.size() == 1
-                          ? 0
-                          : static_cast<std::size_t>(
-                                net_.simu().current_shard())];
   // Baselines are a function of the flow's current route; a routing epoch
   // bump (reconvergence after a link flap) invalidates every memoized
   // value. Epoch 0 runs never take this branch, so the fault-free event
   // stream is untouched.
-  if (routing_.epoch() != lane.baseline_epoch) {
-    lane.baseline_cache.clear();
-    lane.baseline_epoch = routing_.epoch();
+  if (routing_.epoch() != baseline_epoch_) {
+    baseline_cache_.clear();
+    baseline_epoch_ = routing_.epoch();
   }
-  if (const auto it = lane.baseline_cache.find(flow);
-      it != lane.baseline_cache.end()) {
+  if (const auto it = baseline_cache_.find(flow);
+      it != baseline_cache_.end()) {
     return it->second;
   }
   // The cache is pure memoization of a deterministic function of topology
   // and route, so dropping it wholesale at the cap only costs recomputation.
-  if (lane.baseline_cache.size() >= cfg_.baseline_cache_cap) {
-    lane.baseline_cache.clear();
+  if (baseline_cache_.size() >= cfg_.baseline_cache_cap) {
+    baseline_cache_.clear();
   }
   Baseline b;
   Time one_way = 0;
@@ -85,7 +69,7 @@ DetectionAgent::Baseline DetectionAgent::baseline(
     ++b.hops;
   }
   b.rtt = std::max<Time>(2 * one_way, sim::us(1));
-  lane.baseline_cache[flow] = b;
+  baseline_cache_[flow] = b;
   return b;
 }
 
@@ -131,42 +115,34 @@ void DetectionAgent::stall_scan() {
 }
 
 void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
-  const net::NodeId src = net::Topology::node_of_ip(victim.src_ip);
-  Lane& lane = lanes_[trigger_lane(src)];
-  if (const auto it = lane.last_trigger.find(victim);
-      it != lane.last_trigger.end() &&
+  if (const auto it = last_trigger_.find(victim);
+      it != last_trigger_.end() &&
       now - it->second < cfg_.flow_dedup_interval) {
     return;
   }
   // Entries past the dedup interval are semantically absent (the find above
   // treats them as expired), so age-pruning at the cap changes nothing.
-  if (lane.last_trigger.size() >= cfg_.trigger_cache_cap) {
-    for (auto it = lane.last_trigger.begin();
-         it != lane.last_trigger.end();) {
+  if (last_trigger_.size() >= cfg_.trigger_cache_cap) {
+    for (auto it = last_trigger_.begin(); it != last_trigger_.end();) {
       if (now - it->second >= cfg_.flow_dedup_interval) {
-        it = lane.last_trigger.erase(it);
+        it = last_trigger_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  lane.last_trigger[victim] = now;
+  last_trigger_[victim] = now;
 
-  const std::uint64_t probe_id = alloc_probe_id(src);
+  const std::uint64_t probe_id =
+      alloc_probe_id(net::Topology::node_of_ip(victim.src_ip));
   triggers_.fetch_add(1, std::memory_order_relaxed);
-  // Episode state is shared across shards: open it (and derive the
-  // coverage contract) on the control lane. The deferred closure runs
-  // inline when the context is already exclusive, so unsharded runs are
-  // byte-identical to the pre-shard behaviour.
-  net_.simu().defer_control([this, victim, probe_id, now]() {
-    Episode& ep = collector_.open_episode(probe_id, victim, now);
-    // The victim route is the coverage contract: these are the switches the
-    // collection must hear from for the diagnosis to be trustworthy. The
-    // routing epoch is stamped alongside so a mid-episode reconvergence is
-    // detectable (the coverage check re-derives the contract on mismatch).
-    ep.expected_switches = routing_.switches_on_path(victim);
-    ep.routing_epoch = routing_.epoch();
-  });
+  Episode& ep = collector_.open_episode(probe_id, victim, now);
+  // The victim route is the coverage contract: these are the switches the
+  // collection must hear from for the diagnosis to be trustworthy. The
+  // routing epoch is stamped alongside so a mid-episode reconvergence is
+  // detectable (the coverage check re-derives the contract on mismatch).
+  ep.expected_switches = routing_.switches_on_path(victim);
+  ep.routing_epoch = routing_.epoch();
 
   if (cfg_.max_repolls > 0) {
     schedule_coverage_check(probe_id, 0, cfg_.repoll_timeout);
@@ -232,13 +208,9 @@ void DetectionAgent::emit_targeted_poll(const Episode& ep,
 void DetectionAgent::schedule_coverage_check(std::uint64_t probe_id,
                                              std::uint32_t attempt,
                                              Time timeout) {
-  // Coverage checks mutate episode state and may inject re-polls from
-  // arbitrary fabric nodes: control-shard events (exclusive windows).
-  net_.simu().schedule_at_on(net_.simu().control_shard(),
-                             net_.simu().now() + timeout,
-                             [this, probe_id, attempt, timeout]() {
-                               coverage_check(probe_id, attempt, timeout);
-                             });
+  net_.simu().schedule(timeout, [this, probe_id, attempt, timeout]() {
+    coverage_check(probe_id, attempt, timeout);
+  });
 }
 
 void DetectionAgent::coverage_check(std::uint64_t probe_id,

@@ -18,14 +18,9 @@ namespace hawkeye::collect {
 /// case, where no RTT sample can exist) — it emits a polling packet
 /// carrying the victim 5-tuple and opens a diagnosis episode.
 ///
-/// Sharded-simulation contract: one logical agent object still models the
-/// per-host agents, but its mutable caches are split into per-shard lanes
-/// (a host's RTT callback runs on that host's shard) and probe ids are
-/// allocated per source host — (node+1) << 32 | per-host counter — so ids
-/// are unique without cross-shard coordination and independent of shard
-/// count. Episode bookkeeping is shared state and goes through
-/// Simulator::defer_control; the periodic stall scan and the coverage
-/// checks run as control-shard events (exclusive access by construction).
+/// One logical agent object models the per-host agents; probe ids are
+/// allocated per source host — (node+1) << 32 | per-host counter — as
+/// each host's agent would number its own probes.
 class DetectionAgent {
  public:
   struct Config {
@@ -84,8 +79,7 @@ class DetectionAgent {
 
     /// Bounds for the per-flow trigger-dedup and baseline-RTT caches: the
     /// agent outlives any single episode, so without a cap a long-running
-    /// host with ephemeral ports grows these maps forever. Applied per
-    /// shard lane (the unsharded runs have exactly one lane).
+    /// host with ephemeral ports grows these maps forever.
     std::size_t trigger_cache_cap = std::size_t{1} << 16;
     std::size_t baseline_cache_cap = std::size_t{1} << 16;
   };
@@ -99,24 +93,17 @@ class DetectionAgent {
   void attach(device::Host& host);
 
   /// Start the periodic stall scan (idempotent). The scan reads every
-  /// host's flow table, so on a sharded simulator it runs as a
-  /// control-shard event.
+  /// host's flow table.
   void start();
 
   /// Install the fault-injection substrate (nullptr => fault-free). The
   /// agent only consumes RTT jitter; everything else acts on the fabric.
   void set_fault_injector(fault::FaultInjector* f) { faults_ = f; }
 
-  /// Cache sizes summed over shard lanes (tests assert the bounds hold).
-  std::size_t trigger_cache_entries() const {
-    std::size_t n = 0;
-    for (const Lane& l : lanes_) n += l.last_trigger.size();
-    return n;
-  }
+  /// Cache sizes (tests assert the bounds hold).
+  std::size_t trigger_cache_entries() const { return last_trigger_.size(); }
   std::size_t baseline_cache_entries() const {
-    std::size_t n = 0;
-    for (const Lane& l : lanes_) n += l.baseline_cache.size();
-    return n;
+    return baseline_cache_.size();
   }
 
   /// Unloaded baseline RTT of a flow: propagation + store-and-forward
@@ -134,10 +121,6 @@ class DetectionAgent {
   }
 
  private:
-  /// Per-shard mutable caches. The baseline cache is pure memoization and
-  /// is indexed by the *executing* shard; the trigger-dedup map is indexed
-  /// by the victim source host's shard so the RTT path and the (exclusive)
-  /// stall scan agree on which lane owns a flow.
   /// Memoized unloaded-RTT baseline plus the one-way hop count it was
   /// derived from (the hop count scales the noise-headroom calibration).
   struct Baseline {
@@ -145,23 +128,13 @@ class DetectionAgent {
     std::uint32_t hops = 0;
   };
 
-  struct Lane {
-    std::unordered_map<net::FiveTuple, sim::Time> last_trigger;
-    std::unordered_map<net::FiveTuple, Baseline> baseline_cache;
-    /// Routing epoch the baseline cache was filled under; a mismatch with
-    /// routing_.epoch() (reconvergence happened) flushes the cache.
-    std::uint64_t baseline_epoch = 0;
-  };
-
   Baseline baseline(const net::FiveTuple& flow) const;
   void on_rtt(const net::FiveTuple& flow, sim::Time rtt, sim::Time now);
   void stall_scan();
   void trigger(const net::FiveTuple& victim, sim::Time now);
-  /// Shard-count-independent probe id: (src host node + 1) << 32 | per-host
-  /// sequence number. `src` may be kInvalidNode (unit tests); those draws
+  /// Probe id: (src host node + 1) << 32 | per-host sequence number. `src` may be kInvalidNode (unit tests); those draws
   /// use the overflow slot past the last real node.
   std::uint64_t alloc_probe_id(net::NodeId src);
-  std::size_t trigger_lane(net::NodeId src) const;
   void emit_poll(const net::FiveTuple& victim, std::uint64_t probe_id);
   void emit_targeted_poll(const Episode& ep, std::uint64_t probe_id);
   void schedule_coverage_check(std::uint64_t probe_id, std::uint32_t attempt,
@@ -174,9 +147,13 @@ class DetectionAgent {
   Collector& collector_;
   Config cfg_;
   std::vector<device::Host*> hosts_;
-  mutable std::vector<Lane> lanes_;
-  /// Last-seen per-flow retransmit counters (retx_trigger_pkts > 0 only).
-  /// Touched exclusively by the control-shard stall scan.
+  std::unordered_map<net::FiveTuple, sim::Time> last_trigger_;
+  mutable std::unordered_map<net::FiveTuple, Baseline> baseline_cache_;
+  /// Routing epoch the baseline cache was filled under; a mismatch with
+  /// routing_.epoch() (reconvergence happened) flushes the cache.
+  mutable std::uint64_t baseline_epoch_ = 0;
+  /// Last-seen per-flow retransmit counters (retx_trigger_pkts > 0 only),
+  /// read and written by the stall scan.
   std::unordered_map<net::FiveTuple, std::uint32_t> retx_seen_;
   std::vector<std::uint64_t> probe_seq_;  // per source host, +1 overflow slot
   fault::FaultInjector* faults_ = nullptr;

@@ -28,19 +28,14 @@ void HawkeyeSwitchAgent::forward(device::Switch& sw, Packet pkt, PortId out,
   sw.send_control(out, std::move(pkt));
 }
 
-void HawkeyeSwitchAgent::prune_dedup(Lane& lane, sim::Time now) {
-  for (auto it = lane.begin(); it != lane.end();) {
+void HawkeyeSwitchAgent::prune_dedup(sim::Time now) {
+  for (auto it = dedup_.begin(); it != dedup_.end();) {
     if (now - it->second.at >= cfg_.poll_dedup_interval) {
-      it = lane.erase(it);
+      it = dedup_.erase(it);
     } else {
       ++it;
     }
   }
-}
-
-HawkeyeSwitchAgent::Lane& HawkeyeSwitchAgent::lane_of(device::Switch& sw) {
-  if (lanes_.size() == 1) return lanes_[0];
-  return lanes_[static_cast<std::size_t>(sw.network().shard_of(sw.id()))];
 }
 
 void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
@@ -56,10 +51,9 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   // multicast loops on deadlock cycles.
   const std::uint64_t key = dedup_key(sw.id(), pkt.victim);
   const auto flag_bits = static_cast<std::uint8_t>(pkt.poll_flag);
-  Lane& lane = lane_of(sw);
   // Bound the dedup state before taking a reference into it.
-  if (lane.size() >= cfg_.dedup_cache_cap) prune_dedup(lane, now);
-  Seen& seen = lane[key];
+  if (dedup_.size() >= cfg_.dedup_cache_cap) prune_dedup(now);
+  Seen& seen = dedup_[key];
   if (seen.at != 0 && now - seen.at < cfg_.poll_dedup_interval &&
       (flag_bits & ~seen.flags) == 0) {
     sim::Logger::debug("poll sw%d victim=%s dedup-drop", sw.id(),

@@ -26,13 +26,6 @@ namespace hawkeye::collect {
 ///
 /// Per-victim dedup bounds the work and, critically, terminates the
 /// multicast when the PFC spreading path is a deadlock cycle.
-///
-/// Sharded-simulation contract: the dedup map is split into per-shard
-/// lanes indexed by the *switch's* owning shard — on_polling for a switch
-/// executes either on that shard (normal packet arrival) or inside an
-/// exclusive window (control-shard injected probes), so each lane is
-/// single-threaded. Call prepare() once, after the simulator is sharded
-/// and before the run, to size the lanes; unsharded runs keep one lane.
 class HawkeyeSwitchAgent : public device::PollingHandler {
  public:
   struct Config {
@@ -41,7 +34,7 @@ class HawkeyeSwitchAgent : public device::PollingHandler {
     /// false => the "victim-only" baseline of §4.2/§4.3: polling packets
     /// never leave the victim flow path.
     bool trace_pfc_causality = true;
-    /// Dedup-state bound: once a lane holds this many (switch, victim)
+    /// Dedup-state bound: once the map holds this many (switch, victim)
     /// entries, entries older than `poll_dedup_interval` are evicted before
     /// inserting. Stale entries are semantically absent (a fresh round
     /// resets their scope anyway), so pruning never changes behaviour; it
@@ -52,44 +45,30 @@ class HawkeyeSwitchAgent : public device::PollingHandler {
   explicit HawkeyeSwitchAgent(Collector& collector)
       : HawkeyeSwitchAgent(collector, Config{}) {}
   HawkeyeSwitchAgent(Collector& collector, const Config& cfg)
-      : collector_(collector), cfg_(cfg), lanes_(1) {}
-
-  /// Pre-size the dedup lanes for a sharded run (one per calendar). Lazy
-  /// growth would be a cross-thread resize race, so it is explicit.
-  void prepare(std::size_t lanes) {
-    lanes_.resize(std::max<std::size_t>(1, lanes));
-  }
+      : collector_(collector), cfg_(cfg) {}
 
   void on_polling(device::Switch& sw, const net::Packet& pkt,
                   net::PortId in_port) override;
 
-  /// Live dedup-cache entries summed over lanes (tests assert the bound
-  /// holds per lane).
-  std::size_t dedup_entries() const {
-    std::size_t n = 0;
-    for (const auto& lane : lanes_) n += lane.size();
-    return n;
-  }
+  /// Live dedup-cache entries (tests assert the bound holds).
+  std::size_t dedup_entries() const { return dedup_.size(); }
 
  private:
   struct Seen {
     sim::Time at = 0;
     std::uint8_t flags = 0;  // union of flag bits already processed
   };
+  void forward(device::Switch& sw, net::Packet pkt, net::PortId out,
+               net::PollingFlag flag);
+  void prune_dedup(sim::Time now);
+
+  Collector& collector_;
+  Config cfg_;
   /// (switch, victim-tuple-hash) -> last polling time + scope. A packet is
   /// deduplicated only if every tracing bit it carries was already handled
   /// here recently — a victim-path packet must not be dropped because a
   /// PFC-causality clone raced ahead of it.
-  using Lane = std::unordered_map<std::uint64_t, Seen>;
-
-  void forward(device::Switch& sw, net::Packet pkt, net::PortId out,
-               net::PollingFlag flag);
-  void prune_dedup(Lane& lane, sim::Time now);
-  Lane& lane_of(device::Switch& sw);
-
-  Collector& collector_;
-  Config cfg_;
-  std::vector<Lane> lanes_;
+  std::unordered_map<std::uint64_t, Seen> dedup_;
 };
 
 }  // namespace hawkeye::collect

@@ -10,10 +10,7 @@ namespace hawkeye::device {
 Network::Network(sim::Simulator& simu, const net::Topology& topo)
     : simu_(simu),
       topo_(topo),
-      devices_(topo.node_count(), nullptr),
-      pfc_traces_(1),
-      slabs_(1),
-      counters_(1) {
+      devices_(topo.node_count(), nullptr) {
   port_base_.reserve(topo.node_count() + 1);
   port_base_.push_back(0);
   for (std::size_t n = 0; n < topo.node_count(); ++n) {
@@ -79,37 +76,13 @@ void Network::deliver(net::NodeId from, net::PortId port, net::Packet pkt,
       return;
     }
   }
-  const int dst_shard = shard_of(peer.node);
-  if (simu_.sharded() && dst_shard != simu_.current_shard()) {
-    // Pod-boundary hop: the arrival must execute on the destination's
-    // shard, so the packet travels by value inside the deferred closure
-    // (InlineAction's heap fallback — off the per-shard hot path) and the
-    // simulator's mailbox merge assigns its canonical key at the round
-    // barrier. The link delay (>= the configured lookahead) guarantees the
-    // arrival lands beyond the current horizon.
-    auto arrive_remote = [this, dst, p = std::move(pkt), in = peer.port,
-                          from]() mutable {
-      if (faults_ != nullptr &&
-          faults_->link_down(from, dst->id(), simu_.now())) {
-        count_drop(DropReason::kLinkDown);
-        faults_->note_link_drop(from, dst->id(), p, simu_.now());
-        return;
-      }
-      dst->receive(std::move(p), in);
-    };
-    simu_.schedule_on(dst_shard, ser_ns + link.delay_ns,
-                      std::move(arrive_remote));
-    return;
-  }
-  // Same-shard hop: the packet is parked in the shard's slab so the arrival
-  // closure captures only {this, dst, slot, slab, in_port, from} — small
-  // enough for the simulator's inline event storage. This is the hottest
-  // event in every run (one per packet per hop); the static_assert keeps it
-  // allocation-free.
-  const auto slab = static_cast<std::uint32_t>(simu_.current_shard());
-  const std::uint32_t slot = park_packet(slabs_[slab], std::move(pkt));
-  auto arrive = [this, dst, slot, slab, in = peer.port, from]() {
-    net::Packet p = unpark_packet(slabs_[slab], slot);
+  // The packet is parked in the slab so the arrival closure captures only
+  // {this, dst, slot, in_port, from} — small enough for the simulator's
+  // inline event storage. This is the hottest event in every run (one per
+  // packet per hop); the static_assert keeps it allocation-free.
+  const std::uint32_t slot = park_packet(std::move(pkt));
+  auto arrive = [this, dst, slot, in = peer.port, from]() {
+    net::Packet p = unpark_packet(slot);
     // Arrival-edge of a flap: the link died while the packet was in flight.
     if (faults_ != nullptr &&
         faults_->link_down(from, dst->id(), simu_.now())) {
@@ -152,11 +125,7 @@ void Network::schedule_reconvergence(net::Routing& routing) {
         };
         static_assert(sim::InlineAction::fits_inline<decltype(withdraw)>(),
                       "reconvergence closure must stay inside the event SBO");
-        // Routing mutation + cross-device queue flushes touch state on
-        // every shard: run on the control shard, whose events force the
-        // whole lookahead window sequential (exclusive access).
-        simu_.schedule_at_on(simu_.control_shard(), withdraw_at,
-                             std::move(withdraw));
+        simu_.schedule_at(withdraw_at, std::move(withdraw));
       }
       auto restore = [this, rt, a = f.a, b = f.b, pa, pb]() {
         if (faults_->link_down(a, b, simu_.now())) return;  // down again
@@ -165,8 +134,7 @@ void Network::schedule_reconvergence(net::Routing& routing) {
       };
       static_assert(sim::InlineAction::fits_inline<decltype(restore)>(),
                     "reconvergence closure must stay inside the event SBO");
-      simu_.schedule_at_on(simu_.control_shard(),
-                           w.t1 + f.restore_holddown_ns, std::move(restore));
+      simu_.schedule_at(w.t1 + f.restore_holddown_ns, std::move(restore));
     }
   }
 }

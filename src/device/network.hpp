@@ -1,9 +1,8 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -90,24 +89,6 @@ class Network {
   sim::Simulator& simu() { return simu_; }
   const net::Topology& topo() const { return topo_; }
 
-  /// Install the node -> shard partition (sharded simulator mode). One slab
-  /// and one PFC-trace lane per calendar (device shards + control) so the
-  /// per-hop hot path stays lock-free: each lane is only ever touched by
-  /// the shard that owns it.
-  void set_shard_map(std::vector<int> node_shard) {
-    node_shard_ = std::move(node_shard);
-    const std::size_t lanes =
-        static_cast<std::size_t>(simu_.control_shard()) + 1;
-    slabs_.resize(std::max<std::size_t>(1, lanes));
-    pfc_traces_.resize(std::max<std::size_t>(1, lanes));
-    counters_.resize(std::max<std::size_t>(1, lanes));
-  }
-  /// Shard owning `n`'s device (0 when unsharded).
-  int shard_of(net::NodeId n) const {
-    return node_shard_.empty() ? 0
-                               : node_shard_[static_cast<std::size_t>(n)];
-  }
-
   void attach(Device* dev) { devices_.at(static_cast<size_t>(dev->id())) = dev; }
   Device* device(net::NodeId n) const {
     return devices_.at(static_cast<size_t>(n));
@@ -153,44 +134,20 @@ class Network {
   /// so concurrent sweep runs never share state and a run's ids do not
   /// depend on what ran before it in the same process. Atomic because
   /// baselines may allocate at runtime; all testbed flows allocate at
-  /// setup time, so ids are shard-count independent.
+  /// setup time, in setup-call order.
   std::uint64_t alloc_flow_id() {
     return next_flow_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Logged from the emitting device's shard into a per-shard lane (no
-  /// cross-shard contention on the hot PFC path).
-  void log_pfc(const PfcEvent& ev) {
-    pfc_traces_[static_cast<std::size_t>(simu_.current_shard())].push_back(ev);
-  }
-  /// Merged trace, time-sorted (stable across same-time events within one
-  /// lane; cross-lane same-time order is lane order — the ground-truth
-  /// consumers only aggregate per (node, port), never order-compare).
-  std::vector<PfcEvent> pfc_trace() const {
-    if (pfc_traces_.size() == 1) return pfc_traces_[0];
-    std::vector<PfcEvent> merged;
-    std::size_t total = 0;
-    for (const auto& lane : pfc_traces_) total += lane.size();
-    merged.reserve(total);
-    for (const auto& lane : pfc_traces_) {
-      merged.insert(merged.end(), lane.begin(), lane.end());
-    }
-    std::stable_sort(
-        merged.begin(), merged.end(),
-        [](const PfcEvent& a, const PfcEvent& b) { return a.t < b.t; });
-    return merged;
-  }
+  void log_pfc(const PfcEvent& ev) { pfc_trace_.push_back(ev); }
+  /// Every PAUSE and RESUME frame sent, in send order (time-sorted).
+  const std::vector<PfcEvent>& pfc_trace() const { return pfc_trace_; }
 
   void count_drop(DropReason reason) {
-    ++counters_[static_cast<std::size_t>(simu_.current_shard())]
-          .drops[static_cast<std::size_t>(reason)];
+    ++drops_[static_cast<std::size_t>(reason)];
   }
   std::uint64_t drops(DropReason reason) const {
-    std::uint64_t total = 0;
-    for (const CounterLane& lane : counters_) {
-      total += lane.drops[static_cast<std::size_t>(reason)];
-    }
-    return total;
+    return drops_[static_cast<std::size_t>(reason)];
   }
   /// Pathological drops only — what "lossless" must keep at zero even
   /// while polling packets are being intentionally discarded. Injected
@@ -206,42 +163,34 @@ class Network {
   std::uint64_t pfc_loss_drops() const { return drops(DropReason::kPfcLoss); }
   std::uint64_t crc_drops() const { return drops(DropReason::kCrc); }
 
-  void count_data_hop() {
-    ++counters_[static_cast<std::size_t>(simu_.current_shard())].data_hops;
-  }
+  void count_data_hop() { ++data_hops_; }
   /// Total (packet, switch-hop) pairs — NetSight postcard accounting.
-  std::uint64_t data_hops() const {
-    std::uint64_t total = 0;
-    for (const CounterLane& lane : counters_) total += lane.data_hops;
-    return total;
-  }
+  std::uint64_t data_hops() const { return data_hops_; }
 
  private:
-  /// Per-shard in-flight packet arena. The slab exists so the same-shard
-  /// delivery closure captures a 4-byte slot index instead of the whole
-  /// ~96-byte net::Packet — keeping the per-hop event inside
-  /// sim::InlineAction's inline buffer (no heap allocation per packet hop).
-  /// Slots are recycled through a free list, so a slab grows only to its
-  /// shard's in-flight high-water mark. Cross-shard hops (pod boundary)
-  /// instead carry the packet by value inside the deferred closure, so no
-  /// slab is ever touched from a foreign shard.
+  /// In-flight packet arena. The slab exists so the delivery closure
+  /// captures a 4-byte slot index instead of the whole ~96-byte
+  /// net::Packet — keeping the per-hop event inside sim::InlineAction's
+  /// inline buffer (no heap allocation per packet hop). Slots are recycled
+  /// through a free list, so the slab grows only to the run's in-flight
+  /// high-water mark.
   struct Slab {
     std::vector<net::Packet> in_flight;
     std::vector<std::uint32_t> free_slots;
   };
-  std::uint32_t park_packet(Slab& slab, net::Packet&& pkt) {
-    if (slab.free_slots.empty()) {
-      slab.in_flight.push_back(std::move(pkt));
-      return static_cast<std::uint32_t>(slab.in_flight.size() - 1);
+  std::uint32_t park_packet(net::Packet&& pkt) {
+    if (slab_.free_slots.empty()) {
+      slab_.in_flight.push_back(std::move(pkt));
+      return static_cast<std::uint32_t>(slab_.in_flight.size() - 1);
     }
-    const std::uint32_t slot = slab.free_slots.back();
-    slab.free_slots.pop_back();
-    slab.in_flight[slot] = std::move(pkt);
+    const std::uint32_t slot = slab_.free_slots.back();
+    slab_.free_slots.pop_back();
+    slab_.in_flight[slot] = std::move(pkt);
     return slot;
   }
-  net::Packet unpark_packet(Slab& slab, std::uint32_t slot) {
-    net::Packet pkt = std::move(slab.in_flight[slot]);
-    slab.free_slots.push_back(slot);
+  net::Packet unpark_packet(std::uint32_t slot) {
+    net::Packet pkt = std::move(slab_.in_flight[slot]);
+    slab_.free_slots.push_back(slot);
     return pkt;
   }
 
@@ -254,19 +203,11 @@ class Network {
   std::vector<Wire> wires_;
   fault::FaultInjector* faults_ = nullptr;
   std::vector<Device*> devices_;
-  std::vector<int> node_shard_;             // empty => unsharded
-  std::vector<std::vector<PfcEvent>> pfc_traces_;  // one lane per shard
-  std::vector<Slab> slabs_;                 // one arena per shard
+  std::vector<PfcEvent> pfc_trace_;
+  Slab slab_;
   std::atomic<std::uint64_t> next_flow_id_{1};
-  /// Per-shard hop/drop accounting lane — one cache line each, touched only
-  /// by the owning shard's worker on the per-hop hot path (an atomic here
-  /// would ping-pong one line between every core on every hop). Readers sum
-  /// the lanes between rounds, where the pool barrier orders the memory.
-  struct alignas(64) CounterLane {
-    std::uint64_t data_hops = 0;
-    std::array<std::uint64_t, kDropReasonCount> drops{};
-  };
-  std::vector<CounterLane> counters_;
+  std::uint64_t data_hops_ = 0;
+  std::array<std::uint64_t, kDropReasonCount> drops_{};
 };
 
 }  // namespace hawkeye::device

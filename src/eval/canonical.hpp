@@ -3,11 +3,8 @@
 // Canonical textual form of a RunResult. One line per run, every field
 // either integral or printed with %.17g (round-trip exact for IEEE
 // doubles), so string equality here IS bit-equality of the underlying
-// result. Shared by the golden-trace fixtures (tests/golden_test.cpp) and
-// the shard-identity suite (tests/shard_identity_test.cpp): both pin the
-// same serialization, so "N-shard output equals 1-shard output" and
-// "output equals the committed fixture" are statements about the same
-// bytes.
+// result. The golden-trace fixtures (tests/golden_test.cpp) and
+// tracebench's golden and repeat checks pin this serialization.
 
 #include <cstdio>
 #include <sstream>
@@ -60,9 +57,8 @@ inline std::string canonical_line(diagnosis::AnomalyType scenario,
 }
 
 /// canonical_line plus every other deterministic RunResult field: the
-/// verdict's lists and narrative, the overhead and health counters, the
-/// fleet evidence and the non-timing ShardStats counters. Only the shard
-/// timings are left out. The golden suite's parity tier pins this record,
+/// verdict's lists and narrative, the overhead and health counters and the
+/// fleet evidence. The golden suite's parity tier pins this record,
 /// so a refactor that changes anything run_one reports fails there. The
 /// narrative is last and quoted: it is the one free-text field.
 inline std::string canonical_record(diagnosis::AnomalyType scenario,
@@ -82,7 +78,6 @@ inline std::string canonical_record(diagnosis::AnomalyType scenario,
     return list(v, [](const net::PortRef& p) { return net::to_string(p); });
   };
   const diagnosis::DiagnosisResult& dx = r.dx;
-  const sim::Simulator::ShardStats& ss = r.shard_stats;
   const fault::FleetEvidence& fe = r.fleet_evidence;
   std::ostringstream os;
   os << canonical_line(scenario, seed, r)                                 //
@@ -112,10 +107,6 @@ inline std::string canonical_record(diagnosis::AnomalyType scenario,
      << " retransmissions=" << r.retransmissions                          //
      << " rate_limited_pkts=" << r.rate_limited_pkts                      //
      << " host_drain_delayed=" << r.host_drain_delayed                    //
-     << " shard_rounds=" << ss.parallel_rounds << '/'                     //
-     << ss.sequential_windows << '/' << ss.sequential_events << '/'       //
-     << ss.merged_records << '/' << ss.deferred_schedules << '/'          //
-     << ss.deferred_controls                                              //
      << " fleet_links="
      << list(fe.links,
              [](const fault::LinkCounterEvidence& l) {

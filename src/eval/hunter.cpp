@@ -145,7 +145,6 @@ RunConfig sample_trial(const HuntOptions& o, int trial) {
       rng.uniform_int(0, std::size(kScenarioPool) - 1))];
   cfg.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1000000));
   cfg.fat_tree_k = o.ks.empty() ? 4 : pick_vec(rng, o.ks);
-  cfg.shards = o.shard_choices.empty() ? 1 : pick_vec(rng, o.shard_choices);
   cfg.background_load = pick(rng, {0.0, 0.05, 0.1, 0.2, 0.3});
   cfg.threshold_factor = pick(rng, {2.0, 3.0, 4.0});
   if (diagnosis::is_fleet_fault(cfg.scenario)) {
@@ -220,7 +219,6 @@ class Shrinker {
   void run() {
     // Structural passes first (cheap, large reductions), then flow
     // dropping, then numeric severity — classic ddmin ordering.
-    try_set([](RunConfig& c) { c.shards = 1; });
     try_set([](RunConfig& c) { c.background_load = 0.0; });
     try_set([](RunConfig& c) { c.threshold_factor = 3.0; });
     shrink_fault_lists();
@@ -420,16 +418,12 @@ HuntVerdictClass classify_verdict(const RunResult& r, double tau) {
 HuntReport run_hunt_campaign(const HuntOptions& opts) {
   HuntReport rep;
   std::ostringstream log;
-  std::string ks_str, sh_str;
+  std::string ks_str;
   for (const int k : opts.ks) {
     ks_str += (ks_str.empty() ? "" : ",") + std::to_string(k);
   }
-  for (const int s : opts.shard_choices) {
-    sh_str += (sh_str.empty() ? "" : ",") + std::to_string(s);
-  }
   log << "hunt seed=" << opts.seed << " budget=" << opts.budget
-      << " tau=" << canonical_double(opts.tau) << " ks=" << ks_str
-      << " shards=" << sh_str << '\n';
+      << " tau=" << canonical_double(opts.tau) << " ks=" << ks_str << '\n';
 
   std::vector<std::string> seen_signatures;
   std::vector<std::uint64_t> written_fps;

@@ -50,9 +50,8 @@ struct HuntOptions {
   double tau = 0.9;
   bool shrink = true;
   int max_shrink_evals = 96;  ///< Per find.
-  /// Fabric scales and shard counts sampled per trial.
+  /// Fabric scales sampled per trial.
   std::vector<int> ks = {4};
-  std::vector<int> shard_choices = {1};
   /// Stop collecting after this many finds (sampling still runs to budget
   /// so the campaign log stays a pure function of seed + budget).
   int max_finds = 32;

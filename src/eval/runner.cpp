@@ -225,9 +225,6 @@ Testbed::Options testbed_options(const RunConfig& cfg,
   opts.agent_cfg.full_polling =
       cfg.method == Method::kFullPolling || cfg.method == Method::kNetSight;
   opts.switch_agent_cfg.trace_pfc_causality = cfg.method == Method::kHawkeye;
-  // Full-polling-style methods snapshot every switch from the trigger event
-  // itself — inherently global, so they keep the single-calendar path.
-  opts.shards = opts.agent_cfg.full_polling ? 1 : cfg.shards;
   if (spec.faults) {
     // Self-healing collection budget, for configured faults and for
     // fleet-ops faults the scenario crafted itself alike — a CRC-degraded
@@ -253,7 +250,6 @@ void record_fabric(Testbed& tb, const workload::ScenarioSpec& spec,
                    const std::vector<net::PortRef>& install_path,
                    RunResult& out) {
   out.sim_events = tb.simu.executed_events();
-  out.shard_stats = tb.simu.shard_stats();
   out.drops = tb.net.data_drops();
   out.polling_drops = tb.net.polling_drops();
   out.pfc_loss_drops = tb.net.pfc_loss_drops();

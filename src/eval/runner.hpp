@@ -45,13 +45,9 @@ struct RunConfig {
   double background_load = 0.1;
   /// Fabric scale (k pods, k^2/4 core switches, k^3/4 hosts).
   int fat_tree_k = 4;
-  /// Intra-run parallel simulation: device shards for the event calendar
-  /// (1 = seed single-calendar path). Results are bitwise identical for
-  /// every value — the sharded simulator executes the same canonical event
-  /// order. Methods that fan collection out from a trigger event
-  /// (full-polling, NetSight) are clamped to 1 shard: their trigger-time
-  /// collect_all touches every switch from one event, which has no
-  /// shard-local formulation.
+  /// Read only by tracebench/; deleted when tracebench's replay moves onto
+  /// eval::Run (ROADMAP). Every run uses one event calendar; the case-file
+  /// codec still reads and writes `shards=` so older cases parse.
   int shards = 1;
 
   /// Collection-pipeline faults (robustness sweep). Disabled by default;
@@ -105,9 +101,6 @@ struct RunResult {
   std::vector<net::NodeId> collected;  // switches in the episode
 
   std::uint64_t sim_events = 0;
-  /// Sharded-simulator execution profile (all zeros when shards == 1) —
-  /// the benches report shard-scaling efficiency from this decomposition.
-  sim::Simulator::ShardStats shard_stats;
   /// Pathological drops (data/headroom) — zero on a healthy PFC fabric
   /// even while polling packets are intentionally discarded.
   std::uint64_t drops = 0;

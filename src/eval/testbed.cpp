@@ -4,61 +4,19 @@
 
 namespace hawkeye::eval {
 
-namespace {
-/// Spatial partition for sharded runs: whole pods (hosts + edge + agg
-/// switches) stay together — every intra-pod hop is then shard-local and
-/// only pod-boundary (agg<->core) hops cross a mailbox. Cores are dealt
-/// round-robin.
-std::vector<int> fat_tree_shard_map(const net::FatTree& ft, int shards) {
-  std::vector<int> map(ft.topo.node_count(), 0);
-  const auto pods = static_cast<std::size_t>(ft.k);
-  const std::size_t hosts_per_pod = ft.hosts.size() / pods;
-  const std::size_t sw_per_pod = ft.edges.size() / pods;  // k/2
-  const auto s = static_cast<std::size_t>(shards);
-  for (std::size_t i = 0; i < ft.hosts.size(); ++i) {
-    map[static_cast<std::size_t>(ft.hosts[i])] =
-        static_cast<int>((i / hosts_per_pod) % s);
-  }
-  for (std::size_t i = 0; i < ft.edges.size(); ++i) {
-    map[static_cast<std::size_t>(ft.edges[i])] =
-        static_cast<int>((i / sw_per_pod) % s);
-  }
-  for (std::size_t i = 0; i < ft.aggs.size(); ++i) {
-    map[static_cast<std::size_t>(ft.aggs[i])] =
-        static_cast<int>((i / sw_per_pod) % s);
-  }
-  for (std::size_t i = 0; i < ft.cores.size(); ++i) {
-    map[static_cast<std::size_t>(ft.cores[i])] = static_cast<int>(i % s);
-  }
-  return map;
-}
-}  // namespace
-
 Testbed::Testbed(const Options& opts)
     : ft(net::build_fat_tree(opts.fat_tree_k, opts.link_gbps,
                              opts.link_delay_ns)),
       routing(ft.topo),
       net(simu, ft.topo),
       collector(opts.collector_cfg) {
-  if (opts.shards > 1) {
-    // Must precede every schedule AND every agent construction (the agents
-    // size their per-shard lanes from the simulator's shard layout).
-    simu.configure_shards(opts.shards, opts.link_delay_ns);
-    net.set_shard_map(fat_tree_shard_map(ft, opts.shards));
-  }
   collector.attach_simulator(simu);
   switch_agent =
       std::make_unique<collect::HawkeyeSwitchAgent>(collector,
                                                     opts.switch_agent_cfg);
-  switch_agent->prepare(
-      simu.sharded() ? static_cast<std::size_t>(simu.control_shard()) + 1 : 1);
   for (const net::NodeId sw : ft.topo.switches()) {
-    // Setup-time schedules from a device's constructor (telemetry epoch
-    // refresh etc.) must land on the shard that owns the device.
-    simu.with_setup_shard(net.shard_of(sw), [&] {
-      switches_.push_back(
-          std::make_unique<device::Switch>(net, routing, sw, opts.switch_cfg));
-    });
+    switches_.push_back(
+        std::make_unique<device::Switch>(net, routing, sw, opts.switch_cfg));
     if (opts.install_hawkeye) {
       switches_.back()->set_polling_handler(switch_agent.get());
       collector.register_switch(*switches_.back());
@@ -67,9 +25,7 @@ Testbed::Testbed(const Options& opts)
   agent = std::make_unique<collect::DetectionAgent>(net, routing, collector,
                                                     opts.agent_cfg);
   for (const net::NodeId h : ft.topo.hosts()) {
-    simu.with_setup_shard(net.shard_of(h), [&] {
-      hosts_.push_back(std::make_unique<device::Host>(net, h, opts.dcqcn));
-    });
+    hosts_.push_back(std::make_unique<device::Host>(net, h, opts.dcqcn));
     if (opts.install_hawkeye) agent->attach(*hosts_.back());
   }
   if (opts.install_hawkeye) agent->start();
@@ -130,11 +86,7 @@ device::Switch& Testbed::switch_at(net::NodeId id) {
 }
 
 std::uint64_t Testbed::add_flow(const device::FlowSpec& spec) {
-  // Flow-start events are setup-time schedules owned by the source host.
-  std::uint64_t id = 0;
-  simu.with_setup_shard(net.shard_of(spec.src),
-                        [&] { id = host(spec.src).add_flow(spec); });
-  return id;
+  return host(spec.src).add_flow(spec);
 }
 
 void Testbed::install(const workload::ScenarioSpec& spec) {
@@ -143,9 +95,7 @@ void Testbed::install(const workload::ScenarioSpec& spec) {
   }
   for (const auto& f : spec.flows) add_flow(f);
   for (const auto& inj : spec.injections) {
-    simu.with_setup_shard(net.shard_of(inj.host), [&] {
-      host(inj.host).inject_pfc(inj.start, inj.stop, inj.period, inj.quanta);
-    });
+    host(inj.host).inject_pfc(inj.start, inj.stop, inj.period, inj.quanta);
   }
   if (spec.faults) install_faults(*spec.faults);
 }

@@ -27,11 +27,8 @@ class Testbed {
     int fat_tree_k = 4;
     double link_gbps = 100.0;
     sim::Time link_delay_ns = 2'000;
-    /// Device shards for intra-run parallel simulation (PR 6). 1 keeps the
-    /// seed's single-calendar path (byte-identical to pre-shard builds);
-    /// N > 1 partitions devices by pod (cores round-robin) onto N calendars
-    /// plus a control calendar, with the link delay as the conservative
-    /// lookahead. Results are bitwise identical for every shard count.
+    /// Read only by tracebench/; deleted when tracebench's replay moves
+    /// onto eval::Run (ROADMAP). Every run uses one event calendar.
     int shards = 1;
     device::SwitchConfig switch_cfg;
     device::DcqcnParams dcqcn;

@@ -131,7 +131,7 @@ enum Site : std::uint64_t {
 /// Stable identity of a frame on the wire for the CRC draw: every scheduled
 /// attribute that distinguishes concurrent frames on one link, none that
 /// depend on execution order — so the corruption verdict is fixed the
-/// moment the frame is sent, identical under 1-shard and N-shard runs.
+/// moment the frame is sent.
 std::uint64_t frame_identity(const net::Packet& pkt) {
   std::uint64_t h = pkt.flow_id;
   h ^= pkt.probe_id * 0x9e3779b97f4a7c15ull;
@@ -152,8 +152,8 @@ std::uint64_t mix64(std::uint64_t x) {
 
 /// Stateless uniform in [0, 1): hash of (seed, site, a, b, t). Replaces the
 /// old sequential-Rng stream so a draw's value never depends on how many
-/// draws other events made before it — the property that keeps fault
-/// verdicts identical between 1-shard and N-shard executions.
+/// draws other events made before it, so a fault verdict does not shift
+/// when an unrelated event is added or reordered.
 double u01(std::uint64_t seed, std::uint64_t site, std::uint64_t a,
            std::uint64_t b, std::uint64_t t) {
   std::uint64_t h = mix64(seed ^ mix64(site));
@@ -437,7 +437,7 @@ bool FaultInjector::links_hit_sorted_contains(net::NodeId a,
 
 void FaultInjector::links_hit_insert_sorted(net::NodeId a, net::NodeId b) {
   // Endpoint-normalized and kept sorted, so the recorded set (and its
-  // iteration order downstream) is independent of which shard noticed a
+  // iteration order downstream) is independent of which endpoint noticed a
   // link's first hit first.
   const auto key = std::minmax(a, b);
   const std::pair<net::NodeId, net::NodeId> p{key.first, key.second};
@@ -515,7 +515,7 @@ bool FaultInjector::on_wire_crc(net::NodeId a, net::NodeId b,
   if (p <= 0) return false;
   // One draw per frame, keyed by (link, frame identity, send time): the
   // verdict is a pure function of scheduled attributes, so a frame's fate
-  // is fixed when it is sent — identical across shard counts.
+  // is fixed when it is sent.
   const double u = u01(plan_.seed, kSiteCrc, link_key(a, b),
                        frame_identity(pkt), static_cast<std::uint64_t>(now));
   if (u >= p) return false;

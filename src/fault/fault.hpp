@@ -29,11 +29,10 @@ namespace hawkeye::fault {
 /// counter-hash of (plan seed, fault site, the event's stable attributes,
 /// simulated time). No draw depends on how many draws happened before it,
 /// so a fixed FaultPlan yields the same fault trace regardless of event
-/// *execution* order: sweeps stay deterministic under eval::run_sweep's
-/// thread pool AND a sharded simulator's parallel rounds produce the same
-/// verdicts as the single-calendar run. Accounting is mutex-guarded and
-/// commutative (sums, min/max, sorted sets), so the recorded totals are
-/// exact under concurrency as well.
+/// *execution* order, and sweeps stay deterministic under eval::run_sweep's
+/// thread pool. Accounting is mutex-guarded and commutative (sums, min/max,
+/// sorted sets), so the recorded totals do not depend on the order the
+/// hooks fire in.
 ///
 /// All hooks are reached through a nullable FaultInjector pointer on the
 /// device/collect objects: with no injector installed the fault paths cost
@@ -726,11 +725,10 @@ class FaultInjector {
   FaultPlan plan_;
   std::vector<FlapSchedule> flaps_;
   std::vector<RateOverride> rate_overrides_;  // immutable once running
-  /// Guards every mutable accounting field below. Fault hooks can fire
-  /// concurrently from a sharded simulator's worker threads; all updates
-  /// are commutative (sums, min/max, sorted-set insert) so the totals are
-  /// exact regardless of interleaving. The verdict draws themselves are
-  /// stateless hashes and take no lock.
+  /// Guards every mutable accounting field below. All updates are
+  /// commutative (sums, min/max, sorted-set insert), so the totals do not
+  /// depend on the order the hooks fire in. The verdict draws themselves
+  /// are stateless hashes and take no lock.
   mutable std::mutex mu_;
   std::vector<std::pair<net::NodeId, net::NodeId>> links_hit_;
   std::unordered_map<net::FiveTuple, std::uint32_t> victim_faults_;

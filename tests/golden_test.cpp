@@ -2,26 +2,24 @@
 //
 // Every scenario x seed cell runs the full pipeline (workload -> fabric ->
 // telemetry -> collection -> provenance -> diagnosis) and canonicalises the
-// RunResult into one text line (eval/canonical.hpp — the same serialization
-// the shard-identity suite pins); the lines are checked against committed
-// fixtures under tests/golden/. With the reconvergence knobs at their
-// defaults (hold-down 0 = frozen routing) a behaviour-preserving change must
-// reproduce every fixture byte-for-byte — any drift in verdicts, drop
-// counters, fault-epoch truth or event counts fails loudly with a diff-able
-// message instead of silently shifting the paper figures.
+// RunResult into one text line (eval/canonical.hpp); the lines are checked
+// against committed fixtures under tests/golden/. With the reconvergence
+// knobs at their defaults (hold-down 0 = frozen routing) a
+// behaviour-preserving change must reproduce every fixture byte-for-byte —
+// any drift in verdicts, drop counters, fault-epoch truth or event counts
+// fails loudly with a diff-able message instead of silently shifting the
+// paper figures.
 //
-// Two fixture tiers: the seed's k=4 fabric (run_results.txt, single-shard
-// exactly as PR 4 pinned it) and a k=8 fabric (run_results_k8.txt) that runs
-// under 8 shards — the sharded path is bitwise-identical to single-shard
-// (shard_identity_test.cpp), so these cells double as a standing regression
-// that the parallel simulator reproduces pinned bytes on a bigger fabric.
+// Two fixture tiers: the seed's k=4 fabric (run_results.txt) and a k=8
+// fabric (run_results_k8.txt), whose real pod boundaries and longer paths
+// the k=4 cells do not exercise.
 //
 // A third tier, the parity records (run_records.txt), pins every
 // deterministic RunResult field (eval::canonical_record) over 182 seed-1
 // configs: 11 scenarios x 5 methods x two background loads, polling loss,
 // PFC loss and frozen / reconverging victim-path flaps on the six Table-2
 // anomalies, the four fleet classes x three workloads x two severities,
-// the six anomalies at k=8 on 2 shards, and the three telemetry ablations.
+// the six anomalies at k=8, and the three telemetry ablations.
 // A refactor that claims "run_one output unchanged" passes this tier as
 // is; a deliberate re-baseline shows up as a reviewed fixture diff.
 //
@@ -75,10 +73,6 @@ RunResult run_cell(int k, AnomalyType scenario, std::uint64_t seed) {
   cfg.scenario = scenario;
   cfg.seed = seed;
   cfg.fat_tree_k = k;
-  // k=8 cells run sharded: identical bytes by the shard-identity guarantee,
-  // and the golden suite then continuously re-proves that guarantee against
-  // committed fixtures on a fabric with real pod boundaries.
-  if (k == 8) cfg.shards = 8;
   return run_one(cfg);
 }
 
@@ -221,8 +215,7 @@ std::vector<ParityCell> parity_cells() {
     RunConfig cfg;
     cfg.scenario = t;
     cfg.fat_tree_k = 8;
-    cfg.shards = 2;
-    cells.push_back({"k8-2shards/" + name(t), cfg});
+    cells.push_back({"k8/" + name(t), cfg});
   }
   const std::tuple<const char*, telemetry::TelemetryMode, bool> ablations[] = {
       {"port-only", telemetry::TelemetryMode::kPortOnly, false},
@@ -287,7 +280,7 @@ TEST(GoldenTraceUpdate, RegenerateFixturesWhenRequested) {
              "HAWKEYE_UPDATE_GOLDEN=1 ./hawkeye_golden_test\n";
     } else {
       out << "# Golden RunResult traces (fat-tree k=" << k
-          << ", run sharded) — regenerate with "
+          << ") — regenerate with "
              "HAWKEYE_UPDATE_GOLDEN=1 ./hawkeye_golden_test\n";
     }
     for (const AnomalyType scenario : kScenarios) {

@@ -141,7 +141,6 @@ TEST(ParameterSensitivity, LongEpochsDegradeStormDiagnosis) {
 TEST(RunMemoryTest, K8MicroburstPeakRssBounded) {
   RunConfig cfg = base(AnomalyType::kMicroBurstIncast, 1);
   cfg.fat_tree_k = 8;
-  cfg.shards = 2;
   const RunResult r = run_one(cfg);
   EXPECT_TRUE(r.tp);
   rusage ru{};

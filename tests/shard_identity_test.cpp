@@ -1,27 +1,27 @@
-// Shard-identity suite (PR 6): N-shard execution must be BITWISE identical
-// to 1-shard execution.
+// Shard-identity suite: a run configured with N shards must be BITWISE
+// identical to a run configured with 1 shard.
 //
-// The sharded simulator (sim::Simulator::configure_shards) promises that
-// partitioning the run onto N device calendars with conservative-lookahead
-// rounds and deterministic mailbox merges is a pure execution-strategy
-// change: the canonical (time, seq) event order — and therefore every
-// observable — is exactly the single-calendar order. This suite enforces
-// that promise end-to-end through the full pipeline (workload -> fabric ->
-// telemetry -> collection -> provenance -> diagnosis) by comparing the
-// canonical RunResult line (eval/canonical.hpp, %.17g — string equality is
-// bit equality) across shard counts {2, 4, 8} against the 1-shard run, for
-// every paper scenario x seed cell, under three config families:
+// Every run executes on one event calendar on one thread. `RunConfig::shards`
+// survives only because the case-file codec still reads and writes `shards=`
+// and tracebench/ still passes `--shards`; nothing in the pipeline may act on
+// it. This suite pins that promise end-to-end through the full pipeline
+// (workload -> fabric -> telemetry -> collection -> provenance -> diagnosis)
+// by comparing the canonical RunResult line (eval/canonical.hpp, %.17g —
+// string equality is bit equality) for shard counts {2, 4, 8} against the
+// 1-shard run, for every paper scenario x seed cell, under three config
+// families:
 //
 //   fault-free        — the golden-trace regime;
 //   collection faults — 10% polling loss + DMA faults + re-poll healing
-//                       (stresses defer_control episode commits and the
-//                       stateless counter-hash fault draws);
+//                       (episode commits and the stateless counter-hash
+//                       fault draws);
 //   flap + reconverge — a mid-path link flap train with a 50 us hold-down
-//                       (stresses control-shard routing mutation, cross-
-//                       shard on_port_withdrawn flushes, and PFC release).
+//                       (routing withdraw/restore, on_port_withdrawn
+//                       flushes and PFC release).
 //
-// shards=8 on a k=4 fabric deliberately leaves four device shards empty
-// (there are only four pods); identity must survive empty calendars too.
+// The four runs of a cell share one process, so the suite also fails when a
+// run leaks state (a counter, a cache, an RNG stream) into the next one.
+// It goes together with the `shards` fields (ROADMAP, "One pipeline").
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,8 +68,7 @@ RunConfig cell_config(AnomalyType scenario, std::uint64_t seed, Family fam) {
     case Family::kCollectionFaults: {
       // The polling-loss regime of bench_fault_sweeps' robustness sweep,
       // plus flaky DMA: together they exercise coverage checks,
-      // capped-backoff re-polls and targeted re-snapshots — all
-      // control-shard machinery when sharded.
+      // capped-backoff re-polls and targeted re-snapshots.
       fault::FaultPlan plan = fault::FaultPlan::uniform_poll_loss(0.10, seed);
       fault::DmaFaultSpec dma;
       dma.sw = net::kInvalidNode;  // every switch
@@ -82,7 +81,7 @@ RunConfig cell_config(AnomalyType scenario, std::uint64_t seed, Family fam) {
     case Family::kFlapReconverge: {
       // The regime of bench_fault_sweeps' path-churn sweep: a victim-path
       // flap train with a hold-down, so routing withdraws/restores ports
-      // mid-run and the stalled-FIFO flush crosses shard boundaries.
+      // mid-run and stalled FIFOs are flushed.
       cfg.faults =
           fault::FaultPlan::victim_path_flaps(sim::us(500), sim::us(50), seed);
       break;
@@ -108,8 +107,8 @@ TEST_P(ShardIdentity, NShardBitwiseEqualsOneShard) {
     const std::string sharded = canonical_line(scenario, seed, run_one(cfg));
     EXPECT_EQ(sharded, baseline)
         << "shards=" << shards << " family=" << to_string(fam)
-        << " diverged from the single-calendar run — the conservative "
-           "lookahead or the mailbox merge broke canonical order.";
+        << " diverged from the shards=1 run — either the pipeline reads the "
+           "shards field or a run carried state into the next one.";
   }
 }
 

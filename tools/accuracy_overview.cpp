@@ -1,12 +1,18 @@
 // Validation sweep: one line per (anomaly, seed) with the diagnosis
 // verdict and scoring — the quick health check used during development.
 //   $ ./accuracy_overview [seeds-per-type]
+#include <climits>
 #include <cstdio>
 #include "eval/runner.hpp"
+#include "parse_int.hpp"
 using namespace hawkeye;
 int main(int argc, char** argv) {
   using diagnosis::AnomalyType;
-  int seeds = argc > 1 ? atoi(argv[1]) : 3;
+  int seeds = 3;
+  if (argc > 2 || (argc == 2 && !parse_int(argv[1], 1, INT_MAX, seeds))) {
+    std::fprintf(stderr, "usage: accuracy_overview [seeds-per-type >= 1]\n");
+    return 2;
+  }
   const AnomalyType types[] = {
     AnomalyType::kMicroBurstIncast, AnomalyType::kPfcStorm,
     AnomalyType::kInLoopDeadlock, AnomalyType::kOutOfLoopDeadlockContention,

@@ -17,6 +17,7 @@
 // is worse than one that merely needed a retry).
 //
 //   $ ./calibrate_confidence [seeds-per-point]
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -25,6 +26,7 @@
 #include "diagnosis/diagnosis.hpp"
 #include "eval/runner.hpp"
 #include "eval/sweep.hpp"
+#include "parse_int.hpp"
 
 using namespace hawkeye;
 
@@ -72,7 +74,12 @@ double brier(const std::vector<Sample>& samples,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = argc > 1 ? std::atoi(argv[1]) : 5;
+  int seeds = 5;
+  if (argc > 2 || (argc == 2 && !parse_int(argv[1], 1, INT_MAX, seeds))) {
+    std::fprintf(stderr,
+                 "usage: calibrate_confidence [seeds-per-point >= 1]\n");
+    return 2;
+  }
   const diagnosis::AnomalyType types[] = {
       diagnosis::AnomalyType::kMicroBurstIncast,
       diagnosis::AnomalyType::kPfcStorm,

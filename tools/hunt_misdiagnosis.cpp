@@ -12,6 +12,7 @@
 // the CI gate: it parses every committed corpus file (a parse failure IS a
 // failure — format drift must break the build), re-runs it, and exits
 // non-zero unless each case reproduces its recorded verdict class.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "eval/hunter.hpp"
+#include "parse_int.hpp"
 
 using namespace hawkeye;
 
@@ -30,9 +32,9 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--seed N] [--budget N] [--batch N] [--threads N]\n"
-      "          [--tau X] [--k K ...] [--shards S ...] [--no-shrink]\n"
-      "          [--max-finds N] [--corpus DIR] [--log FILE]\n"
+      "usage: %s [--seed N] [--budget N>=1] [--batch N>=1] [--threads N>=0]\n"
+      "          [--tau X in [0,1]] [--k K (even, >= 4) ...] [--no-shrink]\n"
+      "          [--max-finds N>=1] [--corpus DIR] [--log FILE]\n"
       "       %s --replay FILE-OR-DIR [--tau X] [--explain]\n",
       argv0, argv0);
   return 2;
@@ -111,46 +113,56 @@ int replay(const std::string& target, double tau, bool explain) {
   return failures == 0 ? 0 : 1;
 }
 
+// Appends a fat-tree k a run can take (the case-file range rule: even,
+// >= 4).
+bool add_k(const char* arg, std::vector<int>& ks) {
+  eval::RunConfig cfg;
+  if (!parse_number(arg, cfg.fat_tree_k) || !eval::config_error(cfg).empty()) {
+    return false;
+  }
+  ks.push_back(cfg.fat_tree_k);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   eval::HuntOptions opts;
   opts.ks.clear();
-  opts.shard_choices.clear();
   std::string log_file;
   std::string replay_target;
   bool explain = false;
   double tau = opts.tau;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") opts.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--budget") opts.budget = std::atoi(next());
-    else if (a == "--batch") opts.batch = std::atoi(next());
-    else if (a == "--threads") opts.threads = std::atoi(next());
-    else if (a == "--tau") tau = std::atof(next());
-    else if (a == "--k") opts.ks.push_back(std::atoi(next()));
-    else if (a == "--shards") opts.shard_choices.push_back(std::atoi(next()));
-    else if (a == "--no-shrink") opts.shrink = false;
-    else if (a == "--max-finds") opts.max_finds = std::atoi(next());
-    else if (a == "--corpus") opts.corpus_dir = next();
-    else if (a == "--log") log_file = next();
-    else if (a == "--replay") replay_target = next();
-    else if (a == "--explain") explain = true;
-    else return usage(argv[0]);
+    if (a == "--no-shrink") {
+      opts.shrink = false;
+      continue;
+    }
+    if (a == "--explain") {
+      explain = true;
+      continue;
+    }
+    if (i + 1 >= argc) return usage(argv[0]);
+    const char* v = argv[++i];
+    bool ok = true;
+    if (a == "--seed") ok = parse_number(v, opts.seed);
+    else if (a == "--budget") ok = parse_int(v, 1, INT_MAX, opts.budget);
+    else if (a == "--batch") ok = parse_int(v, 1, INT_MAX, opts.batch);
+    else if (a == "--threads") ok = parse_int(v, 0, INT_MAX, opts.threads);
+    else if (a == "--tau") ok = parse_number(v, tau) && tau >= 0 && tau <= 1;
+    else if (a == "--k") ok = add_k(v, opts.ks);
+    else if (a == "--max-finds") ok = parse_int(v, 1, INT_MAX, opts.max_finds);
+    else if (a == "--corpus") opts.corpus_dir = v;
+    else if (a == "--log") log_file = v;
+    else if (a == "--replay") replay_target = v;
+    else ok = false;
+    if (!ok) return usage(argv[0]);
   }
   if (!replay_target.empty()) return replay(replay_target, tau, explain);
 
   opts.tau = tau;
   if (opts.ks.empty()) opts.ks = {4};
-  if (opts.shard_choices.empty()) opts.shard_choices = {1};
-  if (opts.budget <= 0) return usage(argv[0]);
 
   const eval::HuntReport rep = eval::run_hunt_campaign(opts);
   std::fputs(rep.log.c_str(), stdout);
