@@ -9,24 +9,24 @@
 #       TIMELY, go-back-N loss recovery), the routing and topology tests
 #       (the flat routing table's offset arithmetic), the telemetry engine
 #       tests (the flow tables' occupied-slot index), the provenance
-#       builder tests,
-#       the fault-plan validation tests, the run-stage API tests and the
-#       case-file parser (round trips plus the corpus mutation fuzz; the
-#       slow corpus replay is left to the plain ctest job). UBSan halts on
-#       its first report, so any undefined behaviour fails the job.
+#       builder tests, the fault-plan validation tests, the fault
+#       injector's hook tests (its match rule, link flaps, PFC frame
+#       faults, fleet evidence), the run-stage API tests and the case-file
+#       parser (round trips plus the corpus mutation fuzz; the slow corpus
+#       replay is left to the plain ctest job). UBSan halts on its first
+#       report, so any undefined behaviour fails the job.
 # tsan: TSan build. Every run executes on one event calendar on one
 #       thread; the only threads are eval::run_sweep's workers, each
-#       running whole runs. TSan runs the sweep-runner tests plus the suites
-#       that drive run_sweep or share an object across its workers: the
-#       fault-injection suite (link flaps / PFC frame loss exercise the
-#       injector from every sweep worker thread), the reconvergence /
-#       fault-attribution suites (routing withdrawal callbacks fire inside
-#       sweep workers), the calibration suite and the misdiagnosis-hunter
-#       campaign (HuntCampaignTest: batched trial evaluation through
-#       multi-threaded run_sweep). The golden-trace suite is deliberately
-#       NOT run under TSan: it replays single deterministic simulations
-#       with no cross-thread surface, and the plain ctest job already
-#       covers it.
+#       running whole runs. Each worker's run owns its own fault injector,
+#       network and collector, and none of them takes a lock, so TSan over
+#       the fault suites (injector, flaps, PFC frame loss, self-healing,
+#       reconvergence, fault attribution, fleet runs) is what shows that
+#       no worker shares one. TSan also runs the sweep-runner tests, the
+#       calibration suite and the misdiagnosis-hunter campaign
+#       (HuntCampaignTest: batched trial evaluation through multi-threaded
+#       run_sweep). The golden-trace suite is deliberately NOT run under
+#       TSan: it replays single deterministic simulations with no
+#       cross-thread surface, and the plain ctest job already covers it.
 #
 # Each flavour builds into its own tree (build-asan/, build-tsan/) so the
 # default build/ stays sanitizer-free.
@@ -42,7 +42,7 @@ run_asan() {
         --target hawkeye_tests hawkeye_hunt_corpus_test
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|RunStageTest|HuntCorpusTest\.MutatedCases')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|FaultInjectorTest|LinkFlapTest|PfcFrameFaultTest|FleetEvidenceTest|RunStageTest|HuntCorpusTest\.MutatedCases')
 }
 
 run_tsan() {

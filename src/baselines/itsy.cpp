@@ -34,7 +34,6 @@ void ItsyDetector::probe_round() {
       for (net::PortId p0 = 0; p0 < origin->port_count() && !reported_; ++p0) {
         if (!origin->telemetry().port_paused(p0, now)) continue;
         // Walk the pause dependency chain from (origin, p0).
-        ++probes_;
         std::vector<net::PortRef> path{{origin->id(), p0}};
         net::PortRef cur{origin->id(), p0};
         for (int hop = 0; hop < cfg_.max_hops; ++hop) {

@@ -36,7 +36,6 @@ class ItsyDetector {
   void start();
 
   const std::vector<LoopReport>& loops() const { return loops_; }
-  std::uint64_t probes_sent() const { return probes_; }
 
  private:
   void probe_round();
@@ -51,7 +50,6 @@ class ItsyDetector {
   std::vector<device::Switch*> switches_;
   std::vector<LoopReport> loops_;
   bool reported_ = false;  // one loop report per detector (dedup)
-  std::uint64_t probes_ = 0;
   bool running_ = false;
 };
 

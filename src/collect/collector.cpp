@@ -32,7 +32,7 @@ Episode& Collector::open_episode(std::uint64_t probe_id,
 
 void Collector::collect_from(device::Switch& sw, std::uint64_t probe_id,
                              sim::Time now) {
-  snapshot_requests_.fetch_add(1, std::memory_order_relaxed);
+  ++snapshot_requests_;
   sim::Time delay = cfg_.snapshot_delay;
   if (faults_ != nullptr) {
     const fault::DmaVerdict v = faults_->on_dma(sw.id(), now);

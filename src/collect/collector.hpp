@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -99,9 +98,7 @@ class Collector {
   /// Switch-CPU snapshot attempts issued (before dedup/fault filtering) —
   /// the "how many DMA reads did healing really cost" observable the
   /// targeted-re-poll tests assert on.
-  std::uint64_t snapshot_requests() const {
-    return snapshot_requests_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t snapshot_requests() const { return snapshot_requests_; }
 
  private:
   /// `mirror` is when the polling packet was mirrored to the CPU; the
@@ -123,7 +120,7 @@ class Collector {
   std::unordered_map<std::uint64_t, Episode> episodes_;
   std::vector<std::uint64_t> order_;
   std::vector<device::Switch*> switches_;
-  std::atomic<std::uint64_t> snapshot_requests_{0};
+  std::uint64_t snapshot_requests_ = 0;
   // Per-switch snapshot cache, NodeId-indexed. last_collect_ uses -1 as the
   // "never collected" sentinel.
   std::vector<sim::Time> last_collect_;

@@ -135,7 +135,6 @@ void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
 
   const std::uint64_t probe_id =
       alloc_probe_id(net::Topology::node_of_ip(victim.src_ip));
-  triggers_.fetch_add(1, std::memory_order_relaxed);
   Episode& ep = collector_.open_episode(probe_id, victim, now);
   // The victim route is the coverage contract: these are the switches the
   // collection must hear from for the diagnosis to be trustworthy. The

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -116,10 +115,6 @@ class DetectionAgent {
   /// factor x baseline test. Exposed for calibration unit tests.
   sim::Time trigger_threshold(const net::FiveTuple& flow) const;
 
-  std::uint64_t triggers() const {
-    return triggers_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Memoized unloaded-RTT baseline plus the one-way hop count it was
   /// derived from (the hop count scales the noise-headroom calibration).
@@ -157,7 +152,6 @@ class DetectionAgent {
   std::unordered_map<net::FiveTuple, std::uint32_t> retx_seen_;
   std::vector<std::uint64_t> probe_seq_;  // per source host, +1 overflow slot
   fault::FaultInjector* faults_ = nullptr;
-  std::atomic<std::uint64_t> triggers_{0};
   bool scanning_ = false;
 };
 

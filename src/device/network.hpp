@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -131,13 +130,10 @@ class Network {
   const net::LinkSpec& link_at(net::NodeId node, net::PortId port) const;
 
   /// Allocate a network-unique flow id. Per-Network (not process-global)
-  /// so concurrent sweep runs never share state and a run's ids do not
-  /// depend on what ran before it in the same process. Atomic because
-  /// baselines may allocate at runtime; all testbed flows allocate at
-  /// setup time, in setup-call order.
-  std::uint64_t alloc_flow_id() {
-    return next_flow_id_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// so a run's ids do not depend on what ran before it in the same
+  /// process. All testbed flows allocate at setup time, in setup-call
+  /// order.
+  std::uint64_t alloc_flow_id() { return next_flow_id_++; }
 
   void log_pfc(const PfcEvent& ev) { pfc_trace_.push_back(ev); }
   /// Every PAUSE and RESUME frame sent, in send order (time-sorted).
@@ -205,7 +201,7 @@ class Network {
   std::vector<Device*> devices_;
   std::vector<PfcEvent> pfc_trace_;
   Slab slab_;
-  std::atomic<std::uint64_t> next_flow_id_{1};
+  std::uint64_t next_flow_id_ = 1;
   std::uint64_t data_hops_ = 0;
   std::array<std::uint64_t, kDropReasonCount> drops_{};
 };

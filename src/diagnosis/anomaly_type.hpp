@@ -84,12 +84,4 @@ constexpr bool is_fleet_fault(AnomalyType t) {
          t == AnomalyType::kOversubscribedDownlink;
 }
 
-constexpr bool is_pfc_related(AnomalyType t) {
-  // The PCIe-bound host is the one verdict defined by the *absence* of
-  // PFC anywhere upstream; the other fleet classes surface through PFC
-  // backpressure like the classic Table 2 rows.
-  return t != AnomalyType::kNone && t != AnomalyType::kNormalContention &&
-         t != AnomalyType::kHostPcieBottleneck;
-}
-
 }  // namespace hawkeye::diagnosis

@@ -8,13 +8,6 @@
 namespace hawkeye::fault {
 
 namespace {
-bool covers(net::NodeId spec_sw, net::NodeId sw, sim::Time start,
-            sim::Time stop, sim::Time now) {
-  if (spec_sw != net::kInvalidNode && spec_sw != sw) return false;
-  if (now < start) return false;
-  return stop < 0 || now < stop;
-}
-
 bool window_ok(sim::Time start, sim::Time stop) {
   return start >= 0 && (stop < 0 || stop > start);
 }
@@ -34,6 +27,11 @@ bool probs_ok(std::initializer_list<double> ps) {
 bool half_bound(const auto&) { return false; }
 bool half_bound(const LinkSpec auto& s) {
   return (s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode);
+}
+
+/// Both endpoints set; anything else is a placeholder the injector ignores.
+bool bound(const LinkSpec auto& s) {
+  return s.node_a != net::kInvalidNode && s.node_b != net::kInvalidNode;
 }
 
 /// Per-family parameter checks: nullptr when the spec's parameters are in
@@ -117,9 +115,9 @@ constexpr sim::Time kFlapHorizon = 1'000 * sim::kMillisecond;
 /// Backstop on pathological period/horizon combinations.
 constexpr std::size_t kMaxWindowsPerSpec = 1 << 16;
 
-/// Site salts for the counter-hash draws — one per fault family so the
-/// same (attrs, now) never aliases across families.
-enum Site : std::uint64_t {
+/// Salts for the counter-hash draws — one per fault family so the same
+/// (attrs, now) never aliases across families.
+enum : std::uint64_t {
   kSitePoll = 1,
   kSiteDma = 2,
   kSitePfc = 3,
@@ -161,6 +159,73 @@ double u01(std::uint64_t seed, std::uint64_t site, std::uint64_t a,
   h = mix64(h ^ b);
   h = mix64(h ^ t);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// --- The match rule of every injector lookup ---
+
+/// Where a hook fires: a switch or host `node`, the `port` a PFC frame left
+/// from and whether it is a PAUSE, or a link by its link_key.
+struct Site {
+  net::NodeId node = net::kInvalidNode;
+  net::PortId port = net::kInvalidPort;
+  bool pause = false;
+  std::uint64_t link = 0;
+};
+
+/// A window [start, stop) holds `now`; stop < 0 leaves it open.
+bool in_window(sim::Time start, sim::Time stop, sim::Time now) {
+  return start <= now && (stop < 0 || now < stop);
+}
+
+/// Does `s` name `site`? A resolved link entry names its `link`; a PFC spec
+/// its sender `sw`, its `port` and the frame kinds it affects; a PCIe spec
+/// its `host`; every other spec its `sw`. An invalid switch, host or port
+/// is a wildcard.
+template <typename S>
+bool names(const S& s, const Site& site) {
+  const auto node = [&site](net::NodeId n) {
+    return n == net::kInvalidNode || n == site.node;
+  };
+  if constexpr (requires { s.link; }) {
+    return s.link == site.link;
+  } else if constexpr (requires { s.port; }) {
+    return node(s.sw) &&
+           (s.port == net::kInvalidPort || s.port == site.port) &&
+           (site.pause ? s.affect_pause : s.affect_resume);
+  } else if constexpr (requires { s.host; }) {
+    return node(s.host);
+  } else {
+    return node(s.sw);
+  }
+}
+
+/// The down window of `f` holding `now`, or nullptr. The windows are sorted
+/// and disjoint, so only the first one ending after `now` can hold it.
+const FaultInjector::DownWindow* window_at(
+    const FaultInjector::FlapSchedule& f, sim::Time now) {
+  const auto it = std::upper_bound(
+      f.windows.begin(), f.windows.end(), now,
+      [](sim::Time t, const FaultInjector::DownWindow& w) { return t < w.t1; });
+  return it != f.windows.end() && in_window(it->t0, it->t1, now) ? &*it
+                                                                 : nullptr;
+}
+
+bool active(const FaultInjector::FlapSchedule& f, sim::Time now) {
+  return window_at(f, now) != nullptr;
+}
+bool active(const auto& s, sim::Time now) {
+  return in_window(s.start, s.stop, now);
+}
+
+/// The first entry of `specs`, in declaration order, that names `site` and
+/// is active at `now`; nullptr when none is.
+template <typename S>
+const S* first_match(const std::vector<S>& specs, const Site& site,
+                     sim::Time now) {
+  for (const S& s : specs) {
+    if (names(s, site) && active(s, now)) return &s;
+  }
+  return nullptr;
 }
 }  // namespace
 
@@ -245,26 +310,25 @@ std::string FaultPlan::validate() const {
   return err;
 }
 
-const PollFaultSpec* FaultInjector::poll_spec(net::NodeId sw,
-                                              sim::Time now) const {
-  for (const PollFaultSpec& s : plan_.poll_faults) {
-    if (covers(s.sw, sw, s.start, s.stop, now)) return &s;
+FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
+  build_flap_schedule();
+  for (const LinkSpeedMismatchSpec& s : plan_.speed_mismatches) {
+    if (bound(s)) {
+      bind_rate_override(s.node_a, s.node_b, s.gbps, s.start, s.stop, false);
+    }
   }
-  return nullptr;
-}
-
-const DmaFaultSpec* FaultInjector::dma_spec(net::NodeId sw,
-                                            sim::Time now) const {
-  for (const DmaFaultSpec& s : plan_.dma_faults) {
-    if (covers(s.sw, sw, s.start, s.stop, now)) return &s;
+  for (const DegradedLinkSpec& s : plan_.degraded_links) {
+    if (bound(s)) {
+      crc_links_.push_back({link_key(s.node_a, s.node_b), s.ber, s.start,
+                            s.stop});
+    }
   }
-  return nullptr;
 }
 
 PollVerdict FaultInjector::on_polling(net::NodeId sw,
                                       const net::FiveTuple& victim,
                                       sim::Time now) {
-  const PollFaultSpec* s = poll_spec(sw, now);
+  const PollFaultSpec* s = first_match(plan_.poll_faults, {.node = sw}, now);
   if (s == nullptr) return {};
   // One variate decides the (mutually exclusive) outcome. The draw is a
   // pure function of (seed, switch, victim, arrival time), so the verdict
@@ -274,7 +338,6 @@ PollVerdict FaultInjector::on_polling(net::NodeId sw,
                        static_cast<std::uint64_t>(sw), victim.hash(),
                        static_cast<std::uint64_t>(now));
   if (u < s->drop_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     ++polls_dropped_;
     ++victim_faults_[victim];
     return {PollAction::kDrop, 0};
@@ -283,7 +346,6 @@ PollVerdict FaultInjector::on_polling(net::NodeId sw,
     return {PollAction::kDuplicate, s->delay_ns};
   }
   if (u < s->drop_prob + s->duplicate_prob + s->delay_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     ++victim_faults_[victim];
     return {PollAction::kDelay, s->delay_ns};
   }
@@ -291,30 +353,19 @@ PollVerdict FaultInjector::on_polling(net::NodeId sw,
 }
 
 bool FaultInjector::agent_down(net::NodeId sw, sim::Time now) const {
-  for (const AgentBlackout& b : plan_.blackouts) {
-    if (covers(b.sw, sw, b.start, b.stop, now)) return true;
-  }
-  return false;
-}
-
-void FaultInjector::note_blackout_drop(const net::FiveTuple& victim) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++blackout_drops_;
-  ++victim_faults_[victim];
+  return first_match(plan_.blackouts, {.node = sw}, now) != nullptr;
 }
 
 DmaVerdict FaultInjector::on_dma(net::NodeId sw, sim::Time now) {
-  const DmaFaultSpec* s = dma_spec(sw, now);
+  const DmaFaultSpec* s = first_match(plan_.dma_faults, {.node = sw}, now);
   if (s == nullptr) return {};
   const double u = u01(plan_.seed, kSiteDma, static_cast<std::uint64_t>(sw),
                        0, static_cast<std::uint64_t>(now));
   if (u < s->fail_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     ++dma_failed_;
     return {true, 0};
   }
   if (u < s->fail_prob + s->stale_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     ++dma_stale_;
     return {false, s->extra_delay};
   }
@@ -329,10 +380,7 @@ sim::Time FaultInjector::jitter_rtt(sim::Time rtt, const net::FiveTuple& flow,
           static_cast<std::uint64_t>(rtt), t) >= plan_.rtt_jitter.prob) {
     return rtt;
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++rtt_jittered_;
-  }
+  ++rtt_jittered_;
   const double factor =
       1.0 + plan_.rtt_jitter.magnitude *
                 u01(plan_.seed, kSiteJitterMag, flow.hash(),
@@ -341,7 +389,6 @@ sim::Time FaultInjector::jitter_rtt(sim::Time rtt, const net::FiveTuple& flow,
 }
 
 std::uint32_t FaultInjector::faults_for(const net::FiveTuple& victim) const {
-  std::lock_guard<std::mutex> lk(mu_);
   const auto it = victim_faults_.find(victim);
   return it == victim_faults_.end() ? 0 : it->second;
 }
@@ -349,17 +396,15 @@ std::uint32_t FaultInjector::faults_for(const net::FiveTuple& victim) const {
 void FaultInjector::build_flap_schedule() {
   if (plan_.link_flaps.empty()) return;
   // A dedicated generator fixes the whole flap schedule up front: runtime
-  // link_down() queries are then pure lookups, and the event-ordered stream
-  // behind rng_ never sees a link fault — so adding a flap to a plan does
-  // not perturb the draw sequence of its poll/DMA/PFC faults.
+  // link_down() queries are then pure lookups, and adding a flap to a plan
+  // does not perturb any poll/DMA/PFC verdict.
   sim::Rng gen(plan_.seed ^ 0xf1a9'f1a9'f1a9'f1a9ull);
   for (const LinkFlapSpec& s : plan_.link_flaps) {
-    if (s.node_a == net::kInvalidNode || s.node_b == net::kInvalidNode) {
-      continue;  // unbound placeholder — inert
-    }
+    if (!bound(s)) continue;
     FlapSchedule sched;
     sched.a = s.node_a;
     sched.b = s.node_b;
+    sched.link = link_key(s.node_a, s.node_b);
     sched.holddown_ns = s.holddown_ns;
     sched.restore_holddown_ns = s.restore_holddown();
     if (s.period_ns <= 0) {
@@ -388,74 +433,29 @@ void FaultInjector::build_flap_schedule() {
 
 const FaultInjector::DownWindow* FaultInjector::down_window(
     net::NodeId a, net::NodeId b, sim::Time now) const {
-  for (const FlapSchedule& f : flaps_) {
-    const bool match =
-        (f.a == a && f.b == b) || (f.a == b && f.b == a);
-    if (!match) continue;
-    // First window ending after `now`; covers `now` iff it already started.
-    const auto it = std::upper_bound(
-        f.windows.begin(), f.windows.end(), now,
-        [](sim::Time t, const DownWindow& w) { return t < w.t1; });
-    if (it != f.windows.end() && it->t0 <= now) return &*it;
-  }
-  return nullptr;
-}
-
-bool FaultInjector::link_down(net::NodeId a, net::NodeId b,
-                              sim::Time now) const {
-  return down_window(a, b, now) != nullptr;
-}
-
-sim::Time FaultInjector::link_down_until(net::NodeId a, net::NodeId b,
-                                         sim::Time now) const {
-  const DownWindow* w = down_window(a, b, now);
-  return w == nullptr ? now : w->t1;
+  const FlapSchedule* f = first_match(flaps_, {.link = link_key(a, b)}, now);
+  return f == nullptr ? nullptr : window_at(*f, now);
 }
 
 void FaultInjector::note_link_drop(net::NodeId a, net::NodeId b,
                                    const net::Packet& pkt, sim::Time now) {
-  std::lock_guard<std::mutex> lk(mu_);
   ++link_drops_;
   if (pkt.kind == net::PacketKind::kPolling) ++victim_faults_[pkt.victim];
-  if (!links_hit_sorted_contains(a, b)) {
-    links_hit_insert_sorted(a, b);
-  }
-  note_dataplane_fault_locked(now);
+  note_link_fault(link_key(a, b), now);
 }
 
-void FaultInjector::note_link_hit(net::NodeId a, net::NodeId b) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!links_hit_sorted_contains(a, b)) links_hit_insert_sorted(a, b);
-}
-
-bool FaultInjector::links_hit_sorted_contains(net::NodeId a,
-                                              net::NodeId b) const {
-  const auto key = std::minmax(a, b);
-  const std::pair<net::NodeId, net::NodeId> p{key.first, key.second};
-  return std::binary_search(links_hit_.begin(), links_hit_.end(), p);
-}
-
-void FaultInjector::links_hit_insert_sorted(net::NodeId a, net::NodeId b) {
-  // Endpoint-normalized and kept sorted, so the recorded set (and its
-  // iteration order downstream) is independent of which endpoint noticed a
-  // link's first hit first.
-  const auto key = std::minmax(a, b);
-  const std::pair<net::NodeId, net::NodeId> p{key.first, key.second};
-  links_hit_.insert(
-      std::lower_bound(links_hit_.begin(), links_hit_.end(), p), p);
+std::vector<std::pair<net::NodeId, net::NodeId>> FaultInjector::links_hit()
+    const {
+  std::vector<std::pair<net::NodeId, net::NodeId>> out;
+  for (const std::uint64_t link : links_hit_) out.push_back(link_ends(link));
+  return out;
 }
 
 PfcVerdict FaultInjector::on_pfc_frame(net::NodeId from, net::PortId port,
                                        std::uint32_t quanta, sim::Time now) {
-  const PfcFrameFaultSpec* spec = nullptr;
-  for (const PfcFrameFaultSpec& s : plan_.pfc_faults) {
-    if (s.sw != net::kInvalidNode && s.sw != from) continue;
-    if (s.port != net::kInvalidPort && s.port != port) continue;
-    if (now < s.start || (s.stop >= 0 && now >= s.stop)) continue;
-    if (quanta > 0 ? !s.affect_pause : !s.affect_resume) continue;
-    spec = &s;
-    break;
-  }
+  const PfcFrameFaultSpec* spec = first_match(
+      plan_.pfc_faults, {.node = from, .port = port, .pause = quanta > 0},
+      now);
   if (spec == nullptr) return {};
   // Same one-variate discipline as on_polling: one draw per covered frame,
   // mutually exclusive outcomes, loss wins over delay.
@@ -465,50 +465,32 @@ PfcVerdict FaultInjector::on_pfc_frame(net::NodeId from, net::PortId port,
           static_cast<std::uint64_t>(static_cast<std::uint16_t>(port)),
       quanta, static_cast<std::uint64_t>(now));
   if (u < spec->loss_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     if (quanta > 0) {
       ++pfc_pause_lost_;
       ++pause_lost_by_[from];
     } else {
       ++pfc_resume_lost_;
     }
-    note_dataplane_fault_locked(now);
+    note_dataplane_fault(now);
     return {true, 0};
   }
   if (u < spec->loss_prob + spec->delay_prob) {
-    std::lock_guard<std::mutex> lk(mu_);
     ++pfc_frames_delayed_;
-    note_dataplane_fault_locked(now);
+    note_dataplane_fault(now);
     return {false, spec->delay_ns};
   }
   return {};
 }
 
 std::uint64_t FaultInjector::pause_frames_lost(net::NodeId sw) const {
-  std::lock_guard<std::mutex> lk(mu_);
   const auto it = pause_lost_by_.find(sw);
   return it == pause_lost_by_.end() ? 0 : it->second;
 }
 
-const DegradedLinkSpec* FaultInjector::degraded_spec(net::NodeId a,
-                                                     net::NodeId b,
-                                                     sim::Time now) const {
-  for (const DegradedLinkSpec& s : plan_.degraded_links) {
-    if (s.node_a == net::kInvalidNode || s.node_b == net::kInvalidNode) {
-      continue;  // unbound placeholder — inert
-    }
-    const bool match = (s.node_a == a && s.node_b == b) ||
-                       (s.node_a == b && s.node_b == a);
-    if (!match) continue;
-    if (now < s.start || (s.stop >= 0 && now >= s.stop)) continue;
-    return &s;
-  }
-  return nullptr;
-}
-
 bool FaultInjector::on_wire_crc(net::NodeId a, net::NodeId b,
                                 const net::Packet& pkt, sim::Time now) {
-  const DegradedLinkSpec* s = degraded_spec(a, b, now);
+  const std::uint64_t link = link_key(a, b);
+  const CrcLink* s = first_match(crc_links_, {.link = link}, now);
   if (s == nullptr) return false;
   const double bits = static_cast<double>(pkt.size_bytes) * 8.0;
   const double p = std::min(1.0, s->ber * bits);
@@ -516,70 +498,45 @@ bool FaultInjector::on_wire_crc(net::NodeId a, net::NodeId b,
   // One draw per frame, keyed by (link, frame identity, send time): the
   // verdict is a pure function of scheduled attributes, so a frame's fate
   // is fixed when it is sent.
-  const double u = u01(plan_.seed, kSiteCrc, link_key(a, b),
-                       frame_identity(pkt), static_cast<std::uint64_t>(now));
+  const double u = u01(plan_.seed, kSiteCrc, link, frame_identity(pkt),
+                       static_cast<std::uint64_t>(now));
   if (u >= p) return false;
-  std::lock_guard<std::mutex> lk(mu_);
   ++crc_drops_;
-  ++crc_by_link_[link_key(a, b)];
+  ++crc_by_link_[link];
   if (pkt.kind == net::PacketKind::kPolling) ++victim_faults_[pkt.victim];
-  if (!links_hit_sorted_contains(a, b)) links_hit_insert_sorted(a, b);
-  note_dataplane_fault_locked(now);
+  note_link_fault(link, now);
   return true;
-}
-
-void FaultInjector::build_rate_overrides() {
-  for (const LinkSpeedMismatchSpec& s : plan_.speed_mismatches) {
-    if (s.node_a == net::kInvalidNode || s.node_b == net::kInvalidNode) {
-      continue;  // unbound placeholder — inert until the runner binds it
-    }
-    rate_overrides_.push_back(
-        {s.node_a, s.node_b, s.gbps, s.start, s.stop, false});
-  }
-}
-
-void FaultInjector::bind_rate_override(net::NodeId a, net::NodeId b,
-                                       double gbps, sim::Time start,
-                                       sim::Time stop, bool oversub) {
-  rate_overrides_.push_back({a, b, gbps, start, stop, oversub});
 }
 
 double FaultInjector::link_gbps(net::NodeId a, net::NodeId b, double nominal,
                                 sim::Time now) const {
-  for (const RateOverride& o : rate_overrides_) {
-    const bool match = (o.a == a && o.b == b) || (o.a == b && o.b == a);
-    if (!match) continue;
-    if (now < o.start || (o.stop >= 0 && now >= o.stop)) continue;
-    return o.gbps;
-  }
-  return nominal;
+  const RateOverride* o =
+      first_match(rate_overrides_, {.link = link_key(a, b)}, now);
+  return o == nullptr ? nominal : o->gbps;
 }
 
 void FaultInjector::note_rate_limited(net::NodeId a, net::NodeId b,
                                       sim::Time now) {
-  std::lock_guard<std::mutex> lk(mu_);
+  const std::uint64_t link = link_key(a, b);
   ++rate_limited_pkts_;
-  ++rate_limited_by_link_[link_key(a, b)];
-  if (!links_hit_sorted_contains(a, b)) links_hit_insert_sorted(a, b);
-  note_dataplane_fault_locked(now);
+  ++rate_limited_by_link_[link];
+  note_link_fault(link, now);
 }
 
 double FaultInjector::host_drain_gbps(net::NodeId host, sim::Time now) const {
-  for (const HostPcieBottleneckSpec& s : plan_.pcie_bottlenecks) {
-    if (covers(s.host, host, s.start, s.stop, now)) return s.drain_gbps;
-  }
-  return 0;
+  const HostPcieBottleneckSpec* s =
+      first_match(plan_.pcie_bottlenecks, {.node = host}, now);
+  return s == nullptr ? 0 : s->drain_gbps;
 }
 
 void FaultInjector::note_host_drain_delay(net::NodeId host,
                                           sim::Time backlog_ns,
                                           sim::Time now) {
-  std::lock_guard<std::mutex> lk(mu_);
   ++host_drain_delayed_;
   ++drain_delayed_by_host_[host];
   sim::Time& hw = drain_backlog_by_host_[host];
   hw = std::max(hw, backlog_ns);
-  note_dataplane_fault_locked(now);
+  note_dataplane_fault(now);
 }
 
 FleetEvidence FaultInjector::fleet_evidence(const net::Topology& topo,
@@ -596,33 +553,28 @@ FleetEvidence FaultInjector::fleet_evidence(const net::Topology& topo,
     return it == counters.end() ? decltype(it->second){} : it->second;
   };
   FleetEvidence ev;
-  std::lock_guard<std::mutex> lk(mu_);
   for (const RateOverride& ro : rate_overrides_) {
     LinkCounterEvidence l;
     l.node_a = ro.a;
     l.node_b = ro.b;
     l.nominal_gbps = nominal_of(ro.a, ro.b);
     l.actual_gbps = link_gbps(ro.a, ro.b, l.nominal_gbps, at);
-    l.slow_serializations =
-        count_of(rate_limited_by_link_, link_key(ro.a, ro.b));
+    l.slow_serializations = count_of(rate_limited_by_link_, ro.link);
     l.oversub_tier = ro.oversub;
-    l.crc_errors = count_of(crc_by_link_, link_key(ro.a, ro.b));
+    l.crc_errors = count_of(crc_by_link_, ro.link);
     ev.links.push_back(l);
   }
-  // CRC-erroring links without an override, in endpoint order (the keys
-  // are endpoint-normalized, so sorting them sorts by (min, max) node).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> crc(
-      crc_by_link_.begin(), crc_by_link_.end());
-  std::sort(crc.begin(), crc.end());
-  for (const auto& [key, errors] : crc) {
-    const bool seen = std::any_of(
-        ev.links.begin(), ev.links.end(), [key](const LinkCounterEvidence& l) {
-          return link_key(l.node_a, l.node_b) == key;
-        });
+  // CRC-erroring links without an override, in endpoint order (link_key
+  // order is (min, max) node order).
+  for (const auto& [link, errors] : crc_by_link_) {
+    const bool seen =
+        std::any_of(rate_overrides_.begin(), rate_overrides_.end(),
+                    [link](const RateOverride& o) { return o.link == link; });
     if (seen) continue;
     LinkCounterEvidence l;
-    l.node_a = static_cast<net::NodeId>(key >> 32);
-    l.node_b = static_cast<net::NodeId>(key & 0xffffffffu);
+    const auto [a, b] = link_ends(link);
+    l.node_a = a;
+    l.node_b = b;
     l.crc_errors = errors;
     l.nominal_gbps = l.actual_gbps = nominal_of(l.node_a, l.node_b);
     ev.links.push_back(l);
@@ -643,16 +595,11 @@ FleetEvidence FaultInjector::fleet_evidence(const net::Topology& topo,
   return ev;
 }
 
-void FaultInjector::note_dataplane_fault_locked(sim::Time now) {
+void FaultInjector::note_dataplane_fault(sim::Time now) {
   if (first_dataplane_fault_ < 0 || now < first_dataplane_fault_) {
     first_dataplane_fault_ = now;
   }
   last_dataplane_fault_ = std::max(last_dataplane_fault_, now);
-}
-
-void FaultInjector::note_dataplane_fault(sim::Time now) {
-  std::lock_guard<std::mutex> lk(mu_);
-  note_dataplane_fault_locked(now);
 }
 
 }  // namespace hawkeye::fault

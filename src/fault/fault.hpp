@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <mutex>
+#include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -28,11 +29,8 @@ namespace hawkeye::fault {
 /// runs reproducible — every probabilistic decision is a stateless
 /// counter-hash of (plan seed, fault site, the event's stable attributes,
 /// simulated time). No draw depends on how many draws happened before it,
-/// so a fixed FaultPlan yields the same fault trace regardless of event
-/// *execution* order, and sweeps stay deterministic under eval::run_sweep's
-/// thread pool. Accounting is mutex-guarded and commutative (sums, min/max,
-/// sorted sets), so the recorded totals do not depend on the order the
-/// hooks fire in.
+/// so adding or reordering an unrelated event never shifts a verdict. Only
+/// the link-flap schedule uses a seeded sim::Rng, once, at construction.
 ///
 /// All hooks are reached through a nullable FaultInjector pointer on the
 /// device/collect objects: with no injector installed the fault paths cost
@@ -473,6 +471,15 @@ struct PfcVerdict {
   sim::Time extra_delay = 0;
 };
 
+/// The fault hooks of one run. The run's eval::Testbed owns the injector and
+/// the run's one calendar thread calls every hook, so it takes no lock.
+///
+/// Every lookup applies one match rule (first_match in fault.cpp) to its own
+/// family's list, in declaration order: the first spec whose window
+/// [start, stop) holds `now` (stop < 0 leaves it open) and whose site is the
+/// hook's wins. A switch, port or host left invalid is a wildcard, and a
+/// link is matched by its link_key, so its endpoints match in either order.
+/// Unbound link placeholders are dropped at construction and never fire.
 class FaultInjector {
  public:
   struct DownWindow {
@@ -486,15 +493,16 @@ class FaultInjector {
   struct FlapSchedule {
     net::NodeId a = net::kInvalidNode;
     net::NodeId b = net::kInvalidNode;
+    std::uint64_t link = 0;           // link_key(a, b)
     std::vector<DownWindow> windows;  // sorted, non-overlapping
     sim::Time holddown_ns = 0;        // 0 => routing stays frozen
     sim::Time restore_holddown_ns = 0;
   };
 
-  explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
-    build_flap_schedule();
-    build_rate_overrides();
-  }
+  explicit FaultInjector(FaultPlan plan);
+  // Devices, the collector and the detection agents hold its address.
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -507,7 +515,10 @@ class FaultInjector {
   bool agent_down(net::NodeId sw, sim::Time now) const;
 
   /// Record a polling packet lost to a blackout (per-victim accounting).
-  void note_blackout_drop(const net::FiveTuple& victim);
+  void note_blackout_drop(const net::FiveTuple& victim) {
+    ++blackout_drops_;
+    ++victim_faults_[victim];
+  }
 
   /// The switch CPU was asked for a register snapshot at `now`.
   DmaVerdict on_dma(net::NodeId sw, sim::Time now);
@@ -524,12 +535,17 @@ class FaultInjector {
 
   /// Is the (a, b) link dead at `now`? Endpoint order is irrelevant; pure
   /// (no randomness — the schedule was fixed at construction).
-  bool link_down(net::NodeId a, net::NodeId b, sim::Time now) const;
+  bool link_down(net::NodeId a, net::NodeId b, sim::Time now) const {
+    return down_window(a, b, now) != nullptr;
+  }
 
   /// End of the down window covering `now` on link (a, b); `now` if the
   /// link is up. Switches use it to arm their transmitter wake-up.
   sim::Time link_down_until(net::NodeId a, net::NodeId b,
-                            sim::Time now) const;
+                            sim::Time now) const {
+    const DownWindow* w = down_window(a, b, now);
+    return w == nullptr ? now : w->t1;
+  }
 
   /// A packet died on the dead (a, b) link (send- or arrival-edge).
   /// Polling packets count toward the victim's collection-fault tally like
@@ -542,20 +558,14 @@ class FaultInjector {
   /// port per outage) — impact truth even when nothing was in flight to
   /// drop.
   void note_link_stall(net::NodeId a, net::NodeId b, sim::Time now) {
-    note_link_hit(a, b);
-    note_dataplane_fault(now);
+    note_link_fault(link_key(a, b), now);
   }
 
-  /// Links whose injected faults actually bit (drop or stall), as
-  /// endpoint-normalized (min, max) pairs in sorted order — deterministic
-  /// regardless of which execution thread recorded each hit first. A
+  /// Links whose injected faults actually bit (drop, stall, CRC error or
+  /// slow serialization), as (min, max) endpoint pairs in sorted order. A
   /// schedule that never intersected live traffic is absent: the basis for
-  /// victim-path-aware fault attribution in the benches. Take a copy for
-  /// thread safety; by the time benches read this the run has quiesced.
-  std::vector<std::pair<net::NodeId, net::NodeId>> links_hit() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return links_hit_;
-  }
+  /// victim-path-aware fault attribution in the benches.
+  std::vector<std::pair<net::NodeId, net::NodeId>> links_hit() const;
 
   /// Precomputed flap schedules (bound specs only), with their hold-downs.
   const std::vector<FlapSchedule>& flap_schedules() const { return flaps_; }
@@ -581,16 +591,9 @@ class FaultInjector {
 
   // --- Fleet-ops fault class 1: degraded link (BER -> CRC drops) ---
 
-  /// Any degraded-link specs bound? Lets the wire path skip the spec scan
-  /// entirely in plans without this class.
-  bool has_degraded_links() const {
-    for (const DegradedLinkSpec& s : plan_.degraded_links) {
-      if (s.node_a != net::kInvalidNode && s.node_b != net::kInvalidNode) {
-        return true;
-      }
-    }
-    return false;
-  }
+  /// Any degraded-link specs bound? Lets the wire path skip the CRC hook
+  /// in plans without this class.
+  bool has_degraded_links() const { return !crc_links_.empty(); }
 
   /// A frame is crossing the (a, b) wire at `now`. Draws one uniform
   /// variate when a degraded-link spec covers the link; true means the
@@ -600,7 +603,7 @@ class FaultInjector {
   bool on_wire_crc(net::NodeId a, net::NodeId b, const net::Packet& pkt,
                    sim::Time now);
 
-  std::uint64_t crc_drops() const { return read(crc_drops_); }
+  std::uint64_t crc_drops() const { return crc_drops_; }
 
   // --- Fleet-ops classes 2 + 4: per-link rate overrides ---
 
@@ -610,12 +613,15 @@ class FaultInjector {
   /// OversubscribedDownlinkSpec (`oversub`); bound LinkSpeedMismatchSpecs
   /// register themselves at construction.
   void bind_rate_override(net::NodeId a, net::NodeId b, double gbps,
-                          sim::Time start, sim::Time stop, bool oversub);
+                          sim::Time start, sim::Time stop, bool oversub) {
+    rate_overrides_.push_back({a, b, link_key(a, b), gbps, start, stop,
+                               oversub});
+  }
 
   bool has_rate_overrides() const { return !rate_overrides_.empty(); }
 
   /// Actual serialization rate of the (a, b) wire at `now`; `nominal` when
-  /// no override covers it. Pure (no randomness, no lock).
+  /// no override covers it. Pure (no randomness).
   double link_gbps(net::NodeId a, net::NodeId b, double nominal,
                    sim::Time now) const;
 
@@ -623,7 +629,7 @@ class FaultInjector {
   /// truth plus the "observed slow serializations" evidence counter.
   void note_rate_limited(net::NodeId a, net::NodeId b, sim::Time now);
 
-  std::uint64_t rate_limited_pkts() const { return read(rate_limited_pkts_); }
+  std::uint64_t rate_limited_pkts() const { return rate_limited_pkts_; }
 
   // --- Fleet-ops fault class 3: host PCIe drain cap ---
 
@@ -637,14 +643,12 @@ class FaultInjector {
   void note_host_drain_delay(net::NodeId host, sim::Time backlog_ns,
                              sim::Time now);
 
-  std::uint64_t host_drain_delayed() const {
-    return read(host_drain_delayed_);
-  }
+  std::uint64_t host_drain_delayed() const { return host_drain_delayed_; }
 
-  /// The fleet-health view of the fabric at `at`, read under one lock.
-  /// Links: every rate override in bind order, then every other link with
-  /// CRC errors, sorted by endpoints. Hosts: `victim_dst`, then each PCIe
-  /// spec's host, once each, skipping hosts no frame waited at. Leaves
+  /// The fleet-health view of the fabric at `at`. Links: every rate
+  /// override in bind order, then every other link with CRC errors, sorted
+  /// by endpoints. Hosts: `victim_dst`, then each PCIe spec's host, once
+  /// each, skipping hosts no frame waited at. Leaves
   /// sender_retransmissions 0 (a host counter, not an injector one).
   FleetEvidence fleet_evidence(const net::Topology& topo,
                                net::NodeId victim_dst, sim::Time at) const;
@@ -653,84 +657,74 @@ class FaultInjector {
   /// bite (drop, stall, eaten/delayed PFC frame), and when. Benches score
   /// wrong verdicts against this window instead of calling them silent
   /// misses. -1 until the first fault fires.
-  bool dataplane_fault_fired() const {
-    return first_dataplane_fault() >= 0;
-  }
-  sim::Time first_dataplane_fault() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return first_dataplane_fault_;
-  }
-  sim::Time last_dataplane_fault() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return last_dataplane_fault_;
-  }
+  bool dataplane_fault_fired() const { return first_dataplane_fault_ >= 0; }
+  sim::Time first_dataplane_fault() const { return first_dataplane_fault_; }
+  sim::Time last_dataplane_fault() const { return last_dataplane_fault_; }
 
   /// Collection faults (drops, blackout losses) observed for this victim's
   /// polling packets — the per-episode "was my telemetry substrate hit"
   /// signal behind degraded-mode verdicts.
   std::uint32_t faults_for(const net::FiveTuple& victim) const;
 
-  std::uint64_t polls_dropped() const { return read(polls_dropped_); }
-  std::uint64_t blackout_drops() const { return read(blackout_drops_); }
-  std::uint64_t dma_failed() const { return read(dma_failed_); }
-  std::uint64_t dma_stale() const { return read(dma_stale_); }
-  std::uint64_t rtt_jittered() const { return read(rtt_jittered_); }
-  std::uint64_t link_drops() const { return read(link_drops_); }
-  std::uint64_t pfc_pause_lost() const { return read(pfc_pause_lost_); }
-  std::uint64_t pfc_resume_lost() const { return read(pfc_resume_lost_); }
-  std::uint64_t pfc_frames_delayed() const {
-    return read(pfc_frames_delayed_);
-  }
+  std::uint64_t polls_dropped() const { return polls_dropped_; }
+  std::uint64_t blackout_drops() const { return blackout_drops_; }
+  std::uint64_t dma_failed() const { return dma_failed_; }
+  std::uint64_t dma_stale() const { return dma_stale_; }
+  std::uint64_t rtt_jittered() const { return rtt_jittered_; }
+  std::uint64_t link_drops() const { return link_drops_; }
+  std::uint64_t pfc_pause_lost() const { return pfc_pause_lost_; }
+  std::uint64_t pfc_resume_lost() const { return pfc_resume_lost_; }
+  std::uint64_t pfc_frames_delayed() const { return pfc_frames_delayed_; }
 
  private:
-  /// A resolved "this wire actually runs at `gbps`" entry: a bound
-  /// LinkSpeedMismatchSpec or one bind_rate_override call. Setup-time
-  /// only — the vector is immutable once the simulation starts, so
-  /// link_gbps() takes no lock.
+  /// A "this wire actually runs at `gbps`" entry: a bound
+  /// LinkSpeedMismatchSpec or one bind_rate_override call. `a` and `b`
+  /// keep the bound order for fleet_evidence.
   struct RateOverride {
     net::NodeId a = net::kInvalidNode;
     net::NodeId b = net::kInvalidNode;
+    std::uint64_t link = 0;  // link_key(a, b)
     double gbps = 0;
     sim::Time start = 0;
     sim::Time stop = -1;
     bool oversub = false;  // came from an OversubscribedDownlinkSpec
   };
+  /// A bound DegradedLinkSpec.
+  struct CrcLink {
+    std::uint64_t link = 0;  // link_key(node_a, node_b)
+    double ber = 0;
+    sim::Time start = 0;
+    sim::Time stop = -1;
+  };
 
-  const PollFaultSpec* poll_spec(net::NodeId sw, sim::Time now) const;
-  const DmaFaultSpec* dma_spec(net::NodeId sw, sim::Time now) const;
   void build_flap_schedule();
-  void build_rate_overrides();
   const DownWindow* down_window(net::NodeId a, net::NodeId b,
                                 sim::Time now) const;
-  void note_dataplane_fault_locked(sim::Time now);
   void note_dataplane_fault(sim::Time now);
-  void note_link_hit(net::NodeId a, net::NodeId b);
-  bool links_hit_sorted_contains(net::NodeId a, net::NodeId b) const;
-  void links_hit_insert_sorted(net::NodeId a, net::NodeId b);
-  std::uint64_t read(const std::uint64_t& counter) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return counter;
+  /// A fault bit `link`: it joins links_hit and stamps the fault epoch.
+  void note_link_fault(std::uint64_t link, sim::Time now) {
+    links_hit_.insert(link);
+    note_dataplane_fault(now);
   }
 
-  const DegradedLinkSpec* degraded_spec(net::NodeId a, net::NodeId b,
-                                        sim::Time now) const;
-  /// Endpoint-normalized 64-bit key for per-link maps.
+  /// Endpoint-normalized 64-bit key for per-link maps: (min, max) node,
+  /// so sorting keys sorts links by endpoints.
   static std::uint64_t link_key(net::NodeId a, net::NodeId b) {
     const auto mm = std::minmax(a, b);
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(mm.first))
             << 32) |
            static_cast<std::uint32_t>(mm.second);
   }
+  static std::pair<net::NodeId, net::NodeId> link_ends(std::uint64_t link) {
+    return {static_cast<net::NodeId>(link >> 32),
+            static_cast<net::NodeId>(link & 0xffffffffu)};
+  }
 
   FaultPlan plan_;
   std::vector<FlapSchedule> flaps_;
-  std::vector<RateOverride> rate_overrides_;  // immutable once running
-  /// Guards every mutable accounting field below. All updates are
-  /// commutative (sums, min/max, sorted-set insert), so the totals do not
-  /// depend on the order the hooks fire in. The verdict draws themselves
-  /// are stateless hashes and take no lock.
-  mutable std::mutex mu_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> links_hit_;
+  std::vector<RateOverride> rate_overrides_;
+  std::vector<CrcLink> crc_links_;
+  std::set<std::uint64_t> links_hit_;
   std::unordered_map<net::FiveTuple, std::uint32_t> victim_faults_;
   std::unordered_map<net::NodeId, std::uint64_t> pause_lost_by_;
   std::uint64_t polls_dropped_ = 0;
@@ -745,12 +739,13 @@ class FaultInjector {
   std::uint64_t crc_drops_ = 0;
   std::uint64_t rate_limited_pkts_ = 0;
   std::uint64_t host_drain_delayed_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> crc_by_link_;
+  std::map<std::uint64_t, std::uint64_t> crc_by_link_;  // by link_key
   std::unordered_map<std::uint64_t, std::uint64_t> rate_limited_by_link_;
   std::unordered_map<net::NodeId, std::uint64_t> drain_delayed_by_host_;
   std::unordered_map<net::NodeId, sim::Time> drain_backlog_by_host_;
   sim::Time first_dataplane_fault_ = -1;
   sim::Time last_dataplane_fault_ = -1;
 };
+
 
 }  // namespace hawkeye::fault

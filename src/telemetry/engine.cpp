@@ -28,7 +28,6 @@ TelemetryEngine::TelemetryEngine(net::NodeId sw, std::int32_t port_count,
                    0);
   }
   pause_until_.assign(static_cast<size_t>(port_count_), 0);
-  pfc_frames_seen_.assign(static_cast<size_t>(port_count_), 0);
 }
 
 void TelemetryEngine::reset_epoch(Epoch& e, std::uint64_t id,
@@ -128,13 +127,7 @@ void TelemetryEngine::on_pfc_frame(net::PortId port, std::uint32_t quanta,
                                    sim::Time pause_until, sim::Time now) {
   (void)now;
   if (port < 0 || port >= port_count_) return;
-  ++pfc_frames_seen_[static_cast<size_t>(port)];
   pause_until_[static_cast<size_t>(port)] = quanta == 0 ? 0 : pause_until;
-}
-
-std::uint64_t TelemetryEngine::pfc_frames_seen(net::PortId port) const {
-  if (port < 0 || port >= port_count_) return 0;
-  return pfc_frames_seen_[static_cast<size_t>(port)];
 }
 
 bool TelemetryEngine::port_paused(net::PortId port, sim::Time now) const {

@@ -51,7 +51,6 @@ class TelemetryEngine {
                   TelemetryConfig cfg);
 
   const TelemetryConfig& config() const { return cfg_; }
-  net::NodeId switch_id() const { return sw_; }
 
   /// Flow slots displaced by XOR-mismatch evictions are pushed to the
   /// controller through this sink (paper: "the existing entry will be
@@ -73,12 +72,6 @@ class TelemetryEngine {
   /// PFC status register: is the egress port paused right now?
   bool port_paused(net::PortId port, sim::Time now) const;
   sim::Time pause_deadline(net::PortId port) const;
-
-  /// Status-register update count for `port` (PAUSE + RESUME frames seen).
-  /// Lost frames never reach here, so the gap between a peer's
-  /// pause_frames_sent() and this counter is exactly the injected loss —
-  /// the observable the PFC-fault tests assert on.
-  std::uint64_t pfc_frames_seen(net::PortId port) const;
 
   /// Paused-packet count for `port` summed over every live epoch in the
   /// ring — the line-rate check the polling pipeline performs ("checks the
@@ -141,7 +134,6 @@ class TelemetryEngine {
   TelemetryConfig cfg_;
   std::vector<Epoch> ring_;
   std::vector<sim::Time> pause_until_;  // PFC status register per port
-  std::vector<std::uint64_t> pfc_frames_seen_;
   EvictSink evict_sink_;
 };
 

@@ -33,12 +33,6 @@ FlowSizeDistribution::FlowSizeDistribution(std::vector<Band> bands)
     if (b.cum_prob <= prev || b.lo_bytes <= 0 || b.hi_bytes < b.lo_bytes) {
       throw std::invalid_argument("malformed flow-size band");
     }
-    // Mean of a log-uniform on [lo, hi]: (hi - lo) / ln(hi / lo).
-    const double lo = static_cast<double>(b.lo_bytes);
-    const double hi = static_cast<double>(b.hi_bytes);
-    const double band_mean =
-        hi > lo ? (hi - lo) / std::log(hi / lo) : lo;
-    mean_ += (b.cum_prob - prev) * band_mean;
     prev = b.cum_prob;
   }
 }

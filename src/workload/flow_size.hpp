@@ -29,11 +29,9 @@ class FlowSizeDistribution {
   explicit FlowSizeDistribution(std::vector<Band> bands);
 
   std::int64_t sample(sim::Rng& rng) const;
-  double mean_bytes() const { return mean_; }
 
  private:
   std::vector<Band> bands_;
-  double mean_ = 0;
 };
 
 }  // namespace hawkeye::workload

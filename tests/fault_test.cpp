@@ -85,6 +85,183 @@ TEST(FaultInjectorTest, SamePlanSameDecisionStream) {
   EXPECT_GT(a.polls_dropped(), 0u);
 }
 
+// The one match rule behind every hook: a spec covers a site during
+// [start, stop), stop < 0 leaving the window open; a switch, port or host
+// left invalid is a wildcard; a link matches in either endpoint order; an
+// unbound link placeholder never fires. Every spec below fires whenever it
+// covers a probe, and the probes straddle each window edge. In each family
+// spec 1 names a site for [100, 200) ns and spec 2 (a wildcard, or another
+// link) is open from 300 ns.
+TEST(FaultInjectorTest, EveryHookMatchesItsSiteAndWindow) {
+  constexpr net::NodeId kAny = net::kInvalidNode;
+  constexpr sim::Time kLate = sim::ms(500);  // inside every open window
+  const net::FiveTuple v = flow_tuple(0, 1, 7);
+  fault::FaultPlan plan;
+  plan.poll_faults = {{.sw = 3, .drop_prob = 1, .start = 100, .stop = 200},
+                      {.delay_prob = 1, .delay_ns = 7, .start = 300}};
+  plan.dma_faults = {{.sw = 3, .fail_prob = 1, .start = 100, .stop = 200},
+                     {.stale_prob = 1, .extra_delay = 9, .start = 300}};
+  plan.blackouts = {{.sw = 3, .start = 100, .stop = 200}, {.start = 300}};
+  plan.pfc_faults = {
+      {.sw = 5, .port = 2, .loss_prob = 1, .affect_resume = false,
+       .start = 100, .stop = 200},
+      {.sw = 6, .delay_prob = 1, .delay_ns = 11, .start = 100, .stop = 200},
+      {.loss_prob = 1, .affect_pause = false, .start = 300}};
+  plan.degraded_links = {
+      {.node_a = 2, .node_b = 9, .ber = 1, .start = 100, .stop = 200},
+      {.node_a = 4, .node_b = 7, .ber = 1, .start = 300},
+      {.ber = 1}};  // unbound placeholder
+  plan.speed_mismatches = {
+      {.node_a = 2, .node_b = 9, .gbps = 25, .start = 100, .stop = 200},
+      {.node_a = 4, .node_b = 7, .gbps = 40, .start = 300},
+      {.gbps = 10}};
+  plan.pcie_bottlenecks = {{.host = 6, .drain_gbps = 8, .start = 100,
+                            .stop = 200},
+                           {.drain_gbps = 4, .start = 300}};
+  // Flap 1's single outage is cut to [100, 200) by its stop; flap 2 is a
+  // 200 ns outage every 100 us from 300 ns with no stop.
+  plan.link_flaps = {
+      {.node_a = 2, .node_b = 9, .start = 100, .stop = 200, .down_ns = 1000},
+      {.node_a = 4, .node_b = 7, .start = 300, .down_ns = 200,
+       .period_ns = sim::us(100)},
+      {}};
+  fault::FaultInjector inj(plan);
+
+  const auto poll = [&](net::NodeId sw, sim::Time t) {
+    return inj.on_polling(sw, v, t).action;
+  };
+  EXPECT_EQ(poll(3, 99), fault::PollAction::kDeliver);
+  EXPECT_EQ(poll(3, 100), fault::PollAction::kDrop);
+  EXPECT_EQ(poll(3, 199), fault::PollAction::kDrop);
+  EXPECT_EQ(poll(3, 200), fault::PollAction::kDeliver);
+  EXPECT_EQ(poll(4, 150), fault::PollAction::kDeliver);
+  EXPECT_EQ(poll(4, 299), fault::PollAction::kDeliver);
+  EXPECT_EQ(poll(4, 300), fault::PollAction::kDelay);
+  EXPECT_EQ(inj.on_polling(3, v, kLate).delay_ns, 7);
+
+  // -1 for a failed snapshot, else the extra delay.
+  const auto dma = [&](net::NodeId sw, sim::Time t) {
+    const fault::DmaVerdict d = inj.on_dma(sw, t);
+    return d.failed ? -1 : d.extra_delay;
+  };
+  EXPECT_EQ(dma(3, 99), 0);
+  EXPECT_EQ(dma(3, 100), -1);
+  EXPECT_EQ(dma(3, 199), -1);
+  EXPECT_EQ(dma(3, 200), 0);
+  EXPECT_EQ(dma(4, 150), 0);
+  EXPECT_EQ(dma(4, 299), 0);
+  EXPECT_EQ(dma(4, 300), 9);
+  EXPECT_EQ(dma(3, kLate), 9);
+
+  EXPECT_FALSE(inj.agent_down(3, 99));
+  EXPECT_TRUE(inj.agent_down(3, 100));
+  EXPECT_TRUE(inj.agent_down(3, 199));
+  EXPECT_FALSE(inj.agent_down(3, 200));
+  EXPECT_FALSE(inj.agent_down(4, 150));
+  EXPECT_FALSE(inj.agent_down(4, 299));
+  EXPECT_TRUE(inj.agent_down(4, 300));
+  EXPECT_TRUE(inj.agent_down(3, kLate));
+
+  // -1 for a lost frame, else the extra delay. quanta > 0 is a PAUSE.
+  const auto pfc = [&](net::NodeId sw, net::PortId port, std::uint32_t quanta,
+                       sim::Time t) {
+    const fault::PfcVerdict p = inj.on_pfc_frame(sw, port, quanta, t);
+    return p.dropped ? -1 : p.extra_delay;
+  };
+  EXPECT_EQ(pfc(5, 2, 1, 99), 0);
+  EXPECT_EQ(pfc(5, 2, 1, 100), -1);
+  EXPECT_EQ(pfc(5, 2, 1, 199), -1);
+  EXPECT_EQ(pfc(5, 2, 1, 200), 0);
+  EXPECT_EQ(pfc(5, 2, 0, 150), 0) << "spec 1 spares RESUME frames";
+  EXPECT_EQ(pfc(5, 3, 1, 150), 0) << "other port";
+  EXPECT_EQ(pfc(6, 3, 1, 150), 11) << "wildcard port, PAUSE";
+  EXPECT_EQ(pfc(6, 0, 0, 199), 11) << "wildcard port, RESUME";
+  EXPECT_EQ(pfc(6, 3, 1, 200), 0);
+  EXPECT_EQ(pfc(7, 2, 1, 150), 0) << "other switch";
+  EXPECT_EQ(pfc(7, 1, 0, 299), 0);
+  EXPECT_EQ(pfc(7, 1, 0, 300), -1);
+  EXPECT_EQ(pfc(5, 2, 0, kLate), -1);
+  EXPECT_EQ(pfc(5, 2, 1, kLate), 0) << "spec 3 spares PAUSE frames";
+  EXPECT_EQ(inj.pfc_pause_lost(), 2u);
+  EXPECT_EQ(inj.pfc_resume_lost(), 2u);
+  EXPECT_EQ(inj.pfc_frames_delayed(), 2u);
+  EXPECT_EQ(inj.pause_frames_lost(5), 2u);
+  EXPECT_EQ(inj.pause_frames_lost(7), 0u);
+
+  net::Packet frame;
+  frame.size_bytes = 1000;  // ber 1: every covered frame fails its FCS
+  const auto crc = [&](net::NodeId a, net::NodeId b, sim::Time t) {
+    return inj.on_wire_crc(a, b, frame, t);
+  };
+  EXPECT_TRUE(inj.has_degraded_links());
+  EXPECT_FALSE(crc(2, 9, 99));
+  EXPECT_TRUE(crc(2, 9, 100));
+  EXPECT_TRUE(crc(9, 2, 199));
+  EXPECT_FALSE(crc(2, 9, 200));
+  EXPECT_FALSE(crc(2, 4, 150)) << "shares one endpoint, other link";
+  EXPECT_FALSE(crc(4, 7, 299));
+  EXPECT_TRUE(crc(7, 4, 300));
+  EXPECT_TRUE(crc(4, 7, kLate));
+  EXPECT_FALSE(crc(kAny, kAny, 150)) << "placeholders stay inert";
+  EXPECT_EQ(inj.crc_drops(), 4u);
+
+  constexpr double kNominal = 100;
+  const auto gbps = [&](net::NodeId a, net::NodeId b, sim::Time t) {
+    return inj.link_gbps(a, b, kNominal, t);
+  };
+  EXPECT_TRUE(inj.has_rate_overrides());
+  EXPECT_EQ(gbps(2, 9, 99), kNominal);
+  EXPECT_EQ(gbps(2, 9, 100), 25);
+  EXPECT_EQ(gbps(9, 2, 199), 25);
+  EXPECT_EQ(gbps(2, 9, 200), kNominal);
+  EXPECT_EQ(gbps(2, 4, 150), kNominal);
+  EXPECT_EQ(gbps(4, 7, 299), kNominal);
+  EXPECT_EQ(gbps(7, 4, 300), 40);
+  EXPECT_EQ(gbps(4, 7, kLate), 40);
+  EXPECT_EQ(gbps(kAny, kAny, 150), kNominal);
+  // A later override of the same link yields where an earlier one covers.
+  inj.bind_rate_override(9, 2, 50, 0, -1, /*oversub=*/true);
+  EXPECT_EQ(gbps(2, 9, 150), 25);
+  EXPECT_EQ(gbps(2, 9, 99), 50);
+  EXPECT_EQ(gbps(9, 2, kLate), 50);
+
+  EXPECT_EQ(inj.host_drain_gbps(6, 99), 0);
+  EXPECT_EQ(inj.host_drain_gbps(6, 100), 8);
+  EXPECT_EQ(inj.host_drain_gbps(6, 199), 8);
+  EXPECT_EQ(inj.host_drain_gbps(6, 200), 0);
+  EXPECT_EQ(inj.host_drain_gbps(7, 150), 0);
+  EXPECT_EQ(inj.host_drain_gbps(7, 299), 0);
+  EXPECT_EQ(inj.host_drain_gbps(7, 300), 4);
+  EXPECT_EQ(inj.host_drain_gbps(6, kLate), 4);
+
+  EXPECT_TRUE(inj.has_link_faults());
+  EXPECT_FALSE(inj.link_down(2, 9, 99));
+  EXPECT_TRUE(inj.link_down(2, 9, 100));
+  EXPECT_TRUE(inj.link_down(9, 2, 199));
+  EXPECT_FALSE(inj.link_down(2, 9, 200));
+  EXPECT_FALSE(inj.link_down(2, 4, 150));
+  EXPECT_FALSE(inj.link_down(4, 7, 299));
+  EXPECT_TRUE(inj.link_down(7, 4, 300));
+  EXPECT_TRUE(inj.link_down(4, 7, 499));
+  EXPECT_FALSE(inj.link_down(4, 7, 500));
+  EXPECT_FALSE(inj.link_down(7, 4, kLate + 299));
+  EXPECT_TRUE(inj.link_down(7, 4, kLate + 300));
+  EXPECT_FALSE(inj.link_down(kAny, kAny, 150));
+  EXPECT_EQ(inj.link_down_until(9, 2, 150), 200);
+  EXPECT_EQ(inj.link_down_until(4, 7, 400), 500);
+  EXPECT_EQ(inj.link_down_until(2, 9, 250), 250);
+
+  // A plan whose link specs are all placeholders arms no link hook.
+  fault::FaultPlan unbound;
+  unbound.link_flaps.emplace_back();
+  unbound.degraded_links.push_back({.ber = 1});
+  unbound.speed_mismatches.emplace_back();
+  const fault::FaultInjector idle(unbound);
+  EXPECT_FALSE(idle.has_link_faults());
+  EXPECT_FALSE(idle.has_degraded_links());
+  EXPECT_FALSE(idle.has_rate_overrides());
+}
+
 TEST(FaultRunnerTest, FaultEnabledRunsAreDeterministic) {
   eval::RunConfig cfg;
   cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
