@@ -8,9 +8,11 @@
 #       switch/host/packet suite: PFC, lossless incast sweep, DCQCN,
 #       TIMELY, go-back-N loss recovery), the routing and topology tests
 #       (the flat routing table's offset arithmetic), the telemetry engine
-#       tests (the flow tables' occupied-slot index), the provenance
-#       builder tests, the fault-plan validation tests, the fault
-#       injector's hook tests (its match rule, link flaps, PFC frame
+#       tests (the flow tables' occupied-slot index and the evicted
+#       entries each epoch keeps), the collector, episode-merge and report
+#       tests (snapshot cache, stale-epoch filter, report merge and size),
+#       the provenance builder tests, the fault-plan validation tests, the
+#       fault injector's hook tests (its match rule, link flaps, PFC frame
 #       faults, fleet evidence), the run-stage API tests and the case-file
 #       parser (round trips plus the corpus mutation fuzz; the slow corpus
 #       replay is left to the plain ctest job). UBSan halts on its first
@@ -42,7 +44,7 @@ run_asan() {
         --target hawkeye_tests hawkeye_hunt_corpus_test
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|FaultInjectorTest|LinkFlapTest|PfcFrameFaultTest|FleetEvidenceTest|RunStageTest|HuntCorpusTest\.MutatedCases')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|CollectionTest|CollectorTest|PollingEdgeTest|StalenessGuardTest|MergedEpisodeTest|MergeReportTest|ReportSizeTest|StaleEpochTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|FaultInjectorTest|LinkFlapTest|PfcFrameFaultTest|FleetEvidenceTest|RunStageTest|HuntCorpusTest\.MutatedCases')
 }
 
 run_tsan() {

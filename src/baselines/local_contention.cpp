@@ -90,7 +90,6 @@ std::int64_t spidermon_telemetry_bytes(const Episode& ep) {
     for (const auto& er : rep.epochs) {
       flows += static_cast<std::int64_t>(er.flows.size());
     }
-    flows += static_cast<std::int64_t>(rep.evicted.size());
   }
   return flows * kSpiderMonFlowRecordBytes;
 }

@@ -6,16 +6,11 @@ namespace hawkeye::collect {
 
 void Collector::register_switch(device::Switch& sw) {
   switches_.push_back(&sw);
-  const net::NodeId id = sw.id();
-  const auto need = static_cast<std::size_t>(id) + 1;
+  const auto need = static_cast<std::size_t>(sw.id()) + 1;
   if (last_collect_.size() < need) {
     last_collect_.resize(need, sim::Time{-1});
     last_report_.resize(need);
-    evicted_.resize(need);
   }
-  sw.telemetry().set_evict_sink([this, id](const telemetry::FlowRecord& rec) {
-    evicted_[static_cast<std::size_t>(id)].push_back(rec);
-  });
 }
 
 Episode& Collector::open_episode(std::uint64_t probe_id,
@@ -75,9 +70,6 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
     last_collect_[idx] = now;
     rep = sw.telemetry().snapshot(
         now, [&sw](net::PortId p) { return sw.queue_pkts(p); });
-    if (!evicted_[idx].empty()) {
-      rep.evicted = evicted_[idx];
-    }
     last_report_[idx] = rep;
   }
 
@@ -95,14 +87,6 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
     if (it->start > stale_limit) {
       ++stale_rejected;
       it = rep.epochs.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = rep.evicted.begin(); it != rep.evicted.end();) {
-    if (it->epoch_start > stale_limit) {
-      ++stale_rejected;
-      it = rep.evicted.erase(it);
     } else {
       ++it;
     }

@@ -54,8 +54,9 @@ class Collector {
 
   const Config& config() const { return cfg_; }
 
-  /// Wire a switch in: installs the flow-eviction sink and remembers the
-  /// pointer for full-network polling.
+  /// Wire a switch in: remember the pointer for full-network polling and
+  /// size its snapshot cache. Flow entries the switch's tables evicted
+  /// reach the controller inside the epoch they left (`snapshot()`).
   void register_switch(device::Switch& sw);
 
   /// Begin an episode (called by the detection agent on trigger).
@@ -125,7 +126,6 @@ class Collector {
   // "never collected" sentinel.
   std::vector<sim::Time> last_collect_;
   std::vector<telemetry::SwitchTelemetryReport> last_report_;
-  std::vector<std::vector<telemetry::FlowRecord>> evicted_;
 };
 
 }  // namespace hawkeye::collect

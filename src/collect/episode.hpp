@@ -63,7 +63,7 @@ struct Episode {
   bool path_churned = false;
   std::uint32_t repolls = 0;            // self-healing re-poll rounds issued
   std::uint32_t failed_collections = 0; // DMA snapshots that never completed
-  std::uint32_t stale_epochs_rejected = 0;  // ring-overwrite records dropped
+  std::uint32_t stale_epochs_rejected = 0;  // ring-overwrite epochs dropped
   /// Set when the retry budget is exhausted with coverage still incomplete;
   /// the diagnosis for this episode is best-effort.
   bool degraded = false;

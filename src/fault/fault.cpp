@@ -87,7 +87,8 @@ const char* param_error(const OversubscribedDownlinkSpec& s) {
 /// The site two specs of one family both match — "switch", "port", "host"
 /// or "link" — or "" when they can never match the same one. Wildcards
 /// (kInvalidNode switch/host, kInvalidPort port, both-placeholder link
-/// endpoints) match every site their family could.
+/// endpoints) match every site their family could. A PFC spec's site also
+/// holds the frame kinds it affects, as in `names` below.
 template <typename S>
 std::string_view shared_site(const S& a, const S& b) {
   const auto nodes = [](net::NodeId x, net::NodeId y) {
@@ -100,7 +101,9 @@ std::string_view shared_site(const S& a, const S& b) {
   } else if constexpr (requires { a.port; }) {
     const bool ports = a.port == net::kInvalidPort ||
                        b.port == net::kInvalidPort || a.port == b.port;
-    return nodes(a.sw, b.sw) && ports ? "port" : "";
+    const bool kinds = (a.affect_pause && b.affect_pause) ||
+                       (a.affect_resume && b.affect_resume);
+    return nodes(a.sw, b.sw) && ports && kinds ? "port" : "";
   } else if constexpr (requires { a.host; }) {
     return nodes(a.host, b.host) ? "host" : "";
   } else {

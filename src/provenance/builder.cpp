@@ -232,34 +232,30 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
   // Replay populations are aggregated over every selected epoch before the
   // contribution is computed once per port: a burst whose tail spills into
   // an extra epoch must not collect a per-epoch "low participant" penalty.
+  // An epoch's flow records include the entries its hash collisions
+  // evicted, so every flow the switch counted joins the replay.
   for (const auto& [sw, rep] : ep.reports) {
     std::map<PortId, std::map<int, ReplayFlow>> by_port;
-    auto accumulate = [&](const FlowRecord& fr) {
-      const int fn = g.add_flow(fr.flow);
-      g.flow_info(fn).pkt_cnt += fr.pkt_cnt;
-      g.flow_info(fn).epochs_seen += 1;
-      if (fr.egress_port == net::kInvalidPort) return;
-      if (fr.paused_cnt > 0) {
-        const int pn = g.add_port({sw, fr.egress_port});
-        g.add_flow_port_edge(fn, pn, fr.paused_cnt);
-      }
-      const std::uint32_t contention =
-          fr.pkt_cnt > fr.paused_cnt ? fr.pkt_cnt - fr.paused_cnt : 0;
-      if (contention > 0) {
-        ReplayFlow& rf = by_port[fr.egress_port][fn];
-        rf.flow_node = fn;
-        rf.contention_pkts += contention;
-        rf.qdepth_sum += static_cast<double>(fr.qdepth_pkts_sum);
-      }
-    };
     for (const EpochRecord& er : rep.epochs) {
       if (!epoch_selected(er)) continue;
-      for (const FlowRecord& fr : er.flows) accumulate(fr);
-    }
-    // Hash-collision evictions were shipped to the controller with their
-    // epoch tag; fold the ones from selected epochs back in.
-    for (const FlowRecord& fr : rep.evicted) {
-      if (use_all || active.count(fr.epoch_start) > 0) accumulate(fr);
+      for (const FlowRecord& fr : er.flows) {
+        const int fn = g.add_flow(fr.flow);
+        g.flow_info(fn).pkt_cnt += fr.pkt_cnt;
+        g.flow_info(fn).epochs_seen += 1;
+        if (fr.egress_port == net::kInvalidPort) continue;
+        if (fr.paused_cnt > 0) {
+          const int pn = g.add_port({sw, fr.egress_port});
+          g.add_flow_port_edge(fn, pn, fr.paused_cnt);
+        }
+        const std::uint32_t contention =
+            fr.pkt_cnt > fr.paused_cnt ? fr.pkt_cnt - fr.paused_cnt : 0;
+        if (contention > 0) {
+          ReplayFlow& rf = by_port[fr.egress_port][fn];
+          rf.flow_node = fn;
+          rf.contention_pkts += contention;
+          rf.qdepth_sum += static_cast<double>(fr.qdepth_pkts_sum);
+        }
+      }
     }
     for (auto& [port, flows] : by_port) {
       std::vector<ReplayFlow> population;

@@ -37,6 +37,7 @@ void TelemetryEngine::reset_epoch(Epoch& e, std::uint64_t id,
   e.live = true;
   for (const FlowSlot& s : e.flows) e.pos[s.slot] = 0;
   e.flows.clear();
+  e.evicted.clear();
   for (auto& p : e.ports) {
     const auto port = p.port;
     p = PortRecord{};
@@ -91,16 +92,7 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
     }
     FlowSlot& slot = e.flows[pos - 1];
     if (!(slot.flow == pkt.flow())) {
-      if (evict_sink_) {
-        FlowRecord rec;
-        rec.flow = slot.flow;
-        rec.pkt_cnt = slot.pkt_cnt;
-        rec.paused_cnt = slot.paused_cnt;
-        rec.qdepth_pkts_sum = slot.qdepth_pkts_sum;
-        rec.egress_port = slot.egress_port;
-        rec.epoch_start = e.start;
-        evict_sink_(rec);
-      }
+      e.evicted.push_back(slot);
       slot = FlowSlot{pkt.flow(), 0, 0, 0, out_port, slot_idx};
     }
     slot.pkt_cnt += 1;
@@ -195,17 +187,14 @@ SwitchTelemetryReport TelemetryEngine::snapshot(
     EpochRecord er;
     er.epoch_id = e.id;
     er.start = e.start;
+    const auto export_flow = [&er](const FlowSlot& s) {
+      er.flows.push_back(
+          {s.flow, s.pkt_cnt, s.paused_cnt, s.qdepth_pkts_sum, s.egress_port});
+    };
     for (const std::uint32_t pos : e.pos) {
-      if (pos == 0) continue;
-      const FlowSlot& s = e.flows[pos - 1];
-      FlowRecord rec;
-      rec.flow = s.flow;
-      rec.pkt_cnt = s.pkt_cnt;
-      rec.paused_cnt = s.paused_cnt;
-      rec.qdepth_pkts_sum = s.qdepth_pkts_sum;
-      rec.egress_port = s.egress_port;
-      er.flows.push_back(rec);
+      if (pos != 0) export_flow(e.flows[pos - 1]);
     }
+    for (const FlowSlot& s : e.evicted) export_flow(s);
     for (const PortRecord& p : e.ports) {
       if (!p.zero()) er.ports.push_back(p);
     }
@@ -285,12 +274,7 @@ void merge_report(SwitchTelemetryReport& dst,
       match->queue_pkts = std::max(match->queue_pkts, sp.queue_pkts);
     }
   }
-  // The controller's evicted-slot store is cumulative, so the newer
-  // snapshot's copy is a superset — take it wholesale.
-  if (src_newer) {
-    dst.evicted = src.evicted;
-    dst.collected_at = src.collected_at;
-  }
+  if (src_newer) dst.collected_at = src.collected_at;
 }
 
 std::int64_t serialized_bytes(const SwitchTelemetryReport& r) {
@@ -302,7 +286,6 @@ std::int64_t serialized_bytes(const SwitchTelemetryReport& r) {
     bytes += static_cast<std::int64_t>(e.meters.size()) * kMeterRecordBytes;
   }
   bytes += static_cast<std::int64_t>(r.port_status.size()) * kPortStatusBytes;
-  bytes += static_cast<std::int64_t>(r.evicted.size()) * (kFlowRecordBytes + 8);
   return bytes;
 }
 

@@ -45,17 +45,10 @@ struct TelemetryConfig {
 /// slot (wrap-around rule from §3.3).
 class TelemetryEngine {
  public:
-  using EvictSink = std::function<void(const FlowRecord&)>;
-
   TelemetryEngine(net::NodeId sw, std::int32_t port_count,
                   TelemetryConfig cfg);
 
   const TelemetryConfig& config() const { return cfg_; }
-
-  /// Flow slots displaced by XOR-mismatch evictions are pushed to the
-  /// controller through this sink (paper: "the existing entry will be
-  /// evicted and stored at the controller").
-  void set_evict_sink(EvictSink sink) { evict_sink_ = std::move(sink); }
 
   void on_enqueue(const net::Packet& pkt, net::PortId in_port,
                   net::PortId out_port, std::int64_t qlen_pkts,
@@ -86,9 +79,10 @@ class TelemetryEngine {
   /// multicast pruning.
   std::vector<net::PortId> causal_out_ports(net::PortId in_port) const;
 
-  /// Export every live epoch, flows in ascending slot order (empty slots
-  /// skipped; raw sizes are derived by the controller from `config()` for
-  /// the Fig 14 accounting).
+  /// Export every live epoch: its occupied flow slots in ascending slot
+  /// order (empty slots skipped), then the entries its XOR mismatches
+  /// evicted, in eviction order (raw sizes are derived by the controller
+  /// from `config()` for the Fig 14 accounting).
   /// `queue_pkts(port)` supplies the instantaneous egress occupancy for the
   /// port-status records (frozen deadlock queues are invisible to the
   /// enqueue-time depth averages); pass nullptr to skip.
@@ -115,13 +109,16 @@ class TelemetryEngine {
   /// The flow table stores only its occupied slots: `pos` maps each of the
   /// `flow_slots` hardware slots to 1 + its index in `flows` (0 = empty),
   /// so a switch holds 4 B per slot per epoch and an epoch reset touches
-  /// only the slots that epoch used.
+  /// only the slots that epoch used. An entry displaced by an XOR mismatch
+  /// goes to the controller (paper §3.3); the twin keeps it in `evicted`,
+  /// with the epoch it left, where the data-plane lookups never read it.
   struct Epoch {
     std::uint64_t id = ~0ull;
     sim::Time start = 0;
     bool live = false;
     std::vector<std::uint32_t> pos;  // [flow_slots] 0 or 1 + flows index
     std::vector<FlowSlot> flows;     // occupants, in first-use order
+    std::vector<FlowSlot> evicted;   // displaced entries, in eviction order
     std::vector<PortRecord> ports;
     std::vector<std::uint64_t> meter;  // [in * port_count + out] bytes
   };
@@ -134,7 +131,6 @@ class TelemetryEngine {
   TelemetryConfig cfg_;
   std::vector<Epoch> ring_;
   std::vector<sim::Time> pause_until_;  // PFC status register per port
-  EvictSink evict_sink_;
 };
 
 }  // namespace hawkeye::telemetry

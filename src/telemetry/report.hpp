@@ -8,7 +8,8 @@
 
 namespace hawkeye::telemetry {
 
-/// One flow-table slot as exported to the controller/analyzer.
+/// One flow-table entry as exported to the controller/analyzer: an
+/// occupied slot, or an entry an XOR mismatch evicted from its epoch.
 struct FlowRecord {
   net::FiveTuple flow;
   std::uint32_t pkt_cnt = 0;
@@ -16,7 +17,6 @@ struct FlowRecord {
   std::uint64_t qdepth_pkts_sum = 0;   // Σ queue length (pkts) at enqueue,
                                        // over non-paused enqueues only
   net::PortId egress_port = net::kInvalidPort;
-  sim::Time epoch_start = -1;  // set on evicted records (controller store)
 
   bool zero() const { return pkt_cnt == 0; }
 };
@@ -43,7 +43,7 @@ struct MeterRecord {
 struct EpochRecord {
   std::uint64_t epoch_id = 0;
   sim::Time start = 0;  // wall-clock start of the epoch
-  std::vector<FlowRecord> flows;
+  std::vector<FlowRecord> flows;  // occupied slots, then evicted entries
   std::vector<PortRecord> ports;
   std::vector<MeterRecord> meters;
 };
@@ -64,7 +64,6 @@ struct SwitchTelemetryReport {
   sim::Time collected_at = 0;
   std::vector<EpochRecord> epochs;
   std::vector<PortStatusRecord> port_status;  // paused ports at collection
-  std::vector<FlowRecord> evicted;  // slots displaced by hash collisions
 };
 
 /// Serialized wire sizes (bytes) used for overhead accounting (Fig 9a/14).

@@ -418,11 +418,46 @@ TEST(StaleEpochTest, LateCollectionYieldsNoStaleRecords) {
       EXPECT_LE(er.start, limit)
           << "sw" << sw << " leaked a post-overwrite epoch into the episode";
     }
-    for (const auto& fr : rep.evicted) {
-      EXPECT_LE(fr.epoch_start, limit);
-    }
   }
   EXPECT_GT(rig.tb.faults->dma_stale(), 0u);
+}
+
+TEST(StaleEpochTest, StaleCountIsBoundedByRingEpochs) {
+  // The stale count feeds the verdict's confidence, so it must count ring
+  // epochs, never flow records: one report can reject at most the ring's
+  // epochs. 1-slot flow tables make every packet of a second flow evict,
+  // so an epoch's evictions far outnumber its epochs.
+  sim::Rng rng(1);
+  const net::FatTree probe = net::build_fat_tree(4);
+  const net::Routing probe_routing(probe.topo);
+  const workload::ScenarioSpec spec =
+      workload::make_pfc_storm(probe, probe_routing, rng);
+  Testbed::Options opts;
+  opts.switch_cfg.telemetry.flow_slots = 1;
+  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
+  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
+  Testbed tb(opts);
+  tb.install(spec);
+
+  const auto& ecfg = opts.switch_cfg.telemetry.epoch;
+  fault::FaultPlan plan;
+  fault::DmaFaultSpec dma;
+  dma.stale_prob = 1.0;
+  dma.extra_delay = 2 * ecfg.epoch_ns() * ecfg.epoch_count();
+  plan.dma_faults.push_back(dma);
+  tb.install_faults(plan);
+  tb.run_for(spec.duration + sim::ms(5));
+
+  std::uint64_t rejected = 0;
+  for (const auto id : tb.collector.episode_order()) {
+    const Episode* ep = tb.collector.episode(id);
+    EXPECT_LE(ep->stale_epochs_rejected,
+              ep->reports.size() * static_cast<std::size_t>(
+                                       ecfg.epoch_count()))
+        << "episode " << id << " with " << ep->reports.size() << " reports";
+    rejected += ep->stale_epochs_rejected;
+  }
+  EXPECT_GT(rejected, 0u) << "the delayed DMA must outlive the ring";
 }
 
 // ---------------------------------------------------------------------------
@@ -740,6 +775,34 @@ TEST(FaultPlanTest, ValidateRejectsOverlappingWindowsSameSite) {
               p.degraded_links = {a, b};
             }),
             "");
+}
+
+TEST(FaultPlanTest, PfcSpecsOnDisjointFrameKindsMayOverlap) {
+  // A PFC spec's site includes the frame kinds it affects, as in the
+  // injector's match rule: no frame can match a PAUSE-only spec and a
+  // RESUME-only one, so both fire and their windows may overlap.
+  const auto plan = [](bool b_pause, bool b_resume) {
+    fault::PfcFrameFaultSpec loss, delay;
+    loss.sw = 5;
+    loss.port = 2;
+    loss.loss_prob = 0.5;
+    loss.affect_resume = false;
+    loss.start = sim::us(100);
+    loss.stop = sim::us(300);
+    delay.sw = 5;
+    delay.port = 2;
+    delay.delay_prob = 0.5;
+    delay.affect_pause = b_pause;
+    delay.affect_resume = b_resume;
+    delay.start = sim::us(200);
+    delay.stop = sim::us(400);
+    fault::FaultPlan p;
+    p.pfc_faults = {loss, delay};
+    return p;
+  };
+  EXPECT_EQ(plan(false, true).validate(), "") << "PAUSE-only + RESUME-only";
+  EXPECT_NE(plan(true, false).validate(), "") << "both affect PAUSE";
+  EXPECT_NE(plan(true, true).validate(), "") << "both affect PAUSE";
 }
 
 TEST(FaultPlanTest, EveryFamilyChecksWindowsAndSameSiteOverlap) {

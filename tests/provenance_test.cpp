@@ -223,10 +223,9 @@ TEST(BuilderTest, EvictedRecordsAreFoldedIn) {
   auto& brep = fx.report(fx.b);
   brep.epochs[0].ports.push_back(prec(fx.b_hot, 700, 1, 17000));
   brep.epochs[0].flows.push_back(frec(tup(1, 9, 1), fx.b_hot, 600, 0, 15000));
-  // A colliding flow was evicted to the controller mid-epoch.
-  FlowRecord ev = frec(tup(2, 9, 2), fx.b_hot, 100, 0, 2000);
-  ev.epoch_start = 0;
-  brep.evicted.push_back(ev);
+  // A colliding flow was evicted to the controller mid-epoch; its entry
+  // follows the occupant in the epoch's flow records.
+  brep.epochs[0].flows.push_back(frec(tup(2, 9, 2), fx.b_hot, 100, 0, 2000));
   const ProvenanceGraph g = build_provenance(fx.ep, fx.ft.topo);
   EXPECT_GE(g.flow_node(tup(2, 9, 2)), 0);
   const int pn = g.port_node({fx.b, fx.b_hot});
