@@ -29,8 +29,10 @@ namespace {
 /// actually schedules: 80–1103 ns serialization + propagation hops (MTU at
 /// 100 Gbps ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of events arming
 /// a 3 ms retransmit-timeout-like far delay. `timers` is the pending-event
-/// population — k=8 traces hold tens of thousands of in-flight packets.
-/// Each timer fires `hops` times.
+/// population. Sampled every 1 µs, the runs hold 300–700 pending events on
+/// average and at most 1.9 k at k=4, at most 5.9 k at k=8 and 33.5 k at
+/// k=16: the 1000 row is paper scale, 20000 lies between the k=8 and k=16
+/// peaks, and 100000 is beyond any run. Each timer fires `hops` times.
 std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
   std::uint64_t fired = 0;
   struct Timer {

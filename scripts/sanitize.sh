@@ -31,15 +31,19 @@
 #       cross-thread surface, and the plain ctest job already covers it.
 #
 # Each flavour builds into its own tree (build-asan/, build-tsan/) so the
-# default build/ stays sanitizer-free.
+# default build/ stays sanitizer-free. Both compile with assertions on:
+# RelWithDebInfo's default flags add -DNDEBUG, which would compile out the
+# runtime asserts in src/ (the calendar's invariant, the packet flow-hash
+# check, the wired-port check).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 flavour="${1:-all}"
+asserts_on=(-DCMAKE_CXX_FLAGS_RELWITHDEBINFO='-O2 -g')
 
 run_asan() {
   cmake -B build-asan -S . -DHAWKEYE_SANITIZE=address \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo "${asserts_on[@]}"
   cmake --build build-asan -j "$(nproc)" \
         --target hawkeye_tests hawkeye_hunt_corpus_test
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -49,7 +53,7 @@ run_asan() {
 
 run_tsan() {
   cmake -B build-tsan -S . -DHAWKEYE_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo "${asserts_on[@]}"
   cmake --build build-tsan -j "$(nproc)" \
         --target hawkeye_tests
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \

@@ -52,11 +52,6 @@ DetectionAgent::Baseline DetectionAgent::baseline(
       it != baseline_cache_.end()) {
     return it->second;
   }
-  // The cache is pure memoization of a deterministic function of topology
-  // and route, so dropping it wholesale at the cap only costs recomputation.
-  if (baseline_cache_.size() >= cfg_.baseline_cache_cap) {
-    baseline_cache_.clear();
-  }
   Baseline b;
   Time one_way = 0;
   for (const net::PortRef& hop : routing_.path_of(flow)) {
@@ -102,7 +97,6 @@ void DetectionAgent::stall_scan() {
           std::max<Time>(trigger_threshold(st.tuple), cfg_.min_stall);
       if (now - last_progress > stall_after) trigger(st.tuple, now);
       if (cfg_.retx_trigger_pkts > 0 && st.retx_pkts > 0) {
-        if (retx_seen_.size() >= cfg_.trigger_cache_cap) retx_seen_.clear();
         std::uint32_t& seen = retx_seen_[st.tuple];
         if (st.retx_pkts >= seen + cfg_.retx_trigger_pkts) {
           trigger(st.tuple, now);
@@ -119,17 +113,6 @@ void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
       it != last_trigger_.end() &&
       now - it->second < cfg_.flow_dedup_interval) {
     return;
-  }
-  // Entries past the dedup interval are semantically absent (the find above
-  // treats them as expired), so age-pruning at the cap changes nothing.
-  if (last_trigger_.size() >= cfg_.trigger_cache_cap) {
-    for (auto it = last_trigger_.begin(); it != last_trigger_.end();) {
-      if (now - it->second >= cfg_.flow_dedup_interval) {
-        it = last_trigger_.erase(it);
-      } else {
-        ++it;
-      }
-    }
   }
   last_trigger_[victim] = now;
 

@@ -75,12 +75,6 @@ class DetectionAgent {
     /// prefix of the path before it can reach the gap.
     sim::Time repoll_timeout = sim::us(600);
     sim::Time repoll_backoff_cap = sim::ms(2);
-
-    /// Bounds for the per-flow trigger-dedup and baseline-RTT caches: the
-    /// agent outlives any single episode, so without a cap a long-running
-    /// host with ephemeral ports grows these maps forever.
-    std::size_t trigger_cache_cap = std::size_t{1} << 16;
-    std::size_t baseline_cache_cap = std::size_t{1} << 16;
   };
 
   DetectionAgent(device::Network& net, const net::Routing& routing,
@@ -98,12 +92,6 @@ class DetectionAgent {
   /// Install the fault-injection substrate (nullptr => fault-free). The
   /// agent only consumes RTT jitter; everything else acts on the fabric.
   void set_fault_injector(fault::FaultInjector* f) { faults_ = f; }
-
-  /// Cache sizes (tests assert the bounds hold).
-  std::size_t trigger_cache_entries() const { return last_trigger_.size(); }
-  std::size_t baseline_cache_entries() const {
-    return baseline_cache_.size();
-  }
 
   /// Unloaded baseline RTT of a flow: propagation + store-and-forward
   /// serialization along its route, both directions.

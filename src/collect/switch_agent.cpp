@@ -28,16 +28,6 @@ void HawkeyeSwitchAgent::forward(device::Switch& sw, Packet pkt, PortId out,
   sw.send_control(out, std::move(pkt));
 }
 
-void HawkeyeSwitchAgent::prune_dedup(sim::Time now) {
-  for (auto it = dedup_.begin(); it != dedup_.end();) {
-    if (now - it->second.at >= cfg_.poll_dedup_interval) {
-      it = dedup_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
                                     PortId in_port) {
   if (pkt.poll_flag == PollingFlag::kUseless) {
@@ -51,8 +41,6 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   // multicast loops on deadlock cycles.
   const std::uint64_t key = dedup_key(sw.id(), pkt.victim);
   const auto flag_bits = static_cast<std::uint8_t>(pkt.poll_flag);
-  // Bound the dedup state before taking a reference into it.
-  if (dedup_.size() >= cfg_.dedup_cache_cap) prune_dedup(now);
   Seen& seen = dedup_[key];
   if (seen.at != 0 && now - seen.at < cfg_.poll_dedup_interval &&
       (flag_bits & ~seen.flags) == 0) {

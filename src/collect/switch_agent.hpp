@@ -34,12 +34,6 @@ class HawkeyeSwitchAgent : public device::PollingHandler {
     /// false => the "victim-only" baseline of §4.2/§4.3: polling packets
     /// never leave the victim flow path.
     bool trace_pfc_causality = true;
-    /// Dedup-state bound: once the map holds this many (switch, victim)
-    /// entries, entries older than `poll_dedup_interval` are evicted before
-    /// inserting. Stale entries are semantically absent (a fresh round
-    /// resets their scope anyway), so pruning never changes behaviour; it
-    /// only stops a long-lived agent from growing without bound.
-    std::size_t dedup_cache_cap = std::size_t{1} << 16;
   };
 
   explicit HawkeyeSwitchAgent(Collector& collector)
@@ -50,9 +44,6 @@ class HawkeyeSwitchAgent : public device::PollingHandler {
   void on_polling(device::Switch& sw, const net::Packet& pkt,
                   net::PortId in_port) override;
 
-  /// Live dedup-cache entries (tests assert the bound holds).
-  std::size_t dedup_entries() const { return dedup_.size(); }
-
  private:
   struct Seen {
     sim::Time at = 0;
@@ -60,7 +51,6 @@ class HawkeyeSwitchAgent : public device::PollingHandler {
   };
   void forward(device::Switch& sw, net::Packet pkt, net::PortId out,
                net::PollingFlag flag);
-  void prune_dedup(sim::Time now);
 
   Collector& collector_;
   Config cfg_;

@@ -461,75 +461,6 @@ TEST(StaleEpochTest, StaleCountIsBoundedByRingEpochs) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded caches (agents are long-lived; their per-flow state must not
-// grow without bound).
-
-TEST(BoundedStateTest, SwitchAgentDedupCacheStaysBounded) {
-  Testbed::Options opts;
-  opts.switch_agent_cfg.dedup_cache_cap = 4;
-  Testbed tb(opts);
-  device::Switch& sw = tb.switch_at(tb.ft.topo.switches()[0]);
-  // 40 distinct same-ToR victims (one switch on path each), spaced past the
-  // dedup interval so earlier entries are stale by the time the cap bites.
-  // Only entries still inside the dedup interval are live dedup state; the
-  // bound is cap + those.
-  for (int i = 0; i < 40; ++i) {
-    tb.simu.schedule(sim::us(600) * (i + 1), [&tb, &sw, i]() {
-      net::Packet poll = net::make_polling(
-          flow_tuple(tb.ft.hosts[0], tb.ft.hosts[1],
-                     static_cast<std::uint16_t>(1000 + i)),
-          static_cast<std::uint64_t>(i + 1), net::PollingFlag::kVictimPath);
-      tb.switch_agent->on_polling(sw, poll, 0);
-    });
-  }
-  tb.run_for(sim::ms(40));
-  EXPECT_LE(tb.switch_agent->dedup_entries(),
-            opts.switch_agent_cfg.dedup_cache_cap);
-  EXPECT_GT(tb.switch_agent->dedup_entries(), 0u);
-}
-
-TEST(BoundedStateTest, BaselineCacheStaysBounded) {
-  Testbed::Options opts;
-  opts.agent_cfg.baseline_cache_cap = 3;
-  Testbed tb(opts);
-  for (int i = 0; i < 20; ++i) {
-    const auto rtt = tb.agent->baseline_rtt(
-        flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15],
-                   static_cast<std::uint16_t>(100 + i)));
-    EXPECT_GT(rtt, 0);
-    EXPECT_LE(tb.agent->baseline_cache_entries(),
-              opts.agent_cfg.baseline_cache_cap);
-  }
-  // Re-query after eviction: recomputation must be value-identical.
-  const auto t = flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 100);
-  const auto first = tb.agent->baseline_rtt(t);
-  EXPECT_EQ(first, tb.agent->baseline_rtt(t));
-}
-
-TEST(BoundedStateTest, TriggerCacheStaysBounded) {
-  // RTT jitter makes every flow trigger; with a tiny cap the trigger-dedup
-  // map must prune expired entries instead of growing per victim.
-  Testbed::Options opts;
-  opts.agent_cfg.trigger_cache_cap = 4;
-  Testbed tb(opts);
-  fault::FaultPlan plan;
-  plan.rtt_jitter = {1.0, 50.0};
-  tb.install_faults(plan);
-  // Victims appear one at a time, spaced past the dedup interval, so each
-  // insert finds the previous entries expired. Concurrently-live victims
-  // are irreducible dedup state and sit on top of the cap by design.
-  for (int i = 0; i < 12; ++i) {
-    tb.add_flow({tb.ft.hosts[static_cast<size_t>(i % 8)], tb.ft.hosts[15],
-                 static_cast<std::uint16_t>(3000 + i), 4791, 100'000,
-                 sim::us(500) * i + sim::us(5), false, 0});
-  }
-  tb.run_for(sim::ms(8));
-  EXPECT_FALSE(tb.collector.episode_order().empty());
-  EXPECT_LE(tb.agent->trigger_cache_entries(),
-            opts.agent_cfg.trigger_cache_cap);
-}
-
-// ---------------------------------------------------------------------------
 // Per-reason drop accounting
 
 TEST(DropAccountingTest, UselessPollingPacketCountsAsPollingDrop) {

@@ -94,7 +94,7 @@ TEST(SimulatorTest, CountsExecutedEvents) {
 
 /// Callable with the footprint of the packet-arrival closure whose copy
 /// constructor is instrumented: the simulator core must move events
-/// end-to-end (push, bucket migration, heap sift, dispatch) and never copy
+/// end-to-end (push, arena growth, heap sift, dispatch) and never copy
 /// them — the seed's const_cast-move-out-of-priority_queue::top() pattern
 /// is gone.
 struct CopyProbe {
@@ -115,7 +115,8 @@ struct CopyProbe {
     ++*fired;
     if (--hops <= 0) return;
     // Alternate short hops (within a bucket), bucket-crossing hops and
-    // far-horizon hops so every storage tier relocates the event.
+    // hops past the wheel's one-revolution horizon, so the event takes
+    // every path through the calendar.
     const Time delay = hops % 7 == 0 ? ms(2) : (hops % 2 == 0 ? 3 : 700);
     simu->schedule(delay, std::move(*this));
   }
@@ -223,8 +224,9 @@ TEST(CalendarTest, OrderingAcrossBucketBoundaries) {
 
 TEST(CalendarTest, TieBreakByInsertionSeqAcrossBuckets) {
   // Same-timestamp events keep insertion order, including at bucket edges
-  // (255|256) and out in the far-overflow tier; interleaving timestamps at
-  // insertion must not perturb that.
+  // (255|256) and more than two wheel revolutions ahead (2.5 ms: the
+  // frontier passes its wheel slot twice before it is due); interleaving
+  // timestamps at insertion must not perturb that.
   Simulator simu;
   const std::vector<Time> times = {255, 256, 511, 131'072, 2'500'000};
   std::vector<std::pair<Time, int>> order;
@@ -265,6 +267,8 @@ TEST(CalendarTest, RunUntilBoundarySemantics) {
 }
 
 TEST(CalendarTest, FarHorizonEventsFireInOrder) {
+  // Events up to 19 wheel revolutions (~1.05 ms each) ahead, one pushed
+  // while the calendar drains, fire in time order.
   Simulator simu;
   std::vector<Time> fired;
   const auto rec = [&] { fired.push_back(simu.now()); };
@@ -272,7 +276,7 @@ TEST(CalendarTest, FarHorizonEventsFireInOrder) {
   simu.schedule_at(50, rec);
   simu.schedule_at(ms(5), [&] {
     fired.push_back(simu.now());
-    simu.schedule_at(ms(20), rec);  // far push while draining
+    simu.schedule_at(ms(20), rec);  // a far push while draining
   });
   simu.schedule_at(0, rec);
   simu.schedule_at(ms(2), rec);
@@ -281,57 +285,60 @@ TEST(CalendarTest, FarHorizonEventsFireInOrder) {
             (std::vector<Time>{0, 50, ms(2), ms(5), ms(10), ms(20)}));
 }
 
-TEST(CalendarTest, DrainedBucketsKeepBoundedStorage) {
-  // 256 consecutive buckets each take a burst of 1000 events; every event
-  // fires once more one wheel revolution later, and a last event sits past
-  // the second revolution. A drained wheel slot may keep capacity for only
-  // kRetainedBucketEvents events, so once the bursts are gone the calendar
-  // holds little more than the wheel's cap, not 1000 events per slot.
+TEST(CalendarTest, ArenaHoldsThePendingHighWaterMark) {
+  // A popped event's arena slot is reused before the arena grows, so the
+  // arena holds exactly as many event slots as were ever pending at once.
+  // The seeded sequence grows, shrinks and grows again with pushes up to
+  // three wheel revolutions ahead, and peaks at a population that is not a
+  // multiple of 1024.
+  constexpr Time kRevolution =
+      EventCalendar::kBucketCount * EventCalendar::kBucketWidthNs;
   EventCalendar cal;
-  constexpr int kBursts = 256;
-  constexpr int kPerBurst = 1000;
-  constexpr Time kWidth = EventCalendar::kBucketWidthNs;
-  constexpr Time kRevolution = EventCalendar::kBucketCount * kWidth;
+  Rng rng(21);
   std::uint64_t seq = 0;
-  for (int b = 1; b <= kBursts; ++b) {
-    for (int i = 0; i < kPerBurst; ++i) {
-      cal.push(b * kWidth + i % kWidth, seq++, [] {});
+  Time now = 0;
+  std::size_t peak = 0;
+  // (operations, chance that an operation pushes) per phase.
+  const std::array<std::pair<int, double>, 4> phases = {
+      {{6000, 0.8}, {5000, 0.3}, {4000, 0.7}, {6000, 0.2}}};
+  for (const auto& [n, push_chance] : phases) {
+    for (int op = 0; op < n; ++op) {
+      if (cal.empty() || rng.chance(push_chance)) {
+        const Time delay = rng.chance(0.9)
+                               ? rng.uniform_int(0, 100'000)
+                               : rng.uniform_int(kRevolution, 3 * kRevolution);
+        cal.push(now + delay, seq++, [] {});
+        peak = std::max(peak, cal.size());
+      } else {
+        ASSERT_TRUE(cal.prepare_head());
+        now = cal.pop_head().at;
+      }
     }
+    EXPECT_EQ(cal.retained_events(), peak) << "pending " << cal.size();
   }
-  cal.push(2 * kRevolution + 1000, seq++, [] {});
-  const std::size_t cap = static_cast<std::size_t>(EventCalendar::kBucketCount) *
-                          EventCalendar::kRetainedBucketEvents;
-  std::pair<Time, std::uint64_t> last{-1, 0};
-  std::size_t popped = 0;
-  while (cal.prepare_head()) {
-    if (cal.head().at / kWidth != last.first / kWidth) {  // bucket changed
-      EXPECT_LE(cal.retained_events(), cap + cal.size());
-    }
-    const EventCalendar::Event ev = cal.pop_head();
-    ASSERT_LT(last, (std::pair<Time, std::uint64_t>{ev.at, ev.seq}));
-    last = {ev.at, ev.seq};
-    if (ev.at < kRevolution) cal.push(ev.at + kRevolution, seq++, [] {});
-    ++popped;
-  }
-  EXPECT_EQ(popped, 2u * kBursts * kPerBurst + 1);
-  EXPECT_LE(cal.retained_events(), cap);
+  while (cal.prepare_head()) cal.pop_head();
+  EXPECT_EQ(cal.retained_events(), peak);
+  EXPECT_NE(peak % 1024, 0u) << "peak " << peak;
 }
 
 TEST(CalendarTest, MatchesReferenceOrderUnderInterleavedPushPop) {
-  // Differential guard on the calendar's storage: a seeded interleaving of
-  // pushes and pops must pop in exactly the order of a std::priority_queue
-  // on (time, seq). The pushes cover every tier transition: zero-delay and
-  // same-bucket pushes while a bucket drains, pushes into the next bucket,
-  // bursts sharing one bucket (tied timestamps included), far-tier pushes
-  // beyond the ~1.05 ms wheel horizon followed by wheel pushes into the same
-  // buckets once those come within the horizon, and events that refire
-  // exactly one wheel revolution later.
+  // Differential guard on the calendar: a seeded interleaving of pushes and
+  // pops must pop in exactly the order of a std::priority_queue on
+  // (time, seq). The pushes cover zero-delay and same-bucket pushes while a
+  // bucket drains, pushes into the next bucket, bursts sharing one bucket
+  // (tied timestamps included), pushes one to three wheel revolutions
+  // (~1.05 ms each) ahead, alone in their wheel slot or sharing it with
+  // near events, near pushes into the buckets of earlier far pushes once
+  // those come within one revolution, and events that refire exactly one
+  // revolution later. Two witnesses count what the sequence exercised: a
+  // popped bucket whose wheel slot still holds later-revolution events, and
+  // a bucket passed over with no events of its own while its slot holds
+  // later-revolution ones.
   using Key = std::pair<Time, std::uint64_t>;
   constexpr Time kWidth = EventCalendar::kBucketWidthNs;
-  constexpr Time kRevolution = EventCalendar::kBucketCount * kWidth;
+  constexpr std::int64_t kBuckets = EventCalendar::kBucketCount;
+  constexpr Time kRevolution = kBuckets * kWidth;
   constexpr std::size_t kPushPopOps = 120'000;
-  const std::size_t cap = static_cast<std::size_t>(EventCalendar::kBucketCount) *
-                          EventCalendar::kRetainedBucketEvents;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     EventCalendar cal;
     std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
@@ -339,19 +346,23 @@ TEST(CalendarTest, MatchesReferenceOrderUnderInterleavedPushPop) {
     std::uint64_t seq = 0;
     std::size_t ops = 0;
     Time now = 0;
-    Time last_bucket = -1;
+    std::int64_t last_bucket = -1;
     std::vector<Time> far_times;  // far pushes awaiting wheel company
+    std::vector<Time> later;  // pending pushes a revolution or more ahead
+    std::size_t shared_slots = 0;
+    std::size_t passed_slots = 0;
     const auto push = [&](Time at) {
       cal.push(at, seq, [] {});
       ref.emplace(at, seq++);
       ++ops;
+      if (at / kWidth >= now / kWidth + kBuckets) later.push_back(at);
     };
     while (!ref.empty() || ops < kPushPopOps) {
       const bool pushing =
           ops < kPushPopOps &&
           (ref.empty() || rng.chance(ref.size() < 64 ? 0.7 : 0.45));
       if (pushing) {
-        switch (rng.uniform_int(0, 6)) {
+        switch (rng.uniform_int(0, 8)) {
           case 0:  // zero delay: into the bucket being drained
             push(now);
             break;
@@ -372,13 +383,13 @@ TEST(CalendarTest, MatchesReferenceOrderUnderInterleavedPushPop) {
           case 4:  // elsewhere on the wheel
             push(now + rng.uniform_int(kWidth, 100'000));
             break;
-          case 5: {  // the far tier, beyond the wheel horizon
+          case 5: {  // one revolution ahead and more
             const Time at = now + kRevolution + rng.uniform_int(0, 200'000);
             push(at);
             far_times.push_back(at);
             break;
           }
-          case 6: {  // a wheel push into a far push's bucket, now in range
+          case 6: {  // a near push into a far push's bucket, now in range
             std::erase_if(far_times, [&](Time t) { return t < now + kWidth; });
             const auto it =
                 std::find_if(far_times.begin(), far_times.end(), [&](Time t) {
@@ -389,25 +400,45 @@ TEST(CalendarTest, MatchesReferenceOrderUnderInterleavedPushPop) {
             far_times.erase(it);
             break;
           }
+          case 7: {  // two or three revolutions ahead, beside a near event
+            const Time near = now + rng.uniform_int(kWidth, 100'000);
+            push(near);
+            push(near + rng.uniform_int(2, 3) * kRevolution);
+            break;
+          }
+          case 8:  // two or three revolutions ahead, where no push lands
+            push(now + rng.uniform_int(2, 3) * kRevolution +
+                 rng.uniform_int(300'000, 900'000));
+            break;
         }
         continue;
       }
       ASSERT_TRUE(cal.prepare_head());
-      if (cal.head().at / kWidth != last_bucket) {  // bucket changed
-        last_bucket = cal.head().at / kWidth;
-        EXPECT_LE(cal.retained_events(), cap + cal.size());
-      }
       const EventCalendar::Event ev = cal.pop_head();
       ASSERT_EQ((Key{ev.at, ev.seq}), ref.top()) << "seed " << seed;
       ref.pop();
       ++ops;
       ASSERT_EQ(cal.size(), ref.size());
       now = ev.at;
+      if (const std::int64_t bucket = now / kWidth; bucket != last_bucket) {
+        std::erase_if(later, [&](Time t) { return t / kWidth <= bucket; });
+        for (const Time t : later) {
+          const std::int64_t b = t / kWidth;
+          if ((b - bucket) % kBuckets == 0) ++shared_slots;
+          // The first bucket after `last_bucket` in b's wheel slot.
+          const std::int64_t x =
+              last_bucket + 1 + (b - last_bucket - 1) % kBuckets;
+          if (x < bucket) ++passed_slots;
+        }
+        last_bucket = bucket;
+      }
       // Refire exactly one revolution later: the same wheel slot.
       if (ops < kPushPopOps && rng.chance(0.05)) push(ev.at + kRevolution);
     }
     EXPECT_FALSE(cal.prepare_head());
     EXPECT_GE(ops, 100'000u);
+    EXPECT_GT(shared_slots, 0u) << "seed " << seed;
+    EXPECT_GT(passed_slots, 0u) << "seed " << seed;
   }
 }
 
