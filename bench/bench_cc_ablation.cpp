@@ -29,7 +29,7 @@ CcResult run_case(device::CcAlgorithm algo, std::uint64_t seed) {
   }
   eval::Testbed::Options opts;
   opts.install_hawkeye = false;
-  opts.dcqcn.algo = algo;
+  opts.cc_algo = algo;
   eval::Testbed tb(opts);
   tb.install(spec);
   tb.run_for(spec.duration);

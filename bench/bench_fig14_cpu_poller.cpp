@@ -49,11 +49,11 @@ int main() {
   }
 
   // §4.5 CPU poll latency model: parallel per-switch DMA reads.
-  collect::Collector::Config cc;
   std::printf("\nCPU poll latency (parallel across switches):\n");
   for (const int epochs : {2, 4}) {
     std::printf("  %d epochs x (64 ports, 4096 flows): %lld ms\n", epochs,
-                static_cast<long long>(cc.dma_per_epoch * epochs / 1000000));
+                static_cast<long long>(collect::Collector::kDmaPerEpoch *
+                                           epochs / 1000000));
   }
   return 0;
 }

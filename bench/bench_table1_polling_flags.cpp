@@ -27,7 +27,6 @@ std::size_t collected_with_flag(net::PollingFlag flag) {
   // Disable the built-in agent: we inject the polling packet by hand.
   eval::Testbed::Options opts;
   opts.agent_cfg.threshold_factor = 1e9;
-  opts.agent_cfg.min_stall = sim::ms(100);
   eval::Testbed tb(opts);
   tb.install(spec);
 

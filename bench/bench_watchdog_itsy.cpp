@@ -42,10 +42,8 @@ CaseResult run_case(diagnosis::AnomalyType type, std::uint64_t seed,
   eval::Testbed tb(opts);
   tb.install(spec);
 
-  baselines::PfcWatchdog::Config wcfg;
-  wcfg.poll_period = watchdog_period;
-  baselines::PfcWatchdog watchdog(tb.net, wcfg);
-  baselines::ItsyDetector itsy(tb.net, {});
+  baselines::PfcWatchdog watchdog(tb.net, watchdog_period);
+  baselines::ItsyDetector itsy(tb.net);
   for (const net::NodeId sw : tb.ft.topo.switches()) {
     watchdog.watch(tb.switch_at(sw));
     itsy.watch(tb.switch_at(sw));

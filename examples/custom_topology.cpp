@@ -53,7 +53,7 @@ int main() {
   std::vector<std::unique_ptr<device::Host>> host_devs;
 
   // ---- 3. Hawkeye stack ----
-  collect::Collector collector;
+  collect::Collector collector(simu);
   collect::HawkeyeSwitchAgent sw_agent(collector);
   for (const net::NodeId sw : topo.switches()) {
     switches.push_back(std::make_unique<device::Switch>(network, routing, sw, sw_cfg));
@@ -133,8 +133,13 @@ int main() {
     std::printf("victim flow never complained — nothing to diagnose\n");
     return 1;
   }
-  const auto graph = provenance::build_provenance(*ep, topo);
-  const auto dx = diagnosis::diagnose(graph, topo, routing, victim);
+  // The analyzer replays the telemetry at the switches' own epoch length.
+  provenance::BuilderConfig bcfg;
+  bcfg.epoch_ns = sw_cfg.telemetry.epoch.epoch_ns();
+  diagnosis::DiagnosisConfig dcfg;
+  dcfg.epoch_ns = bcfg.epoch_ns;
+  const auto graph = provenance::build_provenance(*ep, topo, bcfg);
+  const auto dx = diagnosis::diagnose(graph, topo, routing, victim, dcfg);
   std::printf("victim %s: %s\n", victim.to_string().c_str(),
               std::string(to_string(dx.type)).c_str());
   std::printf("  %s\n", dx.narrative.c_str());

@@ -25,7 +25,7 @@
 #       reconvergence, fault attribution, fleet runs) is what shows that
 #       no worker shares one. TSan also runs the sweep-runner tests, the
 #       calibration suite and the misdiagnosis-hunter campaign
-#       (HuntCampaignTest: batched trial evaluation through multi-threaded
+#       (HuntCampaignTest: trial evaluation through multi-threaded
 #       run_sweep). The golden-trace suite is deliberately NOT run under
 #       TSan: it replays single deterministic simulations with no
 #       cross-thread surface, and the plain ctest job already covers it.

@@ -4,10 +4,18 @@
 
 namespace hawkeye::baselines {
 
+namespace {
+
+constexpr sim::Time kProbePeriod = sim::us(100);
+/// Longest pause dependency a probe walks before giving up.
+constexpr int kMaxHops = 16;
+
+}  // namespace
+
 void ItsyDetector::start() {
   if (running_) return;
   running_ = true;
-  net_.simu().schedule(cfg_.probe_period, [this]() { probe_round(); });
+  net_.simu().schedule(kProbePeriod, [this]() { probe_round(); });
 }
 
 device::Switch* ItsyDetector::switch_at(net::NodeId id) const {
@@ -36,7 +44,7 @@ void ItsyDetector::probe_round() {
         // Walk the pause dependency chain from (origin, p0).
         std::vector<net::PortRef> path{{origin->id(), p0}};
         net::PortRef cur{origin->id(), p0};
-        for (int hop = 0; hop < cfg_.max_hops; ++hop) {
+        for (int hop = 0; hop < kMaxHops; ++hop) {
           const net::PortRef peer = net_.topo().peer(cur);
           if (!peer.valid() || !net_.topo().is_switch(peer.node)) break;
           device::Switch* next_sw = switch_at(peer.node);
@@ -56,7 +64,7 @@ void ItsyDetector::probe_round() {
       if (reported_) break;
     }
   }
-  net_.simu().schedule(cfg_.probe_period, [this]() { probe_round(); });
+  net_.simu().schedule(kProbePeriod, [this]() { probe_round(); });
 }
 
 }  // namespace hawkeye::baselines

@@ -20,17 +20,12 @@ namespace hawkeye::baselines {
 /// no initiator, no root cause.
 class ItsyDetector {
  public:
-  struct Config {
-    sim::Time probe_period = sim::us(100);
-    int max_hops = 16;
-  };
-
   struct LoopReport {
     sim::Time detected_at = 0;
     std::vector<net::PortRef> loop_ports;
   };
 
-  ItsyDetector(device::Network& net, Config cfg) : net_(net), cfg_(cfg) {}
+  explicit ItsyDetector(device::Network& net) : net_(net) {}
 
   void watch(device::Switch& sw) { switches_.push_back(&sw); }
   void start();
@@ -46,7 +41,6 @@ class ItsyDetector {
                                      sim::Time now) const;
 
   device::Network& net_;
-  Config cfg_;
   std::vector<device::Switch*> switches_;
   std::vector<LoopReport> loops_;
   bool reported_ = false;  // one loop report per detector (dedup)

@@ -7,7 +7,6 @@ namespace hawkeye::baselines {
 
 using collect::Episode;
 using diagnosis::AnomalyType;
-using diagnosis::DiagnosisConfig;
 using diagnosis::DiagnosisResult;
 using net::FiveTuple;
 using net::PortRef;
@@ -15,8 +14,7 @@ using net::PortRef;
 DiagnosisResult diagnose_local_contention(const Episode& ep,
                                           const net::Topology& topo,
                                           const net::Routing& routing,
-                                          const FiveTuple& victim,
-                                          const DiagnosisConfig& cfg) {
+                                          const FiveTuple& victim) {
   (void)topo;
   DiagnosisResult res;
 
@@ -71,7 +69,7 @@ DiagnosisResult diagnose_local_contention(const Episode& ep,
   for (const auto& [flow, cnt] : fit->second) {
     if (flow == victim) continue;
     if (static_cast<double>(cnt) >=
-        cfg.contention_share * static_cast<double>(max_cnt)) {
+        diagnosis::kContentionShare * static_cast<double>(max_cnt)) {
       ranked.push_back({cnt, flow});
     }
   }

@@ -14,8 +14,7 @@ namespace hawkeye::baselines {
 /// unreachable. Used by the Fig 8 baseline comparison.
 diagnosis::DiagnosisResult diagnose_local_contention(
     const collect::Episode& episode, const net::Topology& topo,
-    const net::Routing& routing, const net::FiveTuple& victim,
-    const diagnosis::DiagnosisConfig& cfg = {});
+    const net::Routing& routing, const net::FiveTuple& victim);
 
 /// --- Overhead models (Fig 9) ---
 

@@ -2,10 +2,18 @@
 
 namespace hawkeye::baselines {
 
+namespace {
+
+/// Alarm after this many consecutive polls in the paused state (the
+/// production watchdog's storm-mitigation trigger).
+constexpr int kConsecutivePausedPolls = 2;
+
+}  // namespace
+
 void PfcWatchdog::start() {
   if (running_) return;
   running_ = true;
-  net_.simu().schedule(cfg_.poll_period, [this]() { poll(); });
+  net_.simu().schedule(poll_period_, [this]() { poll(); });
 }
 
 void PfcWatchdog::poll() {
@@ -16,7 +24,7 @@ void PfcWatchdog::poll() {
       const net::PortRef ref{sw->id(), p};
       if (sw->telemetry().port_paused(p, now)) {
         const int streak = ++consecutive_[ref];
-        if (streak >= cfg_.consecutive_paused_polls && !alarmed_[ref]) {
+        if (streak >= kConsecutivePausedPolls && !alarmed_[ref]) {
           alarmed_[ref] = true;
           alarms_.push_back({now, ref, streak});
         }
@@ -26,7 +34,7 @@ void PfcWatchdog::poll() {
       }
     }
   }
-  net_.simu().schedule(cfg_.poll_period, [this]() { poll(); });
+  net_.simu().schedule(poll_period_, [this]() { poll(); });
 }
 
 sim::Time PfcWatchdog::first_alarm_after(sim::Time t) const {

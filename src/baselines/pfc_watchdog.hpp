@@ -22,20 +22,15 @@ namespace hawkeye::baselines {
 ///    left to the operator.
 class PfcWatchdog {
  public:
-  struct Config {
-    sim::Time poll_period = sim::ms(100);
-    /// Alarm after this many consecutive polls in the paused state (the
-    /// production watchdog's storm-mitigation trigger).
-    int consecutive_paused_polls = 2;
-  };
-
   struct Alarm {
     sim::Time raised_at = 0;
     net::PortRef port;
     int consecutive_polls = 0;
   };
 
-  PfcWatchdog(device::Network& net, Config cfg) : net_(net), cfg_(cfg) {}
+  /// Polls every switch it watches once per `poll_period`.
+  PfcWatchdog(device::Network& net, sim::Time poll_period)
+      : net_(net), poll_period_(poll_period) {}
 
   void watch(device::Switch& sw) { switches_.push_back(&sw); }
 
@@ -52,7 +47,7 @@ class PfcWatchdog {
   void poll();
 
   device::Network& net_;
-  Config cfg_;
+  sim::Time poll_period_;
   std::vector<device::Switch*> switches_;
   std::unordered_map<net::PortRef, int> consecutive_;
   std::unordered_map<net::PortRef, bool> alarmed_;

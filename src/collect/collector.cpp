@@ -4,6 +4,13 @@
 
 namespace hawkeye::collect {
 
+namespace {
+
+/// Collections on one switch within this interval share one snapshot.
+constexpr sim::Time kSwitchCollectInterval = sim::us(400);
+
+}  // namespace
+
 void Collector::register_switch(device::Switch& sw) {
   switches_.push_back(&sw);
   const auto need = static_cast<std::size_t>(sw.id()) + 1;
@@ -39,15 +46,11 @@ void Collector::collect_from(device::Switch& sw, std::uint64_t probe_id,
     }
     delay += v.extra_delay;  // stale read: snapshot lands late
   }
-  if (simu_ != nullptr && delay > 0) {
-    auto snapshot = [this, &sw, probe_id, mirror = now]() {
-      do_collect(sw, probe_id, simu_->now(), mirror);
-    };
-    static_assert(sim::InlineAction::fits_inline<decltype(snapshot)>());
-    simu_->schedule(delay, std::move(snapshot));
-    return;
-  }
-  do_collect(sw, probe_id, now, now);
+  auto snapshot = [this, &sw, probe_id, mirror = now]() {
+    do_collect(sw, probe_id, simu_.now(), mirror);
+  };
+  static_assert(sim::InlineAction::fits_inline<decltype(snapshot)>());
+  simu_.schedule(delay, std::move(snapshot));
 }
 
 void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
@@ -61,7 +64,7 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
 
   telemetry::SwitchTelemetryReport rep;
   if (last_collect_[idx] >= 0 &&
-      now - last_collect_[idx] < cfg_.switch_collect_interval) {
+      now - last_collect_[idx] < kSwitchCollectInterval) {
     // Duplicate-collection suppression (paper §3.4): a concurrent episode
     // already polled this switch — share its snapshot instead of issuing a
     // second CPU read.
@@ -95,8 +98,8 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
   const std::int64_t filtered = telemetry::serialized_bytes(rep);
   const std::int64_t raw = sw.telemetry().raw_dump_bytes();
   const sim::Time dma_latency =
-      cfg_.dma_per_epoch * static_cast<sim::Time>(std::max<std::size_t>(
-                               rep.epochs.size(), 1));
+      kDmaPerEpoch *
+      static_cast<sim::Time>(std::max<std::size_t>(rep.epochs.size(), 1));
 
   if (!ep->put_report(id, std::move(rep))) return;
   ep->stale_epochs_rejected += stale_rejected;

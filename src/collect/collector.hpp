@@ -23,14 +23,10 @@ namespace hawkeye::collect {
 class Collector {
  public:
   struct Config {
-    sim::Time switch_collect_interval = sim::us(400);
     std::int32_t report_mtu_bytes = net::kReportMtuBytes;
     /// Data-plane export alternative is bounded by PHV capacity (~200 B
     /// per generated packet) — the Fig 14(b) comparison.
     std::int32_t dataplane_phv_bytes = 192;
-    /// Measured CPU poll cost (§4.5): ~40 ms per epoch of 64 ports x 4096
-    /// flows (80 ms for 2 epochs, 120 ms for 4). Latency accounting only.
-    sim::Time dma_per_epoch = sim::ms(40);
     /// The registers keep counting while the CPU sets up the DMA read; the
     /// exported snapshot therefore reflects the switch state a little
     /// *after* the mirror, not the instant of the polling packet. This
@@ -39,13 +35,15 @@ class Collector {
     sim::Time snapshot_delay = sim::us(150);
   };
 
-  Collector() : Collector(Config{}) {}
-  explicit Collector(const Config& cfg) : cfg_(cfg) {}
+  /// Measured CPU poll cost (§4.5): ~40 ms per epoch of 64 ports x 4096
+  /// flows (80 ms for 2 epochs, 120 ms for 4). Latency accounting only.
+  static constexpr sim::Time kDmaPerEpoch = sim::ms(40);
 
-  /// With a simulator attached, register snapshots happen
-  /// `config().snapshot_delay` after the mirror (asynchronous CPU read);
-  /// without one they are taken synchronously (unit-test convenience).
-  void attach_simulator(sim::Simulator& simu) { simu_ = &simu; }
+  /// Register snapshots run on `simu`, `config().snapshot_delay` after the
+  /// mirror (the switch CPU's asynchronous DMA read).
+  explicit Collector(sim::Simulator& simu) : Collector(simu, Config{}) {}
+  Collector(sim::Simulator& simu, const Config& cfg)
+      : cfg_(cfg), simu_(simu) {}
 
   /// Install the fault-injection substrate (nullptr => fault-free). DMA
   /// snapshot failures and stale reads are decided here, at the point the
@@ -116,7 +114,7 @@ class Collector {
                       std::int64_t raw) const;
 
   Config cfg_;
-  sim::Simulator* simu_ = nullptr;
+  sim::Simulator& simu_;
   fault::FaultInjector* faults_ = nullptr;
   std::unordered_map<std::uint64_t, Episode> episodes_;
   std::vector<std::uint64_t> order_;

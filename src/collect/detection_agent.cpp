@@ -2,11 +2,31 @@
 
 #include <algorithm>
 
+#include "collect/switch_agent.hpp"
 #include "net/packet.hpp"
 
 namespace hawkeye::collect {
 
 using sim::Time;
+
+namespace {
+
+/// Re-trigger suppression per victim flow.
+constexpr Time kFlowDedupInterval = sim::us(400);
+/// Period of the ACK-stall scan (deadlock/storm detection).
+constexpr Time kStallScanPeriod = sim::us(50);
+/// A flow is stalled when unACKed for threshold_factor x baseline RTT,
+/// but at least this long (guards tiny-RTT flows).
+constexpr Time kMinStall = sim::us(40);
+/// First coverage-check delay of self-healing collection, and the cap its
+/// per-round doubling stops at.
+constexpr Time kRepollTimeout = sim::us(600);
+constexpr Time kRepollBackoffCap = sim::ms(2);
+static_assert(kRepollTimeout > HawkeyeSwitchAgent::kPollDedupInterval,
+              "a re-poll inside the switch agents' dedup window is dropped "
+              "at the covered prefix of the path before it reaches the gap");
+
+}  // namespace
 
 DetectionAgent::DetectionAgent(device::Network& net,
                                const net::Routing& routing,
@@ -28,7 +48,7 @@ void DetectionAgent::attach(device::Host& host) {
 void DetectionAgent::start() {
   if (scanning_) return;
   scanning_ = true;
-  net_.simu().schedule(cfg_.stall_scan_period, [this]() { stall_scan(); });
+  net_.simu().schedule(kStallScanPeriod, [this]() { stall_scan(); });
 }
 
 std::uint64_t DetectionAgent::alloc_probe_id(net::NodeId src) {
@@ -94,7 +114,7 @@ void DetectionAgent::stall_scan() {
       // Same calibrated threshold as the RTT path: with headroom 0 this is
       // exactly factor x baseline (the pre-calibration stall test).
       const Time stall_after =
-          std::max<Time>(trigger_threshold(st.tuple), cfg_.min_stall);
+          std::max<Time>(trigger_threshold(st.tuple), kMinStall);
       if (now - last_progress > stall_after) trigger(st.tuple, now);
       if (cfg_.retx_trigger_pkts > 0 && st.retx_pkts > 0) {
         std::uint32_t& seen = retx_seen_[st.tuple];
@@ -105,13 +125,13 @@ void DetectionAgent::stall_scan() {
       }
     }
   }
-  net_.simu().schedule(cfg_.stall_scan_period, [this]() { stall_scan(); });
+  net_.simu().schedule(kStallScanPeriod, [this]() { stall_scan(); });
 }
 
 void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
   if (const auto it = last_trigger_.find(victim);
       it != last_trigger_.end() &&
-      now - it->second < cfg_.flow_dedup_interval) {
+      now - it->second < kFlowDedupInterval) {
     return;
   }
   last_trigger_[victim] = now;
@@ -127,7 +147,7 @@ void DetectionAgent::trigger(const net::FiveTuple& victim, Time now) {
   ep.routing_epoch = routing_.epoch();
 
   if (cfg_.max_repolls > 0) {
-    schedule_coverage_check(probe_id, 0, cfg_.repoll_timeout);
+    schedule_coverage_check(probe_id, 0, kRepollTimeout);
   }
 
   if (cfg_.full_polling) {
@@ -224,7 +244,7 @@ void DetectionAgent::coverage_check(std::uint64_t probe_id,
     emit_targeted_poll(*ep, probe_id);
   }
   schedule_coverage_check(probe_id, attempt + 1,
-                          std::min(timeout * 2, cfg_.repoll_backoff_cap));
+                          std::min(timeout * 2, kRepollBackoffCap));
 }
 
 }  // namespace hawkeye::collect

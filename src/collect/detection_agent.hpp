@@ -26,13 +26,6 @@ class DetectionAgent {
     /// Detection threshold as a multiple of baseline RTT (the paper sweeps
     /// 200%–500%, i.e. factors 2.0–5.0).
     double threshold_factor = 3.0;
-    /// Re-trigger suppression per victim flow.
-    sim::Time flow_dedup_interval = sim::us(400);
-    /// Period of the ACK-stall scan (deadlock/storm detection).
-    sim::Time stall_scan_period = sim::us(50);
-    /// A flow is stalled when unACKed for threshold_factor x baseline RTT,
-    /// but at least this long (guards tiny-RTT flows).
-    sim::Time min_stall = sim::us(40);
     /// Fabric-scale trigger calibration: benign-congestion allowance per
     /// route hop (ns), ADDED to the factor x baseline test. The baseline is
     /// pure propagation + serialization, so on a large fabric — long paths,
@@ -61,20 +54,16 @@ class DetectionAgent {
     std::uint32_t retx_trigger_pkts = 0;
 
     /// Self-healing collection: after a trigger, check expected-hop
-    /// coverage `repoll_timeout` later; while incomplete, re-poll with the
-    /// timeout doubling per round (capped), up to `max_repolls` rounds.
-    /// Each re-poll injects the probe at the first uncovered hop, so the
+    /// coverage one re-poll timeout later (kRepollTimeout in
+    /// detection_agent.cpp); while incomplete, re-poll with the timeout
+    /// doubling per round (capped), up to `max_repolls` rounds. Each
+    /// re-poll injects the probe at the first uncovered hop, so the
     /// covered prefix is not re-traversed and re-poll bytes scale with the
     /// gap, not the path (Fig 9 metric). An episode still short of full
     /// coverage when the budget runs out is marked `degraded`. 0 disables
     /// the check entirely — no extra events are scheduled, keeping
     /// fault-free runs byte-identical.
     std::uint32_t max_repolls = 0;
-    /// First coverage-check delay. Must exceed the switch agents'
-    /// poll_dedup_interval, or the re-poll is dedup-dropped at the covered
-    /// prefix of the path before it can reach the gap.
-    sim::Time repoll_timeout = sim::us(600);
-    sim::Time repoll_backoff_cap = sim::ms(2);
   };
 
   DetectionAgent(device::Network& net, const net::Routing& routing,

@@ -42,13 +42,13 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   const std::uint64_t key = dedup_key(sw.id(), pkt.victim);
   const auto flag_bits = static_cast<std::uint8_t>(pkt.poll_flag);
   Seen& seen = dedup_[key];
-  if (seen.at != 0 && now - seen.at < cfg_.poll_dedup_interval &&
+  if (seen.at != 0 && now - seen.at < kPollDedupInterval &&
       (flag_bits & ~seen.flags) == 0) {
     sim::Logger::debug("poll sw%d victim=%s dedup-drop", sw.id(),
                        pkt.victim.to_string().c_str());
     return;
   }
-  if (seen.at == 0 || now - seen.at >= cfg_.poll_dedup_interval) {
+  if (seen.at == 0 || now - seen.at >= kPollDedupInterval) {
     seen.flags = 0;  // stale scope: a fresh diagnosis round
   }
   seen.at = now;

@@ -29,12 +29,15 @@ namespace hawkeye::collect {
 class HawkeyeSwitchAgent : public device::PollingHandler {
  public:
   struct Config {
-    sim::Time poll_dedup_interval = sim::us(500);
     std::int32_t hop_limit = 32;
     /// false => the "victim-only" baseline of §4.2/§4.3: polling packets
     /// never leave the victim flow path.
     bool trace_pfc_causality = true;
   };
+
+  /// A polling packet whose tracing bits were all handled at this switch
+  /// for the same victim within this interval is dropped.
+  static constexpr sim::Time kPollDedupInterval = sim::us(500);
 
   explicit HawkeyeSwitchAgent(Collector& collector)
       : HawkeyeSwitchAgent(collector, Config{}) {}

@@ -13,6 +13,31 @@ using net::Packet;
 using net::PacketKind;
 using sim::Time;
 
+namespace {
+
+// Rate control, simplified to the behaviours that matter for PFC studies:
+// line-rate start, multiplicative decrease on congestion feedback,
+// timer/gradient-driven recovery.
+
+// --- DCQCN ---
+constexpr double kDcqcnG = 1.0 / 256.0;  // alpha EWMA gain
+constexpr Time kDcqcnTimerNs = 55'000;   // rate-increase / alpha-decay period
+constexpr int kFastRecoveryRounds = 5;
+constexpr double kAdditiveIncreaseGbps = 5.0;
+constexpr Time kCnpPacingNs = 50'000;  // receiver-side min CNP spacing
+
+// --- loss recovery (go-back-N; RoCEv2 RC semantics) ---
+constexpr Time kNackPacingNs = 30'000;          // receiver-side min NACK spacing
+constexpr Time kRetransmitTimeoutNs = 500'000;  // tail-loss RTO
+
+// --- TIMELY ---
+constexpr Time kTimelyTLow = 40'000;    // below: additive increase
+constexpr Time kTimelyTHigh = 150'000;  // above: multiplicative decrease
+constexpr double kTimelyBeta = 0.8;
+constexpr double kTimelyAddGbps = 10.0;
+
+}  // namespace
+
 net::FiveTuple tuple_of(const FlowSpec& spec) {
   net::FiveTuple t;
   t.src_ip = net::Topology::ip_of(spec.src);
@@ -22,7 +47,7 @@ net::FiveTuple tuple_of(const FlowSpec& spec) {
   return t;
 }
 
-Host::Host(Network& net, net::NodeId id, DcqcnParams cc)
+Host::Host(Network& net, net::NodeId id, CcAlgorithm cc)
     : Device(id), net_(net), cc_(cc) {
   line_gbps_ = net.link_at(id, 0).gbps;
   uplink_peer_ = net.wire(id, 0).peer.node;
@@ -196,7 +221,7 @@ void Host::on_data(const Packet& data) {
   std::uint32_t& expected = rx_expected_[data.flow_id];
   if (data.seq > expected) {
     Time& last = last_nack_[data.flow_id];
-    if (last == 0 || now - last >= cc_.nack_pacing_ns) {
+    if (last == 0 || now - last >= kNackPacingNs) {
       last = now;
       Packet nack = net::make_nack(data, expected);
       net_.deliver(id(), 0, std::move(nack),
@@ -233,7 +258,7 @@ void Host::on_data(const Packet& data) {
 
   if (data.ecn_ce) {
     Time& last = last_cnp_[data.flow_id];
-    if (last == 0 || now - last >= cc_.cnp_pacing_ns) {
+    if (last == 0 || now - last >= kCnpPacingNs) {
       last = now;
       Packet cnp = net::make_cnp(data);
       const Time cser = sim::serialization_ns(cnp.size_bytes, line_gbps_);
@@ -255,7 +280,7 @@ void Host::on_ack(const Packet& ack) {
   st.max_rtt = std::max(st.max_rtt, rtt);
   if (ack.last_of_flow && st.finish < 0) st.finish = now;
 
-  if (f->cc_enabled && cc_.algo == CcAlgorithm::kTimely) {
+  if (f->cc_enabled && cc_ == CcAlgorithm::kTimely) {
     timely_update(*f, rtt);
   }
   if (rtt_cb_) rtt_cb_(f->tuple, rtt, now);
@@ -266,26 +291,25 @@ void Host::timely_update(FlowState& f, Time rtt) {
   // decides; inside it the normalized gradient does.
   const Time prev = f.prev_rtt == 0 ? rtt : f.prev_rtt;
   f.prev_rtt = rtt;
-  if (rtt < cc_.timely_t_low) {
-    f.rate_gbps = std::min(f.limit_gbps, f.rate_gbps + cc_.timely_add_gbps);
+  if (rtt < kTimelyTLow) {
+    f.rate_gbps = std::min(f.limit_gbps, f.rate_gbps + kTimelyAddGbps);
     return;
   }
-  if (rtt > cc_.timely_t_high) {
+  if (rtt > kTimelyTHigh) {
     f.rate_gbps = std::max(
         0.05, f.rate_gbps *
-                  (1.0 - cc_.timely_beta *
-                             (1.0 - static_cast<double>(cc_.timely_t_high) /
+                  (1.0 - kTimelyBeta *
+                             (1.0 - static_cast<double>(kTimelyTHigh) /
                                         static_cast<double>(rtt))));
     return;
   }
   const double gradient =
-      static_cast<double>(rtt - prev) /
-      static_cast<double>(std::max<Time>(cc_.timely_t_low, 1));
+      static_cast<double>(rtt - prev) / static_cast<double>(kTimelyTLow);
   if (gradient <= 0) {
-    f.rate_gbps = std::min(f.limit_gbps, f.rate_gbps + cc_.timely_add_gbps);
+    f.rate_gbps = std::min(f.limit_gbps, f.rate_gbps + kTimelyAddGbps);
   } else {
     f.rate_gbps =
-        std::max(0.05, f.rate_gbps * (1.0 - cc_.timely_beta *
+        std::max(0.05, f.rate_gbps * (1.0 - kTimelyBeta *
                                                 std::min(1.0, gradient)));
   }
 }
@@ -315,7 +339,7 @@ void Host::arm_rto(std::uint64_t flow_id) {
   FlowState* f = flow_by_id(flow_id);
   if (f == nullptr || f->rto_armed) return;
   f->rto_armed = true;
-  net_.simu().schedule(cc_.retransmit_timeout_ns, [this, flow_id]() {
+  net_.simu().schedule(kRetransmitTimeoutNs, [this, flow_id]() {
     FlowState* fs = flow_by_id(flow_id);
     if (fs == nullptr) return;
     fs->rto_armed = false;
@@ -332,17 +356,17 @@ void Host::arm_rto(std::uint64_t flow_id) {
 void Host::on_cnp(const Packet& cnp) {
   FlowState* f = flow_by_id(cnp.flow_id);
   if (f == nullptr || !f->cc_enabled) return;
-  if (cc_.algo != CcAlgorithm::kDcqcn) return;  // CNPs drive DCQCN only
+  if (cc_ != CcAlgorithm::kDcqcn) return;  // CNPs drive DCQCN only
   // DCQCN multiplicative decrease.
   f->target_gbps = f->rate_gbps;
-  f->alpha = (1 - cc_.g) * f->alpha + cc_.g;
+  f->alpha = (1 - kDcqcnG) * f->alpha + kDcqcnG;
   f->rate_gbps = std::max(0.05, f->rate_gbps * (1 - f->alpha / 2));
   f->recovery_stage = 0;
   f->cnp_seen_this_period = true;
   if (!f->timer_armed) {
     f->timer_armed = true;
     const std::uint64_t fid = f->id;
-    net_.simu().schedule(cc_.timer_ns, [this, fid]() { dcqcn_timer(fid); });
+    net_.simu().schedule(kDcqcnTimerNs, [this, fid]() { dcqcn_timer(fid); });
   }
 }
 
@@ -350,18 +374,18 @@ void Host::dcqcn_timer(std::uint64_t flow_id) {
   FlowState* f = flow_by_id(flow_id);
   if (f == nullptr || f->done_sending) return;
   if (!f->cnp_seen_this_period) {
-    f->alpha *= (1 - cc_.g);
-    if (f->recovery_stage < cc_.fast_recovery_rounds) {
+    f->alpha *= (1 - kDcqcnG);
+    if (f->recovery_stage < kFastRecoveryRounds) {
       f->recovery_stage += 1;  // fast recovery toward target
     } else {
       f->target_gbps =
-          std::min(f->limit_gbps, f->target_gbps + cc_.additive_increase_gbps);
+          std::min(f->limit_gbps, f->target_gbps + kAdditiveIncreaseGbps);
     }
     f->rate_gbps = std::min(f->limit_gbps, (f->rate_gbps + f->target_gbps) / 2);
   }
   f->cnp_seen_this_period = false;
   if (f->rate_gbps < f->limit_gbps * 0.999) {
-    net_.simu().schedule(cc_.timer_ns,
+    net_.simu().schedule(kDcqcnTimerNs,
                          [this, flow_id]() { dcqcn_timer(flow_id); });
   } else {
     f->timer_armed = false;

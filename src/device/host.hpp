@@ -20,30 +20,6 @@ enum class CcAlgorithm {
   kTimely, // RTT-gradient driven (Mittal et al., SIGCOMM'15)
 };
 
-/// Rate-control knobs, simplified to the behaviours that matter for PFC
-/// studies: line-rate start, multiplicative decrease on congestion
-/// feedback, timer/gradient-driven recovery.
-struct DcqcnParams {
-  CcAlgorithm algo = CcAlgorithm::kDcqcn;
-
-  // --- DCQCN ---
-  double g = 1.0 / 256.0;            // alpha EWMA gain
-  sim::Time timer_ns = 55'000;       // rate-increase / alpha-decay period
-  int fast_recovery_rounds = 5;
-  double additive_increase_gbps = 5.0;
-  sim::Time cnp_pacing_ns = 50'000;  // receiver-side min CNP spacing
-
-  // --- loss recovery (go-back-N; RoCEv2 RC semantics) ---
-  sim::Time nack_pacing_ns = 30'000;  // receiver-side min NACK spacing
-  sim::Time retransmit_timeout_ns = 500'000;  // tail-loss RTO
-
-  // --- TIMELY ---
-  sim::Time timely_t_low = 40'000;   // below: additive increase
-  sim::Time timely_t_high = 150'000; // above: multiplicative decrease
-  double timely_beta = 0.8;
-  double timely_add_gbps = 10.0;
-};
-
 struct FlowSpec {
   net::NodeId src = net::kInvalidNode;
   net::NodeId dst = net::kInvalidNode;
@@ -88,7 +64,7 @@ class Host : public Device {
   using RttCallback = std::function<void(
       const net::FiveTuple& flow, sim::Time rtt, sim::Time now)>;
 
-  Host(Network& net, net::NodeId id, DcqcnParams cc = {});
+  Host(Network& net, net::NodeId id, CcAlgorithm cc = CcAlgorithm::kDcqcn);
 
   void receive(net::Packet pkt, net::PortId in_port) override;
 
@@ -166,7 +142,7 @@ class Host : public Device {
   double effective_line_gbps(sim::Time now) const;
 
   Network& net_;
-  DcqcnParams cc_;
+  CcAlgorithm cc_;
   double line_gbps_;
   net::NodeId uplink_peer_ = net::kInvalidNode;
   fault::FaultInjector* faults_ = nullptr;

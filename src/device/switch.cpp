@@ -12,6 +12,22 @@ using net::PacketKind;
 using net::PortId;
 using sim::Time;
 
+namespace {
+
+/// Pause duration advertised in PAUSE frames (802.1Qbb quanta).
+constexpr std::uint32_t kPauseQuanta = 65535;
+/// Re-advertise PAUSE while still above Xon (fraction of pause time).
+constexpr double kPauseRefreshFraction = 0.5;
+
+/// DCQCN-style ECN marking thresholds on egress data queues, bytes.
+constexpr std::int64_t kEcnKminBytes = 64 * 1024;
+constexpr std::int64_t kEcnKmaxBytes = 256 * 1024;
+constexpr double kEcnPmax = 0.2;
+static_assert(kEcnKminBytes < kEcnKmaxBytes,
+              "ecn_mark divides by the marking ramp's width");
+
+}  // namespace
+
 Switch::Switch(Network& net, const net::Routing& routing, net::NodeId id,
                SwitchConfig cfg)
     : Device(id),
@@ -129,11 +145,11 @@ double Switch::effective_gbps(const Wire& wire, sim::Time now) const {
 }
 
 bool Switch::ecn_mark(std::int64_t qbytes) {
-  if (qbytes <= cfg_.ecn_kmin_bytes) return false;
-  if (qbytes >= cfg_.ecn_kmax_bytes) return true;
-  const double p = cfg_.ecn_pmax *
-                   static_cast<double>(qbytes - cfg_.ecn_kmin_bytes) /
-                   static_cast<double>(cfg_.ecn_kmax_bytes - cfg_.ecn_kmin_bytes);
+  if (qbytes <= kEcnKminBytes) return false;
+  if (qbytes >= kEcnKmaxBytes) return true;
+  const double p = kEcnPmax *
+                   static_cast<double>(qbytes - kEcnKminBytes) /
+                   static_cast<double>(kEcnKmaxBytes - kEcnKminBytes);
   return rng_.chance(p);
 }
 
@@ -169,7 +185,7 @@ void Switch::enqueue(Packet pkt, PortId in_port, PortId out_port) {
       ing.ingress_bytes += size;
       if (!ing.pausing_upstream && ing.ingress_bytes >= cfg_.pfc_xoff_bytes) {
         ing.pausing_upstream = true;
-        send_pause(in_port, cfg_.pause_quanta);
+        send_pause(in_port, kPauseQuanta);
       }
     }
   } else {
@@ -281,7 +297,7 @@ void Switch::send_pause(PortId in_port, std::uint32_t quanta) {
     const double quantum_ns =
         net::kPauseQuantumBits / effective_gbps(wire, net_.simu().now());
     const Time refresh = static_cast<Time>(
-        quantum_ns * quanta * cfg_.pause_refresh_fraction);
+        quantum_ns * quanta * kPauseRefreshFraction);
     net_.simu().schedule(std::max<Time>(refresh, 1000),
                          [this, in_port]() { refresh_pause(in_port); });
   }
@@ -292,7 +308,7 @@ void Switch::refresh_pause(PortId in_port) {
   if (!ing.pausing_upstream) return;
   // Still above Xon? Keep the upstream paused (802.1Qbb re-advertisement).
   if (ing.ingress_bytes > cfg_.pfc_xon_bytes) {
-    send_pause(in_port, cfg_.pause_quanta);
+    send_pause(in_port, kPauseQuanta);
   } else {
     ing.pausing_upstream = false;
     send_pause(in_port, 0);

@@ -31,15 +31,6 @@ struct SwitchConfig {
   /// Per-ingress-port PFC thresholds, bytes.
   std::int64_t pfc_xoff_bytes = 64 * 1024;
   std::int64_t pfc_xon_bytes = 32 * 1024;
-  /// Pause duration advertised in PAUSE frames (802.1Qbb quanta).
-  std::uint32_t pause_quanta = 65535;
-  /// Re-advertise PAUSE while still above Xon (fraction of pause time).
-  double pause_refresh_fraction = 0.5;
-
-  /// DCQCN-style ECN marking thresholds on egress data queues, bytes.
-  std::int64_t ecn_kmin_bytes = 64 * 1024;
-  std::int64_t ecn_kmax_bytes = 256 * 1024;
-  double ecn_pmax = 0.2;
 
   /// Shared buffer capacity; generous so PFC (not drops) bounds occupancy.
   std::int64_t buffer_bytes = 32ll * 1024 * 1024;

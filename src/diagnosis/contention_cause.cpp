@@ -12,6 +12,12 @@ using provenance::ProvenanceGraph;
 
 namespace {
 
+/// Imbalance ratio above which the skew itself is the cause.
+constexpr double kImbalanceThreshold = 1.8;
+/// A contributor carrying at least this share of the contention mass is an
+/// elephant.
+constexpr double kElephantShare = 0.7;
+
 /// ECMP siblings of (sw, port): every port that shares an equal-cost
 /// candidate set with it for some destination. A host-facing port has no
 /// siblings (its candidate sets are singletons).
@@ -32,8 +38,7 @@ std::set<PortId> ecmp_siblings(const net::Routing& routing,
 
 ContentionCauseReport analyze_contention_cause(
     const ProvenanceGraph& g, const net::Topology& topo,
-    const net::Routing& routing, const DiagnosisResult& dx,
-    const ContentionCauseConfig& cfg) {
+    const net::Routing& routing, const DiagnosisResult& dx) {
   ContentionCauseReport rep;
   if (!dx.initial_port.valid()) return rep;
   const int pn = g.port_node(dx.initial_port);
@@ -73,17 +78,17 @@ ContentionCauseReport analyze_contention_cause(
   }
   const double top_share = mass > 0 ? top / mass : 0.0;
 
-  if (rep.ecmp_imbalance_ratio >= cfg.imbalance_threshold) {
+  if (rep.ecmp_imbalance_ratio >= kImbalanceThreshold) {
     rep.cause = ContentionCause::kEcmpImbalance;
     rep.narrative =
         "hash skew: the congested uplink carries " +
         std::to_string(rep.ecmp_imbalance_ratio).substr(0, 4) +
         "x its fair share of the ECMP group";
-  } else if (rep.distinct_sources >= cfg.incast_min_sources) {
+  } else if (rep.distinct_sources >= kIncastMinSources) {
     rep.cause = ContentionCause::kIncast;
     rep.narrative = std::to_string(rep.distinct_sources) +
                     " sources converge on " + net::to_string(dx.initial_port);
-  } else if (top_share >= cfg.elephant_share &&
+  } else if (top_share >= kElephantShare &&
              !dx.root_cause_flows.empty()) {
     rep.cause = ContentionCause::kElephant;
     rep.narrative = "flow " + dx.root_cause_flows.front().to_string() +

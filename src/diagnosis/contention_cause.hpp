@@ -19,22 +19,11 @@ struct ContentionCauseReport {
   std::string narrative;
 };
 
-struct ContentionCauseConfig {
-  /// At least this many distinct sources for the incast verdict.
-  int incast_min_sources = 3;
-  /// Imbalance ratio above which the skew itself is the cause.
-  double imbalance_threshold = 1.8;
-  /// A contributor carrying at least this share of the contention mass is
-  /// an elephant.
-  double elephant_share = 0.7;
-};
-
 /// Classify why the initial congestion port of `dx` was contended, using
 /// the provenance graph's meters (for the imbalance ratio) and the
 /// root-cause flows' tuples/volumes.
 ContentionCauseReport analyze_contention_cause(
     const provenance::ProvenanceGraph& g, const net::Topology& topo,
-    const net::Routing& routing, const DiagnosisResult& dx,
-    const ContentionCauseConfig& cfg = {});
+    const net::Routing& routing, const DiagnosisResult& dx);
 
 }  // namespace hawkeye::diagnosis

@@ -4,6 +4,8 @@
 #include <set>
 #include <unordered_set>
 
+#include "net/packet.hpp"
+
 namespace hawkeye::diagnosis {
 
 using fault::HostCounterEvidence;
@@ -14,6 +16,36 @@ using net::PortRef;
 using provenance::ProvenanceGraph;
 
 namespace {
+
+/// A port "has flow contention" only when the strongest contributor's net
+/// wait-for weight reaches this floor — incidental sub-packet waiting (e.g.
+/// the pre-injection sliver of a storm epoch) is noise.
+constexpr double kMinContention = 1.0;
+/// burst-flow(f) predicate (Table 2): per-epoch goodput above this.
+constexpr double kBurstRateGbps = 25.0;
+
+// Decision thresholds for the four fleet signature rows, calibrated on the
+// fleet sweep of bench_fault_sweeps (every fault class x workload cell must
+// produce its own verdict with zero silently-wrong cells).
+
+/// A link is "CRC-degraded" from this many FCS errors (a healthy run has
+/// exactly zero; a handful tolerates counter noise on real gear).
+constexpr std::uint64_t kMinCrcErrors = 3;
+/// A host is "drain-bound" from this many delayed frames.
+constexpr std::uint64_t kMinDrainDelayed = 16;
+/// actual/nominal below this ratio counts as a reduced-rate link.
+constexpr double kReducedRateRatio = 0.9;
+/// A DMA drain backlog at/above this overrides even a congestion-shaped
+/// incast verdict: the drain FIFO only backs up while arrival exceeds the
+/// PCIe cap, and no switch queue delays frames for anywhere near this long
+/// (xoff-bounded queues drain in single-digit microseconds).
+constexpr sim::Time kMinDrainBacklogNs = 500'000;  // 500 us
+/// Confidence calibration: floor when the signature barely clears its
+/// thresholds, ceiling as the counter evidence saturates.
+constexpr double kBaseConfidence = 0.60;
+constexpr double kMaxConfidence = 0.95;
+static_assert(kBaseConfidence <= kMaxConfidence,
+              "signature strength spans [base, max]");
 
 /// Flow-contention analysis at a port (Algorithm 2, AnalyzeFlowContention):
 /// positive port->flow edges are contributors; none means the congestion
@@ -33,12 +65,12 @@ ContentionVerdict analyze_contention(const ProvenanceGraph& g, int port_node,
     if (e.to == victim_node) continue;  // the complainant is never its own cause
     max_pos = std::max(max_pos, e.weight);
   }
-  if (max_pos < cfg.min_contention) return v;
+  if (max_pos < kMinContention) return v;
   v.has_contention = true;
   std::vector<std::pair<double, int>> pos;
   for (const auto& e : g.port_flows(port_node)) {
     if (e.to == victim_node) continue;
-    if (e.weight > 0 && e.weight >= cfg.contention_share * max_pos) {
+    if (e.weight > 0 && e.weight >= kContentionShare * max_pos) {
       pos.push_back({e.weight, e.to});
     }
   }
@@ -46,11 +78,11 @@ ContentionVerdict analyze_contention(const ProvenanceGraph& g, int port_node,
   for (const auto& [w, fn] : pos) {
     v.contributors.push_back(g.flow(fn));
     const auto& fi = g.flow_info(fn);
-    const double bits = static_cast<double>(fi.pkt_cnt) * cfg.mtu_bytes * 8.0;
+    const double bits = static_cast<double>(fi.pkt_cnt) * net::kMtuBytes * 8.0;
     const double dur_ns =
         static_cast<double>(std::max(fi.epochs_seen, 1)) *
         static_cast<double>(cfg.epoch_ns);
-    if (bits / dur_ns >= cfg.burst_rate_gbps) v.any_burst = true;
+    if (bits / dur_ns >= kBurstRateGbps) v.any_burst = true;
   }
   return v;
 }
@@ -59,7 +91,6 @@ ContentionVerdict analyze_contention(const ProvenanceGraph& g, int port_node,
 /// (Algorithm 2, CheckPortNode). Explores strongest edges first.
 struct Tracer {
   const ProvenanceGraph& g;
-  const DiagnosisConfig& cfg;
   std::vector<int> stack;
   std::unordered_set<int> on_stack;
   std::unordered_set<int> visited;
@@ -169,7 +200,7 @@ DiagnosisResult diagnose(const ProvenanceGraph& g, const net::Topology& topo,
   }
 
   // Trace PFC causality from every paused victim-path port.
-  Tracer tracer{g, cfg, {}, {}, {}, {}, {}, {}};
+  Tracer tracer{g, {}, {}, {}, {}, {}, {}};
   for (const int p : start_ports) tracer.dfs(p);
   for (const int p : tracer.order) res.spreading_path.push_back(g.port(p));
 
@@ -281,7 +312,7 @@ DiagnosisResult diagnose(const ProvenanceGraph& g, const net::Topology& topo,
       res.injecting_peer = peer.valid() ? peer.node : net::kInvalidNode;
     } else if (best_outside >= 0 &&
                best_outside_mass >=
-                   std::max(cfg.min_contention, 0.5 * best_in_loop_mass)) {
+                   std::max(kMinContention, 0.5 * best_in_loop_mass)) {
       // Table 2's out-of-loop signature is structural (a loop port with
       // out-degree > 1 and a path to a contended terminal); the mass check
       // only guards against faint side branches. Loop links also carry
@@ -375,7 +406,7 @@ DiagnosisResult diagnose(const ProvenanceGraph& g, const net::Topology& topo,
           for (const auto& e : g.port_flows(t)) {
             if (e.to != vf) ++fan_in;
           }
-          tier = (v.any_burst || fan_in >= 3) ? 2 : 1;
+          tier = (v.any_burst || fan_in >= kIncastMinSources) ? 2 : 1;
         }
       }
       if (tier > contention_tier ||
@@ -441,11 +472,9 @@ int distinct_sources(const std::vector<FiveTuple>& flows) {
 
 /// Saturating signature strength in [base, max]: 0 evidence scores the
 /// base, evidence >> scale approaches the max. Monotone by construction.
-double signature_strength(double evidence, double scale,
-                          const FleetSignatureConfig& cfg) {
+double signature_strength(double evidence, double scale) {
   const double sat = evidence / (evidence + scale);
-  return cfg.base_confidence +
-         (cfg.max_confidence - cfg.base_confidence) * sat;
+  return kBaseConfidence + (kMaxConfidence - kBaseConfidence) * sat;
 }
 
 /// Trimmed rate rendering for narratives ("25 Gbps", not "25.000000").
@@ -461,8 +490,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
                                      const fault::FleetEvidence& evidence,
                                      const net::Topology& topo,
                                      const net::Routing& routing,
-                                     const net::FiveTuple& victim,
-                                     const FleetSignatureConfig& cfg) {
+                                     const net::FiveTuple& victim) {
   if (evidence.empty()) return dx;
   // A CBD loop is structural evidence no health counter can explain away.
   if (is_deadlock(dx.type)) return dx;
@@ -486,7 +514,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
     const LinkCounterEvidence* best = nullptr;
     PortRef best_port;
     for (const LinkCounterEvidence& l : evidence.links) {
-      if (l.crc_errors < cfg.min_crc_errors) continue;
+      if (l.crc_errors < kMinCrcErrors) continue;
       const PortRef port = on_path_port(l, path, dst_host, topo);
       if (!port.valid()) continue;
       if (best == nullptr || l.crc_errors > best->crc_errors) {
@@ -497,7 +525,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
     if (best != nullptr && evidence.sender_retransmissions > 0) {
       const bool believable_incast =
           dx.type == AnomalyType::kMicroBurstIncast &&
-          fan_in >= cfg.incast_min_sources && !traced_to(*best);
+          fan_in >= kIncastMinSources && !traced_to(*best);
       if (!believable_incast) {
         const double ev = static_cast<double>(best->crc_errors) +
                           static_cast<double>(evidence.sender_retransmissions);
@@ -510,7 +538,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
             std::to_string(best->crc_errors) + " FCS errors, " +
             std::to_string(evidence.sender_retransmissions) +
             " sender retransmits, no matching incast fan-in";
-        dx.confidence *= signature_strength(ev, 16.0, cfg);
+        dx.confidence *= signature_strength(ev, 16.0);
         return dx;
       }
     }
@@ -525,7 +553,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
   PortRef lone_port;
   double tier_slow = 0;
   for (const LinkCounterEvidence& l : evidence.links) {
-    if (!l.reduced(cfg.reduced_rate_ratio)) continue;
+    if (!l.reduced(kReducedRateRatio)) continue;
     const PortRef port = on_path_port(l, path, dst_host, topo);
     if (l.oversub_tier) {
       ++tier_reduced;
@@ -558,7 +586,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
         fmt_gbps(tier_on_path->actual_gbps) + "/" +
         fmt_gbps(tier_on_path->nominal_gbps) +
         " Gbps; victim crosses " + net::to_string(dx.initial_port);
-    dx.confidence *= signature_strength(tier_slow, 64.0, cfg);
+    dx.confidence *= signature_strength(tier_slow, 64.0);
     return dx;
   }
 
@@ -567,7 +595,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
   // FCS, and frames actually observed serializing slow — the stable
   // single-port bottleneck.
   if (lone_on_path != nullptr && lone_reduced == 1 &&
-      lone_on_path->crc_errors < cfg.min_crc_errors &&
+      lone_on_path->crc_errors < kMinCrcErrors &&
       lone_on_path->slow_serializations > 0) {
     const double deficit =
         1.0 - lone_on_path->actual_gbps /
@@ -585,7 +613,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
         " Gbps fabric (" +
         std::to_string(lone_on_path->slow_serializations) +
         " slow serializations, clean FCS)";
-    dx.confidence *= signature_strength(ev, 32.0, cfg);
+    dx.confidence *= signature_strength(ev, 32.0);
     return dx;
   }
 
@@ -594,14 +622,14 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
   // verdicts) while the destination NIC's DMA drain gauge shows backlog:
   // the receiver host itself is the bottleneck. A congestion-shaped
   // incast verdict also yields — but only to an overwhelming backlog
-  // (>= min_drain_backlog_ns, orders of magnitude beyond any switch
+  // (>= kMinDrainBacklogNs, orders of magnitude beyond any switch
   // queue's delay): the drain FIFO can only back up while arrival
   // exceeds the DMA cap, i.e. while the PCIe ceiling — not the fabric —
   // is the binding constraint. A genuine incast toward a healthy host
   // throttles arrival below the cap and never grows such a backlog.
   for (const HostCounterEvidence& h : evidence.hosts) {
     if (h.host != dst_host) continue;
-    if (h.drain_delayed_pkts < cfg.min_drain_delayed) continue;
+    if (h.drain_delayed_pkts < kMinDrainDelayed) continue;
     const bool quiet_fabric = dx.type == AnomalyType::kNone ||
                               dx.type == AnomalyType::kNormalContention;
     // A fallback storm verdict (PFC spreading observed, but provenance
@@ -616,7 +644,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
          (dx.injecting_peer == net::kInvalidNode ||
           !topo.is_host(dx.injecting_peer)));
     const bool backlog_dominates =
-        rootless && h.max_drain_backlog_ns >= cfg.min_drain_backlog_ns;
+        rootless && h.max_drain_backlog_ns >= kMinDrainBacklogNs;
     if (!quiet_fabric && !backlog_dominates) continue;
     dx.type = AnomalyType::kHostPcieBottleneck;
     dx.injecting_peer = dst_host;
@@ -629,9 +657,8 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
         std::to_string(h.max_drain_backlog_ns) +
         (quiet_fabric ? " ns), no upstream port paused"
                       : " ns), dwarfing the observed fabric contention");
-    dx.confidence *=
-        signature_strength(static_cast<double>(h.drain_delayed_pkts),
-                           64.0, cfg);
+    dx.confidence *= signature_strength(
+        static_cast<double>(h.drain_delayed_pkts), 64.0);
     return dx;
   }
 

@@ -13,16 +13,17 @@
 
 namespace hawkeye::diagnosis {
 
+/// Positive contributors below this fraction of the strongest contributor
+/// are treated as incidental, not root causes (Algorithm 2 and the local
+/// flow-interaction baseline alike).
+inline constexpr double kContentionShare = 0.15;
+
+/// At least this many distinct sources make a believable incast: the
+/// Table-2 fan-in that ranks a server-facing terminal, keeps an incast
+/// verdict against fleet evidence and names the incast contention cause.
+inline constexpr int kIncastMinSources = 3;
+
 struct DiagnosisConfig {
-  /// Positive contributors below this fraction of the strongest
-  /// contributor are treated as incidental, not root causes.
-  double contention_share = 0.15;
-  /// A port "has flow contention" only when the strongest contributor's
-  /// net wait-for weight reaches this floor — incidental sub-packet
-  /// waiting (e.g. the pre-injection sliver of a storm epoch) is noise.
-  double min_contention = 1.0;
-  /// burst-flow(f) predicate (Table 2): per-epoch goodput above this.
-  double burst_rate_gbps = 25.0;
   /// Fabric-scale terminal ranking: prefer contention terminals matching
   /// the Table-2 incast signature (burst flows converging on a server
   /// -facing port) over generic mid-fabric contention, and only then rank
@@ -36,7 +37,6 @@ struct DiagnosisConfig {
   /// small fabrics see one anomaly at a time, so verdicts are identical.
   bool signature_rank = false;
   sim::Time epoch_ns = sim::Time{1} << 20;
-  std::int32_t mtu_bytes = 1000;
 };
 
 struct DiagnosisResult {
@@ -88,32 +88,6 @@ DiagnosisResult diagnose(const provenance::ProvenanceGraph& g,
 // by fault::FaultInjector::fleet_evidence) over the provenance verdict and
 // rewrites it when a fleet signature matches.
 
-/// Decision thresholds for the four fleet signature rows. Calibrated on
-/// the fleet sweep of bench_fault_sweeps (every fault class x workload
-/// cell must produce its own verdict with zero silently-wrong cells).
-struct FleetSignatureConfig {
-  /// A link is "CRC-degraded" from this many FCS errors (a healthy run
-  /// has exactly zero; a handful tolerates counter noise on real gear).
-  std::uint64_t min_crc_errors = 3;
-  /// A host is "drain-bound" from this many delayed frames.
-  std::uint64_t min_drain_delayed = 16;
-  /// actual/nominal below this ratio counts as a reduced-rate link.
-  double reduced_rate_ratio = 0.9;
-  /// Fan-in at/above this is a believable incast; below it, congestion
-  /// provenance without fan-in points at a degraded component (mirrors
-  /// ContentionCauseConfig::incast_min_sources).
-  int incast_min_sources = 3;
-  /// A DMA drain backlog at/above this overrides even a congestion-shaped
-  /// incast verdict: the drain FIFO only backs up while arrival exceeds
-  /// the PCIe cap, and no switch queue delays frames for anywhere near
-  /// this long (xoff-bounded queues drain in single-digit microseconds).
-  sim::Time min_drain_backlog_ns = 500'000;  // 500 us
-  /// Confidence calibration: floor when the signature barely clears its
-  /// thresholds, ceiling as the counter evidence saturates.
-  double base_confidence = 0.60;
-  double max_confidence = 0.95;
-};
-
 /// Rewrite the provenance verdict when a fleet-ops signature matches
 /// (identity otherwise — in particular for empty evidence). The rules,
 /// one Table-2 row per class:
@@ -128,17 +102,19 @@ struct FleetSignatureConfig {
 ///  - host PCIe bottleneck: the victim's destination NIC shows DMA
 ///    drain backlog while NOTHING upstream paused (the no-PFC verdicts)
 ///    — the pure-victim row. An incast verdict also yields when the
-///    measured backlog alone exceeds min_drain_backlog_ns.
+///    measured backlog alone reaches 500 us (kMinDrainBacklogNs).
 /// Deadlock verdicts are never rewritten: a CBD is structural evidence
 /// no counter can explain away. dx.confidence must already hold the
 /// collection confidence; a rewrite multiplies in the signature
-/// strength (monotone in the evidence, within [base, max]).
+/// strength (monotone in the evidence, within [base, max]). The rows'
+/// thresholds are calibrated on the fleet sweep of bench_fault_sweeps
+/// (every fault class x workload cell must produce its own verdict with
+/// zero silently-wrong cells); diagnosis.cpp names them.
 DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
                                      const fault::FleetEvidence& evidence,
                                      const net::Topology& topo,
                                      const net::Routing& routing,
-                                     const net::FiveTuple& victim,
-                                     const FleetSignatureConfig& cfg = {});
+                                     const net::FiveTuple& victim);
 
 /// Per-fault-class multiplicative discounts applied by
 /// collection_confidence. The defaults are calibrated against the

@@ -136,7 +136,7 @@ void sample_fault(sim::Rng& rng, int cat, fault::FaultPlan& plan) {
 }
 
 /// Pure function of (campaign seed, trial index) — the determinism anchor:
-/// any batch/thread split of the campaign samples identical configs.
+/// any thread count of the campaign samples identical configs.
 RunConfig sample_trial(const HuntOptions& o, int trial) {
   sim::Rng rng(splitmix64(o.seed ^ (0x517cc1b727220a95ull +
                                     static_cast<std::uint64_t>(trial))));
@@ -425,98 +425,95 @@ HuntReport run_hunt_campaign(const HuntOptions& opts) {
   log << "hunt seed=" << opts.seed << " budget=" << opts.budget
       << " tau=" << canonical_double(opts.tau) << " ks=" << ks_str << '\n';
 
+  std::vector<RunConfig> cfgs;
+  cfgs.reserve(static_cast<std::size_t>(std::max(opts.budget, 0)));
+  for (int trial = 0; trial < opts.budget; ++trial) {
+    cfgs.push_back(sample_trial(opts, trial));
+  }
+  SweepOptions sw;
+  sw.threads = opts.threads;
+  const std::vector<RunResult> results = run_sweep(cfgs, sw);
+  rep.trials = static_cast<int>(cfgs.size());
+  rep.evals = rep.trials;
+
+  // Only the first find per (truth, class, verdict) signature is kept:
+  // distinct signatures are distinct model defects, and duplicates shrink
+  // to near-identical corpus entries.
   std::vector<std::string> seen_signatures;
   std::vector<std::uint64_t> written_fps;
-  const int batch = std::max(1, opts.batch);
-  for (int base = 0; base < opts.budget; base += batch) {
-    const int n = std::min(batch, opts.budget - base);
-    std::vector<RunConfig> cfgs;
-    cfgs.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      cfgs.push_back(sample_trial(opts, base + i));
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const int trial = static_cast<int>(i);
+    const RunResult& r = results[i];
+    const HuntVerdictClass cls = classify_verdict(r, opts.tau);
+    ++rep.count_by_class[static_cast<int>(cls)];
+    if (cls == HuntVerdictClass::kCorrect) continue;
+    log << "trial=" << trial
+        << " scenario=" << diagnosis::to_string(cfgs[i].scenario)
+        << " seed=" << cfgs[i].seed << " k=" << cfgs[i].fat_tree_k
+        << " class=" << to_string(cls)
+        << " verdict=" << diagnosis::to_string(r.dx.type)
+        << " truth=" << diagnosis::to_string(r.truth_type)
+        << " conf=" << canonical_double(r.confidence) << '\n';
+    if (severity(cls) < 1) continue;
+    if (static_cast<int>(rep.finds.size()) >= opts.max_finds) continue;
+    const std::string sig = std::string(diagnosis::to_string(r.truth_type)) +
+                            "/" + std::string(to_string(cls)) + "/" +
+                            std::string(diagnosis::to_string(r.dx.type));
+    if (std::find(seen_signatures.begin(), seen_signatures.end(), sig) !=
+        seen_signatures.end()) {
+      continue;
     }
-    SweepOptions sw;
-    sw.threads = opts.threads;
-    const std::vector<RunResult> results = run_sweep(cfgs, sw);
-    rep.trials += n;
-    rep.evals += n;
-    for (int i = 0; i < n; ++i) {
-      const int trial = base + i;
-      const RunResult& r = results[static_cast<std::size_t>(i)];
-      const HuntVerdictClass cls = classify_verdict(r, opts.tau);
-      ++rep.count_by_class[static_cast<int>(cls)];
-      if (cls == HuntVerdictClass::kCorrect) continue;
-      log << "trial=" << trial << " scenario="
-          << diagnosis::to_string(cfgs[static_cast<std::size_t>(i)].scenario)
-          << " seed=" << cfgs[static_cast<std::size_t>(i)].seed
-          << " k=" << cfgs[static_cast<std::size_t>(i)].fat_tree_k
-          << " class=" << to_string(cls)
-          << " verdict=" << diagnosis::to_string(r.dx.type)
-          << " truth=" << diagnosis::to_string(r.truth_type)
-          << " conf=" << canonical_double(r.confidence) << '\n';
-      if (severity(cls) < 1) continue;
-      if (static_cast<int>(rep.finds.size()) >= opts.max_finds) continue;
-      const std::string sig =
-          std::string(diagnosis::to_string(r.truth_type)) + "/" +
-          std::string(to_string(cls)) + "/" +
-          std::string(diagnosis::to_string(r.dx.type));
-      if (opts.dedupe_signatures &&
-          std::find(seen_signatures.begin(), seen_signatures.end(), sig) !=
-              seen_signatures.end()) {
-        continue;
-      }
-      seen_signatures.push_back(sig);
+    seen_signatures.push_back(sig);
 
-      HuntFind find;
-      find.trial = trial;
-      find.signature = sig;
-      find.original.cfg = cfgs[static_cast<std::size_t>(i)];
-      find.flows_before = crafted_flow_count(find.original.cfg);
+    HuntFind find;
+    find.trial = trial;
+    find.signature = sig;
+    find.original.cfg = cfgs[i];
+    find.flows_before = crafted_flow_count(find.original.cfg);
 
-      RunConfig shrunk_cfg = find.original.cfg;
-      if (opts.shrink) {
-        Shrinker sh(shrunk_cfg, cls, r.dx.type, opts.tau,
-                    opts.max_shrink_evals);
-        sh.run();
-        shrunk_cfg = sh.cfg();
-        rep.evals += sh.evals();
-        find.shrink_evals = sh.evals();
-      }
-      find.flows_after = crafted_flow_count(shrunk_cfg);
-      log << "shrunk trial=" << trial << " evals=" << find.shrink_evals
-          << " flows=" << find.flows_before << "->" << find.flows_after
-          << '\n';
-
-      HuntCase hc;
-      hc.cfg = shrunk_cfg;
-      hc.expected_class = std::string(to_string(cls));
-      hc.expected_verdict = r.dx.type;
-      hc.expected_truth = r.truth_type;
-      hc.note = "hunt seed=" + std::to_string(opts.seed) +
-                " trial=" + std::to_string(trial) + " conf=" +
-                canonical_double(r.confidence);
-      find.shrunk = hc;
-      find.original.expected_class = hc.expected_class;
-      find.original.expected_verdict = hc.expected_verdict;
-      find.original.expected_truth = hc.expected_truth;
-
-      const std::uint64_t fp = case_fingerprint(hc);
-      if (!opts.corpus_dir.empty() &&
-          std::find(written_fps.begin(), written_fps.end(), fp) ==
-              written_fps.end()) {
-        written_fps.push_back(fp);
-        std::filesystem::create_directories(opts.corpus_dir);
-        find.file = "hunt-" + std::string(to_string(cls)) + "-" +
-                    std::string(diagnosis::to_string(r.truth_type)) + "-" +
-                    hex16(fp) + ".txt";
-        std::ofstream out(std::filesystem::path(opts.corpus_dir) / find.file,
-                          std::ios::binary);
-        out << serialize_case(hc);
-      }
-      log << "find trial=" << trial << " sig=" << sig
-          << (find.file.empty() ? "" : " file=" + find.file) << '\n';
-      rep.finds.push_back(std::move(find));
+    RunConfig shrunk_cfg = find.original.cfg;
+    if (opts.shrink) {
+      Shrinker sh(shrunk_cfg, cls, r.dx.type, opts.tau,
+                  opts.max_shrink_evals);
+      sh.run();
+      shrunk_cfg = sh.cfg();
+      rep.evals += sh.evals();
+      find.shrink_evals = sh.evals();
     }
+    find.flows_after = crafted_flow_count(shrunk_cfg);
+    log << "shrunk trial=" << trial << " evals=" << find.shrink_evals
+        << " flows=" << find.flows_before << "->" << find.flows_after
+        << '\n';
+
+    HuntCase hc;
+    hc.cfg = shrunk_cfg;
+    hc.expected_class = std::string(to_string(cls));
+    hc.expected_verdict = r.dx.type;
+    hc.expected_truth = r.truth_type;
+    hc.note = "hunt seed=" + std::to_string(opts.seed) +
+              " trial=" + std::to_string(trial) + " conf=" +
+              canonical_double(r.confidence);
+    find.shrunk = hc;
+    find.original.expected_class = hc.expected_class;
+    find.original.expected_verdict = hc.expected_verdict;
+    find.original.expected_truth = hc.expected_truth;
+
+    const std::uint64_t fp = case_fingerprint(hc);
+    if (!opts.corpus_dir.empty() &&
+        std::find(written_fps.begin(), written_fps.end(), fp) ==
+            written_fps.end()) {
+      written_fps.push_back(fp);
+      std::filesystem::create_directories(opts.corpus_dir);
+      find.file = "hunt-" + std::string(to_string(cls)) + "-" +
+                  std::string(diagnosis::to_string(r.truth_type)) + "-" +
+                  hex16(fp) + ".txt";
+      std::ofstream out(std::filesystem::path(opts.corpus_dir) / find.file,
+                        std::ios::binary);
+      out << serialize_case(hc);
+    }
+    log << "find trial=" << trial << " sig=" << sig
+        << (find.file.empty() ? "" : " file=" + find.file) << '\n';
+    rep.finds.push_back(std::move(find));
   }
   log << "summary trials=" << rep.trials << " evals=" << rep.evals
       << " correct=" << rep.count_by_class[0]

@@ -42,11 +42,10 @@ struct HuntOptions {
   std::uint64_t seed = 1;
   /// Trials sampled (shrinking evals are extra; see HuntReport::evals).
   int budget = 200;
-  /// Trials evaluated per run_sweep call. Any batch/thread split yields an
-  /// identical campaign: sampling is a pure function of (seed, trial index)
-  /// and run_sweep returns results in input order.
-  int batch = 16;
-  int threads = 0;  ///< SweepOptions::threads.
+  /// SweepOptions::threads. Any thread count yields an identical campaign:
+  /// sampling is a pure function of (seed, trial index) and run_sweep
+  /// returns results in input order.
+  int threads = 0;
   double tau = 0.9;
   bool shrink = true;
   int max_shrink_evals = 96;  ///< Per find.
@@ -55,10 +54,6 @@ struct HuntOptions {
   /// Stop collecting after this many finds (sampling still runs to budget
   /// so the campaign log stays a pure function of seed + budget).
   int max_finds = 32;
-  /// Keep only the first find per (truth, class, verdict) signature —
-  /// distinct signatures are distinct model issues; duplicates shrink to
-  /// near-identical corpus entries.
-  bool dedupe_signatures = true;
   /// When non-empty, each find's shrunk case is written here as
   /// hunt-<class>-<truth>-<fingerprint16>.txt.
   std::string corpus_dir;
@@ -81,7 +76,7 @@ struct HuntReport {
   int count_by_class[5] = {0, 0, 0, 0, 0};  ///< Indexed by HuntVerdictClass.
   std::vector<HuntFind> finds;
   /// Deterministic campaign log: same (options) => byte-identical log,
-  /// regardless of threads or batch split. One line per non-correct trial,
+  /// regardless of the thread count. One line per non-correct trial,
   /// per shrink, per find, plus a summary tail.
   std::string log;
 };

@@ -150,9 +150,7 @@ std::vector<ConfidenceCurve::Point> ConfidenceCurve::points(
 
 workload::ScenarioSpec craft_scenario(const RunConfig& cfg, sim::Rng& rng) {
   // Scenario crafting needs default routing; build a probe topology first.
-  const Testbed::Options defaults;
-  const net::FatTree probe = net::build_fat_tree(
-      cfg.fat_tree_k, defaults.link_gbps, defaults.link_delay_ns);
+  const net::FatTree probe = net::build_fat_tree(cfg.fat_tree_k);
   net::Routing probe_routing(probe.topo);
   workload::ScenarioSpec spec =
       diagnosis::is_fleet_fault(cfg.scenario)
@@ -404,7 +402,7 @@ Run::Diagnosis Run::diagnose(const collect::Episode& ep) {
   const bool local = diagnoses_locally(cfg_.method);
   if (local) {
     out.dx = baselines::diagnose_local_contention(ep, tb_.ft.topo, tb_.routing,
-                                                  ep.victim, dcfg);
+                                                  ep.victim);
   } else {
     provenance::BuilderConfig bcfg;
     bcfg.epoch_ns = dcfg.epoch_ns;

@@ -135,10 +135,12 @@ void fields(C& c, F&& f) {
   f("scenario", c.scenario);
   f("seed", c.seed);
   f("method", c.method);
-  // telemetry::EpochConfig takes bits [shift, shift + index_bits + 8) of a
-  // 64-bit timestamp (index, then an 8-bit epoch id).
+  // telemetry::EpochConfig takes bits [shift, shift + index_bits + kIdBits)
+  // of a 64-bit timestamp (index, then the epoch id).
   f("epoch_shift", c.epoch_shift, [&c](int s) {
-    return s >= 0 && std::int64_t{s} + c.epoch_index_bits + 8 < 64;
+    const std::int64_t top = std::int64_t{s} + c.epoch_index_bits +
+                             telemetry::EpochConfig::kIdBits;
+    return s >= 0 && top < 64;
   });
   f("epoch_index_bits", c.epoch_index_bits,
     [](int b) { return b >= 1 && b <= 30; });

@@ -5,12 +5,10 @@
 namespace hawkeye::eval {
 
 Testbed::Testbed(const Options& opts)
-    : ft(net::build_fat_tree(opts.fat_tree_k, opts.link_gbps,
-                             opts.link_delay_ns)),
+    : ft(net::build_fat_tree(opts.fat_tree_k)),
       routing(ft.topo),
       net(simu, ft.topo),
-      collector(opts.collector_cfg) {
-  collector.attach_simulator(simu);
+      collector(simu, opts.collector_cfg) {
   switch_agent =
       std::make_unique<collect::HawkeyeSwitchAgent>(collector,
                                                     opts.switch_agent_cfg);
@@ -25,7 +23,7 @@ Testbed::Testbed(const Options& opts)
   agent = std::make_unique<collect::DetectionAgent>(net, routing, collector,
                                                     opts.agent_cfg);
   for (const net::NodeId h : ft.topo.hosts()) {
-    hosts_.push_back(std::make_unique<device::Host>(net, h, opts.dcqcn));
+    hosts_.push_back(std::make_unique<device::Host>(net, h, opts.cc_algo));
     if (opts.install_hawkeye) agent->attach(*hosts_.back());
   }
   if (opts.install_hawkeye) agent->start();

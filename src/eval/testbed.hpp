@@ -25,13 +25,11 @@ class Testbed {
  public:
   struct Options {
     int fat_tree_k = 4;
-    double link_gbps = 100.0;
-    sim::Time link_delay_ns = 2'000;
     /// Read only by tracebench/; deleted when tracebench's replay moves
     /// onto eval::Run (ROADMAP). Every run uses one event calendar.
     int shards = 1;
     device::SwitchConfig switch_cfg;
-    device::DcqcnParams dcqcn;
+    device::CcAlgorithm cc_algo = device::CcAlgorithm::kDcqcn;
     collect::Collector::Config collector_cfg;
     collect::HawkeyeSwitchAgent::Config switch_agent_cfg;
     collect::DetectionAgent::Config agent_cfg;

@@ -74,7 +74,7 @@ std::vector<NodeId> Topology::switches() const {
   return out;
 }
 
-FatTree build_fat_tree(int k, double gbps, sim::Time link_delay) {
+FatTree build_fat_tree(int k) {
   if (k < 2 || k % 2 != 0) throw std::invalid_argument("fat-tree k must be even");
   FatTree ft;
   ft.k = k;
@@ -112,7 +112,7 @@ FatTree build_fat_tree(int k, double gbps, sim::Time link_delay) {
       for (int h = 0; h < half; ++h) {
         const NodeId host =
             ft.hosts[static_cast<size_t>(pod * half * half + e * half + h)];
-        ft.topo.connect(host, edge, gbps, link_delay);
+        ft.topo.connect(host, edge);
       }
     }
   }
@@ -121,8 +121,7 @@ FatTree build_fat_tree(int k, double gbps, sim::Time link_delay) {
     for (int e = 0; e < half; ++e) {
       for (int a = 0; a < half; ++a) {
         ft.topo.connect(ft.edges[static_cast<size_t>(pod * half + e)],
-                        ft.aggs[static_cast<size_t>(pod * half + a)], gbps,
-                        link_delay);
+                        ft.aggs[static_cast<size_t>(pod * half + a)]);
       }
     }
   }
@@ -131,8 +130,7 @@ FatTree build_fat_tree(int k, double gbps, sim::Time link_delay) {
     for (int a = 0; a < half; ++a) {
       for (int c = 0; c < half; ++c) {
         ft.topo.connect(ft.aggs[static_cast<size_t>(pod * half + a)],
-                        ft.cores[static_cast<size_t>(a * half + c)], gbps,
-                        link_delay);
+                        ft.cores[static_cast<size_t>(a * half + c)]);
       }
     }
   }

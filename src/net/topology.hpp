@@ -11,12 +11,16 @@ namespace hawkeye::net {
 
 enum class NodeKind : std::uint8_t { kHost, kSwitch };
 
+/// The paper's link calibration: 100 Gbps, 2 us of propagation per link.
+inline constexpr double kLinkGbps = 100.0;
+inline constexpr sim::Time kLinkDelayNs = 2'000;
+
 /// One duplex link between two (node, port) endpoints.
 struct LinkSpec {
   PortRef a;
   PortRef b;
-  double gbps = 100.0;
-  sim::Time delay_ns = 2'000;  // paper setup: 2 us per link
+  double gbps = kLinkGbps;
+  sim::Time delay_ns = kLinkDelayNs;
 };
 
 /// Static network graph: node kinds, links, and port-level adjacency.
@@ -29,8 +33,8 @@ class Topology {
 
   /// Connects the next free port on `a` to the next free port on `b`.
   /// Returns the link id.
-  std::size_t connect(NodeId a, NodeId b, double gbps = 100.0,
-                      sim::Time delay_ns = 2'000);
+  std::size_t connect(NodeId a, NodeId b, double gbps = kLinkGbps,
+                      sim::Time delay_ns = kLinkDelayNs);
 
   std::size_t node_count() const { return kinds_.size(); }
   NodeKind kind(NodeId n) const { return kinds_[static_cast<size_t>(n)]; }
@@ -85,7 +89,8 @@ struct FatTree {
   std::vector<NodeId> cores;
 };
 
-FatTree build_fat_tree(int k, double gbps = 100.0, sim::Time link_delay = 2'000);
+/// Every link runs at kLinkGbps with kLinkDelayNs of propagation.
+FatTree build_fat_tree(int k);
 
 /// Two-tier leaf-spine fabric: every leaf connects to every spine.
 struct LeafSpine {
@@ -96,6 +101,7 @@ struct LeafSpine {
 };
 
 LeafSpine build_leaf_spine(int leaves, int spines, int hosts_per_leaf,
-                           double gbps = 100.0, sim::Time link_delay = 2'000);
+                           double gbps = kLinkGbps,
+                           sim::Time link_delay = kLinkDelayNs);
 
 }  // namespace hawkeye::net

@@ -19,6 +19,13 @@ using telemetry::EpochRecord;
 using telemetry::FlowRecord;
 using telemetry::SwitchTelemetryReport;
 
+/// Port-level edges below this fraction of the strongest sibling edge are
+/// pruned (uncongested downstream ports carry no causality).
+constexpr double kMinRelEdgeWeight = 0.05;
+/// Downstream ports need at least this average queue depth (packets) to be
+/// considered congested.
+constexpr double kMinQdepthPkts = 0.5;
+
 /// Epochs with any PFC pause activity anywhere in the episode, identified
 /// by their wall-clock start (unique, unlike the 8-bit epoch ID).
 std::set<sim::Time> anomaly_epoch_starts(const Episode& ep) {
@@ -211,7 +218,7 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
       }
       // A downstream port contributes causality only if congested: queue
       // buildup or pause activity of its own.
-      if (qd < cfg.min_qdepth_pkts && paused_j <= 0) continue;
+      if (qd < kMinQdepthPkts && paused_j <= 0) continue;
       const double w = agg.paused_evidence() *
                        (static_cast<double>(m_it->second) / sum_meter) *
                        std::max(qd, 0.5);
@@ -222,7 +229,7 @@ ProvenanceGraph build_provenance(const Episode& ep, const net::Topology& topo,
     for (const Cand& c : cands) {
       // Edges into paused ports are never pruned: PFC causality continues
       // through them no matter how little traffic the meter saw.
-      if (!c.paused && c.w < cfg.min_rel_edge_weight * max_w) continue;
+      if (!c.paused && c.w < kMinRelEdgeWeight * max_w) continue;
       const int to = g.add_port(c.to);
       g.add_port_edge(from, to, c.w);
     }

@@ -24,12 +24,6 @@ struct BuilderConfig {
   /// evidence). 0 (the default) disables scoping entirely: epoch
   /// selection is exactly the paper's pause-activity filter.
   sim::Time trigger_scope_ns = 0;
-  /// Port-level edges below this fraction of the strongest sibling edge
-  /// are pruned (uncongested downstream ports carry no causality).
-  double min_rel_edge_weight = 0.05;
-  /// Downstream ports need at least this average queue depth (packets) to
-  /// be considered congested.
-  double min_qdepth_pkts = 0.5;
 };
 
 /// Algorithm 1: construct the heterogeneous wait-for provenance graph from

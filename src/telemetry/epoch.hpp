@@ -10,7 +10,7 @@ namespace hawkeye::telemetry {
 ///
 /// Programmable switches stamp each enqueued packet with a 48-bit
 /// nanosecond timestamp. Hawkeye picks `index_bits` bits starting at
-/// `epoch_shift` to index the epoch ring buffer, and the `id_bits` bits
+/// `epoch_shift` to index the epoch ring buffer, and the `kIdBits` bits
 /// above those as the epoch ID used to detect ring wrap-around. An epoch
 /// therefore spans 2^epoch_shift ns; the paper's "1 ms" epoch is
 /// 2^20 ns ≈ 1.05 ms, and the evaluated range 100 µs – 2 ms maps to
@@ -21,7 +21,7 @@ struct EpochConfig {
   // accurate (§4.2 — precision falls as the epoch grows).
   int epoch_shift = 17;  // epoch size = 2^epoch_shift ns (~131 us)
   int index_bits = 3;    // ring of 2^index_bits epochs
-  int id_bits = 8;       // wrap-around discriminator
+  static constexpr int kIdBits = 8;  // wrap-around discriminator
 
   sim::Time epoch_ns() const { return sim::Time{1} << epoch_shift; }
   int epoch_count() const { return 1 << index_bits; }
@@ -32,10 +32,10 @@ struct EpochConfig {
                             ((1u << index_bits) - 1));
   }
 
-  /// Epoch ID: the `id_bits` bits above the index bits.
+  /// Epoch ID: the `kIdBits` bits above the index bits.
   std::uint64_t id_of(sim::Time ts) const {
     return (static_cast<std::uint64_t>(ts) >> (epoch_shift + index_bits)) &
-           ((1ull << id_bits) - 1);
+           ((1ull << kIdBits) - 1);
   }
 
   /// Start time of the epoch containing `ts`.

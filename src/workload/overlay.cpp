@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string_view>
 
+#include "net/packet.hpp"
+
 namespace hawkeye::workload {
 
 namespace {
@@ -82,13 +84,12 @@ void apply_overlay(ScenarioSpec& spec, const ScenarioOverlay& o) {
 
   // Per-flow mutations keyed by the crafted (pre-drop) index so a case
   // file's indices stay meaningful regardless of which drops apply.
-  constexpr std::int64_t kMtuBytes = 1000;
   for (std::size_t i = 0; i < spec.flows.size(); ++i) {
     device::FlowSpec& f = spec.flows[i];
     if (device::tuple_of(f) == spec.victim) continue;
     if (o.size_scale != 1.0) {
       f.bytes = std::max<std::int64_t>(
-          kMtuBytes, static_cast<std::int64_t>(
+          net::kMtuBytes, static_cast<std::int64_t>(
                          std::llround(static_cast<double>(f.bytes) *
                                       o.size_scale)));
     }

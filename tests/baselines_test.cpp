@@ -26,8 +26,8 @@ struct MonitoredTrace {
   MonitoredTrace(diagnosis::AnomalyType type, std::uint64_t seed,
                  sim::Time watchdog_period)
       : tb(options(type, seed)),
-        watchdog(tb.net, {watchdog_period, 2}),
-        itsy(tb.net, {}) {
+        watchdog(tb.net, watchdog_period),
+        itsy(tb.net) {
     for (const net::NodeId sw : tb.ft.topo.switches()) {
       watchdog.watch(tb.switch_at(sw));
       itsy.watch(tb.switch_at(sw));
@@ -65,7 +65,7 @@ TEST(PfcWatchdogTest, CoarsePeriodMissesTransientIncast) {
 
 TEST(PfcWatchdogTest, QuietFabricRaisesNoAlarm) {
   Testbed tb;
-  PfcWatchdog wd(tb.net, {sim::us(50), 2});
+  PfcWatchdog wd(tb.net, sim::us(50));
   for (const net::NodeId sw : tb.ft.topo.switches()) {
     wd.watch(tb.switch_at(sw));
   }
@@ -145,8 +145,7 @@ TEST(ContentionCauseTest, ClassifiesIncastFanIn) {
   ASSERT_TRUE(r.tp);
   // The cause analyzer runs end to end in bench_contention_causes and the
   // quickstart; here just sanity-check the fan-in heuristic.
-  ContentionCauseConfig ccfg;
-  EXPECT_GE(ccfg.incast_min_sources, 2);
+  static_assert(kIncastMinSources >= 2);
 }
 
 }  // namespace

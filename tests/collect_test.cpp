@@ -137,10 +137,9 @@ TEST(CollectionTest, VictimOnlyNeverLeavesVictimPath) {
 }
 
 TEST(CollectionTest, CpuPollerLatencyModelScalesWithEpochs) {
-  Collector::Config cfg;
   // 40 ms per epoch: 2 epochs -> 80 ms, 4 -> 160... the paper measures
   // 80/120 ms for 2/4 epochs; our linear model keeps the same order.
-  EXPECT_EQ(cfg.dma_per_epoch * 2, sim::ms(80));
+  EXPECT_EQ(Collector::kDmaPerEpoch * 2, sim::ms(80));
 }
 
 TEST(PollingFlagTest, Table1Semantics) {
@@ -163,7 +162,7 @@ TEST(StalenessGuardTest, EpochStartingExactlyAtLimitIsKept) {
   // (Collector::do_collect): stale_limit = mirror + snapshot_delay +
   // epoch_ns, and records are rejected only when start > stale_limit. An
   // epoch starting EXACTLY at the limit is the legitimate tail of the
-  // grace window and must survive.
+  // grace window and must survive; the epochs after it must not.
   Testbed::Options o;
   o.install_hawkeye = false;
   Testbed tb(o);
@@ -173,19 +172,27 @@ TEST(StalenessGuardTest, EpochStartingExactlyAtLimitIsKept) {
                false, 10.0});
   auto& sw = tb.switch_at(tb.ft.edges[0]);
   const sim::Time E = sw.config().telemetry.epoch.epoch_ns();
-  tb.run_for(10 * E);  // 8-deep ring now holds epochs 2..9
-
-  Collector sync_c;  // no simulator attached: snapshots run synchronously
-  sync_c.register_switch(sw);
-  Episode& ep =
-      sync_c.open_episode(7, flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 900),
-                          0);
   // Mirror instant chosen so the limit lands exactly on epoch 8's start.
   const sim::Time limit = 8 * E;
-  const sim::Time mirror = limit - sync_c.config().snapshot_delay - E;
+  const sim::Time mirror = limit - tb.collector.config().snapshot_delay - E;
   ASSERT_GT(mirror, 0);
-  sync_c.collect_from(sw, 7, mirror);
 
+  // A stale DMA read lands the snapshot at 10.5 E, when the 8-deep ring
+  // holds epochs 3..10: epoch 8 starts at the limit, 9 and 10 after it.
+  fault::FaultPlan plan;
+  fault::DmaFaultSpec dma;
+  dma.stale_prob = 1.0;
+  dma.extra_delay = 3 * E + E / 2;
+  plan.dma_faults.push_back(dma);
+  tb.install_faults(plan);
+  tb.collector.register_switch(sw);
+  Episode& ep = tb.collector.open_episode(
+      7, flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 900), mirror);
+  tb.simu.schedule_at(mirror,
+                      [&] { tb.collector.collect_from(sw, 7, mirror); });
+  tb.run_for(11 * E);
+
+  ASSERT_EQ(tb.faults->dma_stale(), 1u);
   ASSERT_TRUE(ep.has_report(sw.id()));
   bool boundary_epoch_kept = false;
   for (const auto& er : ep.find_report(sw.id())->epochs) {
@@ -195,7 +202,8 @@ TEST(StalenessGuardTest, EpochStartingExactlyAtLimitIsKept) {
   EXPECT_TRUE(boundary_epoch_kept)
       << "start == stale_limit sits inside the half-open grace window";
   EXPECT_GT(ep.stale_epochs_rejected, 0u)
-      << "epoch 9 (start > limit) can only reflect post-mirror traffic";
+      << "epochs 9 and 10 (start > limit) can only reflect post-mirror "
+         "traffic";
 }
 
 TEST(CollectorTest, SwitchCollectionDeduplicated) {
@@ -283,11 +291,12 @@ std::vector<sim::Time> epoch_starts(const telemetry::SwitchTelemetryReport& r) {
 
 struct MergeRig {
   static constexpr sim::Time kOnset = 1000;
+  sim::Simulator simu;
   Collector collector;
   net::FiveTuple victim = flow_tuple(0, 15, 900);
   net::FiveTuple other = flow_tuple(1, 14, 901);
 
-  explicit MergeRig(Collector::Config cfg = {}) : collector(cfg) {}
+  explicit MergeRig(Collector::Config cfg = {}) : collector(simu, cfg) {}
 
   Episode& open(std::uint64_t probe, sim::Time at,
                 const net::FiveTuple* who = nullptr) {

@@ -246,7 +246,7 @@ namespace {
 
 TEST(TimelyTest, RttGradientTamesPersistentContention) {
   Testbed::Options o = plain();
-  o.dcqcn.algo = CcAlgorithm::kTimely;
+  o.cc_algo = CcAlgorithm::kTimely;
   o.switch_cfg.pfc_xoff_bytes = 8 * 1024 * 1024;  // isolate CC behaviour
   o.switch_cfg.pfc_xon_bytes = 4 * 1024 * 1024;
   Testbed tb(o);
@@ -335,7 +335,7 @@ TEST(SwitchPfcTest, PauseReAdvertisedWhileIngressHeldBetweenXonAndXoff) {
       << "rig error: ingress never left the Xoff region";
   EXPECT_EQ(sw.pause_frames_sent(), 1u);
 
-  // The advertised pause lasts ~335 us; with pause_refresh_fraction = 0.5
+  // The advertised pause lasts ~335 us; with kPauseRefreshFraction = 0.5
   // the switch must re-advertise around 168 us while still above Xon.
   tb.simu.run_until(sim::us(250));
   EXPECT_GE(sw.pause_frames_sent(), 2u)
@@ -351,7 +351,7 @@ TEST(SwitchPfcTest, PauseReAdvertisedWhileIngressHeldBetweenXonAndXoff) {
 
 TEST(CcAlgorithmTest, NoneKeepsFixedRate) {
   Testbed::Options o = plain();
-  o.dcqcn.algo = CcAlgorithm::kNone;
+  o.cc_algo = CcAlgorithm::kNone;
   Testbed tb(o);
   tb.add_flow({tb.ft.hosts[0], tb.ft.hosts[3], 100, 4791, 1'000'000,
                sim::us(1), true, 20.0});

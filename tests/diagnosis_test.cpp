@@ -213,7 +213,6 @@ TEST(SignatureTest, NothingObservableYieldsNone) {
 
 TEST(SignatureTest, ContentionFloorFiltersNoise) {
   SignatureFixture fx;
-  fx.cfg.min_contention = 1.0;
   // Sub-packet contention weights: below the materiality floor.
   fx.contention_port(fx.vpath.back(), {{tup(5, 3, 1), 0.2},
                                        {tup(6, 3, 2), 0.1}});

@@ -1,6 +1,6 @@
 // eval::hunter — verdict classification rules and campaign determinism.
 // The hunter's contract: same (seed, budget, tau) ⇒ byte-identical campaign
-// log, finds, and corpus files, regardless of thread count or batch split.
+// log, finds, and corpus files, regardless of thread count.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -111,19 +111,17 @@ std::map<std::string, std::string> read_dir(const fs::path& dir) {
   return out;
 }
 
-TEST(HuntCampaignTest, DeterministicAcrossThreadsAndBatches) {
+TEST(HuntCampaignTest, DeterministicAcrossThreadCounts) {
   // Small but real campaign: enough trials to produce at least one find on
   // this seed, small shrink budget to keep it fast. Identical options up
-  // to threads/batch (which by contract change wall-clock only).
+  // to threads (which by contract change wall-clock only).
   HuntOptions a;
   a.seed = 5;
   a.budget = 6;
-  a.batch = 2;
   a.threads = 1;
   a.max_shrink_evals = 4;
   a.corpus_dir = (fs::temp_directory_path() / "hawkeye_hunt_det_a").string();
   HuntOptions b = a;
-  b.batch = 5;
   b.threads = 2;
   b.corpus_dir = (fs::temp_directory_path() / "hawkeye_hunt_det_b").string();
   fs::remove_all(a.corpus_dir);

@@ -32,7 +32,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--seed N] [--budget N>=1] [--batch N>=1] [--threads N>=0]\n"
+      "usage: %s [--seed N] [--budget N>=1] [--threads N>=0]\n"
       "          [--tau X in [0,1]] [--k K (even, >= 4) ...] [--no-shrink]\n"
       "          [--max-finds N>=1] [--corpus DIR] [--log FILE]\n"
       "       %s --replay FILE-OR-DIR [--tau X] [--explain]\n",
@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (a == "--seed") ok = parse_number(v, opts.seed);
     else if (a == "--budget") ok = parse_int(v, 1, INT_MAX, opts.budget);
-    else if (a == "--batch") ok = parse_int(v, 1, INT_MAX, opts.batch);
     else if (a == "--threads") ok = parse_int(v, 0, INT_MAX, opts.threads);
     else if (a == "--tau") ok = parse_number(v, tau) && tau >= 0 && tau <= 1;
     else if (a == "--k") ok = add_k(v, opts.ks);
