@@ -6,12 +6,9 @@
 // runs in minutes; set HAWKEYE_BENCH_SEEDS=<n> for tighter error bars
 // (the paper crafts 100 traces per scenario).
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "eval/runner.hpp"
@@ -95,141 +92,18 @@ inline void print_header(const char* fig, const char* what) {
   std::printf("==============================================================\n");
 }
 
-/// The members of the JSON object `text`, in order, as (key, raw value
-/// text); nullopt when `text` is not one well-formed JSON object. Values
-/// are kept verbatim, so a round trip only normalizes the whitespace
-/// between members.
-inline std::optional<std::vector<std::pair<std::string, std::string>>>
-json_members(const std::string& text) {
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-  };
-  // Advance past the string starting at text[i] (an opening quote).
-  const auto skip_string = [&] {
-    for (++i; i < text.size(); ++i) {
-      if (text[i] == '\\') {
-        ++i;
-      } else if (text[i] == '"') {
-        ++i;
-        return true;
-      }
-    }
+/// Write `json` to `path` in the working directory and say so on stdout.
+/// Every results file has exactly one bench that writes it, whole. False,
+/// with a message on stderr, when the file cannot be opened.
+inline bool write_results(const char* path, const std::string& json) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
     return false;
-  };
-  // Advance past the value starting at text[i].
-  const auto skip_value = [&] {
-    if (i >= text.size()) return false;
-    if (text[i] == '"') return skip_string();
-    if (text[i] == '{' || text[i] == '[') {
-      int depth = 0;
-      while (i < text.size()) {
-        const char c = text[i];
-        if (c == '"') {
-          if (!skip_string()) return false;
-          continue;
-        }
-        if (c == '{' || c == '[') ++depth;
-        if (c == '}' || c == ']') --depth;
-        ++i;
-        if (depth == 0) return true;
-      }
-      return false;
-    }
-    const std::size_t start = i;
-    while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-           text[i] != ']' && !std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    return i > start;
-  };
-  std::vector<std::pair<std::string, std::string>> members;
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-  } else {
-    for (;;) {
-      skip_ws();
-      if (i >= text.size() || text[i] != '"') return std::nullopt;
-      const std::size_t key_start = i + 1;
-      if (!skip_string()) return std::nullopt;
-      std::string key = text.substr(key_start, i - 1 - key_start);
-      skip_ws();
-      if (i >= text.size() || text[i] != ':') return std::nullopt;
-      ++i;
-      skip_ws();
-      const std::size_t value_start = i;
-      if (!skip_value()) return std::nullopt;
-      members.emplace_back(std::move(key),
-                           text.substr(value_start, i - value_start));
-      skip_ws();
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < text.size() && text[i] == '}') {
-        ++i;
-        break;
-      }
-      return std::nullopt;
-    }
   }
-  skip_ws();
-  if (i != text.size()) return std::nullopt;
-  return members;
-}
-
-/// Whole contents of the file at `path`; empty when it cannot be read.
-inline std::string read_file(const std::string& path) {
-  std::string body;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      body.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  return body;
-}
-
-/// Merge `payload` (a JSON value) into the top-level object of the JSON
-/// file at `path` under `key`, creating the file if needed. A present key
-/// keeps its position and gets the new value; a new key is appended.
-/// Every other member is kept verbatim, so the benches that share
-/// BENCH_hotpath.json (google-benchmark's `context` and `benchmarks`,
-/// bench_scalability's `scalability`, the recorded `parent`) each replace
-/// only their own keys. Returns false, leaving the file alone, when it
-/// holds something other than one JSON object or cannot be written.
-inline bool merge_json_key(const std::string& path, const std::string& key,
-                           const std::string& payload) {
-  const std::string body = read_file(path);
-  auto members =
-      json_members(body.find_first_not_of(" \t\r\n") == std::string::npos
-                       ? std::string("{}")
-                       : body);
-  if (!members) return false;
-  bool replaced = false;
-  for (auto& [k, v] : *members) {
-    if (k == key) {
-      v = payload;
-      replaced = true;
-    }
-  }
-  if (!replaced) members->emplace_back(key, payload);
-  std::string out = "{";
-  for (std::size_t m = 0; m < members->size(); ++m) {
-    out += (m == 0 ? "\n  \"" : ",\n  \"") + (*members)[m].first +
-           "\": " + (*members)[m].second;
-  }
-  out += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fwrite(out.data(), 1, out.size(), f);
+  std::fputs(json.c_str(), f);
   std::fclose(f);
+  std::printf("\nwrote %s\n", path);
   return true;
 }
 

@@ -287,11 +287,7 @@ int run(const Sweep& sweep, bool smoke, int n) {
                            ",\n  \"seeds_per_point\": " + std::to_string(n) +
                            ",\n  " + quoted(sweep.rows_key) + ": [\n" + rows +
                            "\n  ]\n}\n";
-  if (FILE* f = std::fopen(sweep.file, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", sweep.file);
-  }
+  write_results(sweep.file, json);
   return failures;
 }
 

@@ -11,8 +11,8 @@
 // Every run carries RunResult::confidence (collection-quality discounts);
 // sweeping the assertion threshold τ shows whether confidence is a useful
 // gate — runs the method would still assert at high τ should be MORE
-// accurate, never less. Curves land in BENCH_fig8.json next to the
-// per-scenario precision/recall table (HAWKEYE_BENCH_JSON overrides).
+// accurate, never less. Curves land in BENCH_fig8.json (in the working
+// directory) next to the per-scenario precision/recall table.
 //
 // Fault rounds: fault-free runs all collect perfectly, so every sample
 // lands at confidence 1.0 and the τ-sweep is a flat line — it cannot show
@@ -136,12 +136,5 @@ int main() {
   }
   json += "\n  ]\n}\n";
 
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_fig8.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  return 0;
+  return write_results("BENCH_fig8.json", json) ? 0 : 1;
 }

@@ -2,18 +2,13 @@
 // software twin of the Tofino egress pipeline), ECMP lookup, the event
 // loop, and the per-diagnosis cost of Run::diagnose (provenance build +
 // signature matching). Not a paper figure; used to keep the simulator fast
-// enough for the trace sweeps. The results are merged into
-// BENCH_hotpath.json (override the path with HAWKEYE_BENCH_JSON) so the
-// perf trajectory is tracked across changes.
+// enough for the trace sweeps. google-benchmark's own flags record the rows:
+// `--benchmark_out=BENCH_hotpath.json --benchmark_out_format=json` writes
+// the committed file, so the perf trajectory is tracked across changes.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
+#include <optional>
 
-#include "bench_common.hpp"
 #include "eval/runner.hpp"
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
@@ -169,51 +164,4 @@ BENCHMARK(BM_EndToEndIncastTrace)->Unit(benchmark::kMillisecond)
 
 }  // namespace
 
-// BENCHMARK_MAIN, plus a machine-readable copy of every result in
-// BENCH_hotpath.json (HAWKEYE_BENCH_JSON overrides the path) so the
-// hot-path throughput trajectory is tracked across changes. google-benchmark
-// writes its JSON to a temporary file next to it; its `context` and
-// `benchmarks` are then merged in, so the file's other keys (`scalability`
-// from bench_scalability, a recorded `parent`) survive. An explicit
-// --benchmark_out on the command line wins over all of this.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  }
-  const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string json_path =
-      env_path != nullptr ? env_path : "BENCH_hotpath.json";
-  const std::string tmp_path = json_path + ".gbench.tmp";
-  std::string out_flag = "--benchmark_out=" + tmp_path;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (has_out) return 0;
-  const auto members = bench::json_members(bench::read_file(tmp_path));
-  std::remove(tmp_path.c_str());
-  if (!members) {
-    std::fprintf(stderr, "bench_micro_hotpath: unreadable results in %s\n",
-                 tmp_path.c_str());
-    return 1;
-  }
-  for (const auto& [key, value] : *members) {
-    if ((key == "context" || key == "benchmarks") &&
-        !bench::merge_json_key(json_path, key, value)) {
-      std::fprintf(stderr, "bench_micro_hotpath: cannot merge into %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

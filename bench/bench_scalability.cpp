@@ -5,12 +5,12 @@
 // collection stays *local* — the collected-switch count tracks the
 // anomaly's causal footprint, not the fabric size — while diagnosis
 // quality holds. Each cell reports wall-clock, events/sec and peak RSS.
-// Results append under a "scalability" key in BENCH_hotpath.json
-// (HAWKEYE_BENCH_JSON overrides the path).
+// The table, with the host's CPU count, is written to
+// BENCH_scalability.json in the working directory.
 //
-// `--k16` (or HAWKEYE_BENCH_K16=1) adds the k=16 microburst-incast cell
-// (576 switches, tens of millions of events). Off by default — a k=16 run
-// takes about half a minute.
+// `--k16` adds the k=16 microburst-incast cell (576 switches, tens of
+// millions of events). Off by default — a k=16 run takes about half a
+// minute.
 //
 // Each cell runs in a fresh child process, so its `peak_rss_mb` is that
 // cell's own high-water mark (ru_maxrss never falls within a process).
@@ -165,7 +165,7 @@ bool parse_list(const char* arg, long lo, bool even, std::vector<int>& out) {
 
 int main(int argc, char** argv) {
   std::vector<int> ks = {4, 6, 8};
-  bool k16 = std::getenv("HAWKEYE_BENCH_K16") != nullptr;
+  bool k16 = false;
   for (int i = 1; i < argc; ++i) {
     bool ok = true;
     if (std::strcmp(argv[i], "--k") == 0 && i + 1 < argc) {
@@ -203,25 +203,14 @@ int main(int argc, char** argv) {
     print_cell(cells.back());
   }
 
-  // Append the whole table under a "scalability" key next to the
-  // google-benchmark rows bench_micro_hotpath writes.
-  const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string path =
-      env_path != nullptr ? env_path : "BENCH_hotpath.json";
-  std::string payload =
-      "{\n    \"host_cpus\": " +
-      std::to_string(std::thread::hardware_concurrency()) +
-      ",\n    \"cells\": [";
+  std::string json = "{\n  \"host_cpus\": " +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ",\n  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    payload += (i == 0 ? "\n      " : ",\n      ");
-    payload += json_cell(cells[i]);
+    json += (i == 0 ? "\n    " : ",\n    ") + json_cell(cells[i]);
   }
-  payload += "\n    ]\n  }";
-  if (merge_json_key(path, "scalability", payload)) {
-    std::printf("\nwrote \"scalability\" into %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "\nfailed to update %s\n", path.c_str());
-  }
+  json += "\n  ]\n}\n";
+  if (!write_results("BENCH_scalability.json", json)) return 1;
 
   std::printf("\nExpected: collected-switch counts stay near the causal set\n"
               "size (victim path + loop) at every scale; accuracy holds.\n");

@@ -3,20 +3,14 @@
 #
 #   scripts/sanitize.sh [asan|tsan|all]
 #
-# asan: ASan+UBSan build, runs the simulator-core and device tests (the
-#       allocation-free event calendar and packet-slab paths, every
-#       switch/host/packet suite: PFC, lossless incast sweep, DCQCN,
-#       TIMELY, go-back-N loss recovery), the routing and topology tests
-#       (the flat routing table's offset arithmetic), the telemetry engine
-#       tests (the flow tables' occupied-slot index and the evicted
-#       entries each epoch keeps), the collector, episode-merge and report
-#       tests (snapshot cache, stale-epoch filter, report merge and size),
-#       the provenance builder tests, the fault-plan validation tests, the
-#       fault injector's hook tests (its match rule, link flaps, PFC frame
-#       faults, fleet evidence), the run-stage API tests and the case-file
-#       parser (round trips plus the corpus mutation fuzz; the slow corpus
-#       replay is left to the plain ctest job). UBSan halts on its first
-#       report, so any undefined behaviour fails the job.
+# asan: ASan+UBSan build. Runs the whole unit binary (hawkeye_tests) but
+#       RunMemoryTest.* (ASan's shadow memory alone exceeds its peak-RSS
+#       bound), plus the case-file corpus mutation fuzz
+#       (HuntCorpusTest.MutatedCases*; the slow corpus replay, the golden
+#       records and the shard-identity suite are left to the plain ctest
+#       job). Selection is by binary and exclusion, so a new suite runs
+#       here without a list to edit. UBSan halts on its first report, so
+#       any undefined behaviour fails the job.
 # tsan: TSan build. Every run executes on one event calendar on one
 #       thread; the only threads are eval::run_sweep's workers, each
 #       running whole runs. Each worker's run owns its own fault injector,
@@ -46,9 +40,10 @@ run_asan() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo "${asserts_on[@]}"
   cmake --build build-asan -j "$(nproc)" \
         --target hawkeye_tests hawkeye_hunt_corpus_test
-  (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-        ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|PacketTest|RoutingTest|TopologyTest|LosslessSweep|DcqcnTest|TimelyTest|CcAlgorithmTest|LossRecoveryTest|TelemetryEngineTest|CollectionTest|CollectorTest|PollingEdgeTest|StalenessGuardTest|MergedEpisodeTest|MergeReportTest|ReportSizeTest|StaleEpochTest|BuilderTest|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|FaultPlanTest|FaultInjectorTest|LinkFlapTest|PfcFrameFaultTest|FleetEvidenceTest|RunStageTest|HuntCorpusTest\.MutatedCases')
+  (cd build-asan/tests &&
+     export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
+     ./hawkeye_tests --gtest_filter='-RunMemoryTest.*' &&
+     ./hawkeye_hunt_corpus_test --gtest_filter='HuntCorpusTest.MutatedCases*')
 }
 
 run_tsan() {

@@ -97,16 +97,10 @@ void Collector::do_collect(device::Switch& sw, std::uint64_t probe_id,
 
   const std::int64_t filtered = telemetry::serialized_bytes(rep);
   const std::int64_t raw = sw.telemetry().raw_dump_bytes();
-  const sim::Time dma_latency =
-      kDmaPerEpoch *
-      static_cast<sim::Time>(std::max<std::size_t>(rep.epochs.size(), 1));
 
   if (!ep->put_report(id, std::move(rep))) return;
   ep->stale_epochs_rejected += stale_rejected;
   account_report(*ep, filtered, raw);
-  // Per-switch CPU polls run in parallel (asynchronous, triggered within an
-  // end-to-end delay of each other), so episode latency is the max.
-  ep->collection_latency = std::max(ep->collection_latency, dma_latency);
 }
 
 void Collector::account_report(Episode& e, std::int64_t filtered,
@@ -179,8 +173,6 @@ std::optional<Episode> Collector::merged_episode(const net::FiveTuple& victim,
     }
     merged.polling_packets += ep->polling_packets;
     merged.polling_bytes += ep->polling_bytes;
-    merged.collection_latency =
-        std::max(merged.collection_latency, ep->collection_latency);
     merged.repolls += ep->repolls;
     merged.failed_collections += ep->failed_collections;
     merged.stale_epochs_rejected += ep->stale_epochs_rejected;

@@ -36,7 +36,8 @@ class Collector {
   };
 
   /// Measured CPU poll cost (§4.5): ~40 ms per epoch of 64 ports x 4096
-  /// flows (80 ms for 2 epochs, 120 ms for 4). Latency accounting only.
+  /// flows (80 ms for 2 epochs, 120 ms for 4). bench_fig14's latency model
+  /// reads it; the simulated snapshot is not delayed by it.
   static constexpr sim::Time kDmaPerEpoch = sim::ms(40);
 
   /// Register snapshots run on `simu`, `config().snapshot_delay` after the

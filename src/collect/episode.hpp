@@ -75,7 +75,6 @@ struct Episode {
   std::int64_t raw_telemetry_bytes = 0;  // full register dump equivalent
   std::uint64_t report_packets = 0;      // MTU-batched CPU reports
   std::uint64_t dataplane_report_packets = 0;  // PHV-limited dp export
-  sim::Time collection_latency = 0;    // modelled CPU DMA latency
 
   /// Expected switches that actually reported.
   std::size_t covered_expected() const {

@@ -44,8 +44,10 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   Seen& seen = dedup_[key];
   if (seen.at != 0 && now - seen.at < kPollDedupInterval &&
       (flag_bits & ~seen.flags) == 0) {
-    sim::Logger::debug("poll sw%d victim=%s dedup-drop", sw.id(),
-                       pkt.victim.to_string().c_str());
+    if (sim::Logger::debug_enabled()) {
+      sim::Logger::debug("poll sw%d victim=%s dedup-drop", sw.id(),
+                         pkt.victim.to_string().c_str());
+    }
     return;
   }
   if (seen.at == 0 || now - seen.at >= kPollDedupInterval) {
@@ -53,9 +55,11 @@ void HawkeyeSwitchAgent::on_polling(device::Switch& sw, const Packet& pkt,
   }
   seen.at = now;
   seen.flags |= flag_bits;
-  sim::Logger::debug("poll sw%d in=%d flag=%d hops=%d victim=%s", sw.id(),
-                     in_port, static_cast<int>(pkt.poll_flag), pkt.poll_hops,
-                     pkt.victim.to_string().c_str());
+  if (sim::Logger::debug_enabled()) {
+    sim::Logger::debug("poll sw%d in=%d flag=%d hops=%d victim=%s", sw.id(),
+                       in_port, static_cast<int>(pkt.poll_flag),
+                       pkt.poll_hops, pkt.victim.to_string().c_str());
+  }
 
   // Mirror to the switch CPU: asynchronous telemetry collection starts.
   collector_.collect_from(sw, pkt.probe_id, now);

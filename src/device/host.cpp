@@ -5,7 +5,6 @@
 
 #include "fault/fault.hpp"
 #include "net/topology.hpp"
-#include "sim/logger.hpp"
 
 namespace hawkeye::device {
 
@@ -158,7 +157,6 @@ void Host::send_segment(std::size_t idx) {
   }
   FlowStats& st = stats_[idx];
   st.pkts_sent += 1;
-  st.last_send = now;
 
   // Serialization runs at the uplink's *negotiated* rate (a rate override
   // slows the wire); pacing below still thinks in nominal terms — the NIC
@@ -397,7 +395,7 @@ void Host::inject_pfc(Time start, Time stop, Time period,
   auto tick = [this, start, stop, period, quanta]() {
     if (start >= stop) return;
     ++pfc_injected_;
-    net_.log_pfc({net_.simu().now(), id(), 0, quanta, true});
+    net_.log_pfc({net_.simu().now(), id(), 0, quanta});
     const Time ser = sim::serialization_ns(net::kPfcFrameBytes, line_gbps_);
     net_.deliver(id(), 0, net::make_pfc(quanta), ser);
     inject_pfc(start + period, stop, period, quanta);

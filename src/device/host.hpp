@@ -48,8 +48,7 @@ struct FlowStats {
   std::uint32_t retx_pkts = 0;  // go-back-N rewound segments (RNIC counter)
   sim::Time min_rtt = 0;
   sim::Time max_rtt = 0;
-  sim::Time last_send = -1;  // for stall (deadlock) detection
-  sim::Time last_ack = -1;
+  sim::Time last_ack = -1;  // for stall (deadlock) detection
   bool complete() const { return finish >= 0; }
   sim::Time fct() const { return complete() ? finish - start : -1; }
 };
@@ -93,8 +92,6 @@ class Host : public Device {
   const std::vector<FlowStats>& flow_stats() const { return stats_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t pfc_frames_injected() const { return pfc_injected_; }
-
-  double line_rate_gbps() const { return line_gbps_; }
 
  private:
   struct FlowState {

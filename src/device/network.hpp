@@ -67,7 +67,6 @@ struct PfcEvent {
   net::NodeId node = net::kInvalidNode;  // device that SENT the frame
   net::PortId port = net::kInvalidPort;  // port it was sent out of
   std::uint32_t quanta = 0;              // 0 => RESUME
-  bool host_injected = false;            // true for storm-style injection
 };
 
 /// What one (node, port) is wired to: the peer endpoint and the link, read

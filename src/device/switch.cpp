@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/logger.hpp"
-
 namespace hawkeye::device {
 
 using net::Packet;
@@ -291,7 +289,7 @@ void Switch::send_pause(PortId in_port, std::uint32_t quanta) {
   const Time ser = sim::serialization_ns(
       net::kPfcFrameBytes, effective_gbps(wire, net_.simu().now()));
   ++pause_frames_sent_;
-  net_.log_pfc({net_.simu().now(), id(), in_port, quanta, false});
+  net_.log_pfc({net_.simu().now(), id(), in_port, quanta});
   net_.deliver(id(), in_port, net::make_pfc(quanta), ser);
   if (quanta > 0) {
     const double quantum_ns =

@@ -97,7 +97,6 @@ class Switch : public Device {
   std::int64_t queue_pkts(net::PortId port) const {
     return static_cast<std::int64_t>(port_at(port).data.size());
   }
-  std::int64_t buffered_bytes() const { return buffered_bytes_; }
   std::uint64_t pause_frames_sent() const { return pause_frames_sent_; }
 
  private:

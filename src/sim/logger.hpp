@@ -1,15 +1,14 @@
 #pragma once
 
 #include <cstdio>
-#include <string>
 #include <utility>
 
 namespace hawkeye::sim {
 
-/// Minimal leveled logger. Simulation runs are silent by default; examples
-/// and benches raise the level for narration. Not thread-safe by design —
-/// the simulator is single-threaded.
-enum class LogLevel { kSilent = 0, kInfo = 1, kDebug = 2 };
+/// Minimal leveled logger. Simulation runs are silent by default;
+/// inspect_run raises the level to print the poll-by-poll trail. Not
+/// thread-safe by design — the simulator is single-threaded.
+enum class LogLevel { kSilent, kDebug };
 
 class Logger {
  public:
@@ -18,24 +17,15 @@ class Logger {
     return lvl;
   }
 
-  template <typename... Args>
-  static void info(const char* fmt, Args&&... args) {
-    if (level() >= LogLevel::kInfo) print(fmt, std::forward<Args>(args)...);
-  }
+  /// Whether debug lines print. A caller whose arguments cost something to
+  /// build (a formatted tuple, a heap string) checks this first, so a
+  /// silent run formats nothing.
+  static bool debug_enabled() { return level() >= LogLevel::kDebug; }
 
   template <typename... Args>
   static void debug(const char* fmt, Args&&... args) {
-    if (level() >= LogLevel::kDebug) print(fmt, std::forward<Args>(args)...);
-  }
-
- private:
-  template <typename... Args>
-  static void print(const char* fmt, Args&&... args) {
-    if constexpr (sizeof...(Args) == 0) {
-      std::fputs(fmt, stderr);
-    } else {
-      std::fprintf(stderr, fmt, std::forward<Args>(args)...);
-    }
+    if (!debug_enabled()) return;
+    std::fprintf(stderr, fmt, std::forward<Args>(args)...);
     std::fputc('\n', stderr);
   }
 };

@@ -320,14 +320,12 @@ TEST(MergedEpisodeTest, UnionsPostOnsetReportsAndContracts) {
   a.expected_switches = {10, 11};
   a.put_report(10, hand_report(10, 1200, {1000}));
   a.repolls = 1;
-  a.collection_latency = 50;
   rig.open(3, 1150, &rig.other).put_report(40, hand_report(40, 1200, {0}));
   Episode& b = rig.open(4, 1500);
   b.expected_switches = {12, 11};
   b.put_report(12, hand_report(12, 1600, {1000}));
   b.repolls = 2;
   b.degraded = true;
-  b.collection_latency = 30;
 
   const auto m = rig.collector.merged_episode(rig.victim, rig.kOnset);
   ASSERT_TRUE(m);
@@ -337,7 +335,6 @@ TEST(MergedEpisodeTest, UnionsPostOnsetReportsAndContracts) {
   EXPECT_EQ(m->expected_switches, (std::vector<net::NodeId>{10, 11, 12}));
   EXPECT_EQ(m->repolls, 3u);
   EXPECT_TRUE(m->degraded);
-  EXPECT_EQ(m->collection_latency, 50);
 }
 
 TEST(MergedEpisodeTest, LaterReportOfASwitchMergesIntoTheEarlierOne) {
