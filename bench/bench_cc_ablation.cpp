@@ -19,14 +19,13 @@ struct CcResult {
 };
 
 CcResult run_case(device::CcAlgorithm algo, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(diagnosis::AnomalyType::kMicroBurstIncast,
-                                   probe, pr, rng);
-  }
+  eval::RunConfig cfg;
+  cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
+  cfg.seed = seed;
+  sim::Rng rng(cfg.seed);
+  const workload::ScenarioSpec spec = eval::craft_scenario(cfg, rng);
+  // A plain fabric without the Hawkeye stack, so it is built here rather
+  // than through eval::Run.
   eval::Testbed::Options opts;
   opts.install_hawkeye = false;
   opts.cc_algo = algo;

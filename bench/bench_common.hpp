@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "eval/runner.hpp"
 #include "eval/sweep.hpp"
@@ -22,18 +21,6 @@ inline int seeds_per_point(int def = 3) {
     if (n > 0) return n;
   }
   return def;
-}
-
-inline const std::vector<diagnosis::AnomalyType>& all_anomalies() {
-  static const std::vector<diagnosis::AnomalyType> kAll = {
-      diagnosis::AnomalyType::kMicroBurstIncast,
-      diagnosis::AnomalyType::kPfcStorm,
-      diagnosis::AnomalyType::kInLoopDeadlock,
-      diagnosis::AnomalyType::kOutOfLoopDeadlockContention,
-      diagnosis::AnomalyType::kOutOfLoopDeadlockInjection,
-      diagnosis::AnomalyType::kNormalContention,
-  };
-  return kAll;
 }
 
 /// Aggregate of N trace runs at one parameter point.

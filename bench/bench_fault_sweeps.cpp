@@ -124,7 +124,7 @@ std::string shortnum(double v) {  // table title
 Group anomaly_group(std::string title, bool smoke, const std::string& labels,
                     const fault::FaultPlan& plan) {
   Group g{std::move(title), smoke, -1, {}};
-  for (const auto type : all_anomalies()) {
+  for (const auto type : diagnosis::kTable2Anomalies) {
     eval::RunConfig cfg;
     cfg.scenario = type;
     cfg.faults = plan;

@@ -31,7 +31,7 @@ int main() {
               "telemetry", "precision", "recall");
   for (const Mode& m : modes) {
     eval::PrecisionRecall pr;
-    for (const auto type : all_anomalies()) {
+    for (const auto type : diagnosis::kTable2Anomalies) {
       eval::RunConfig cfg;
       cfg.scenario = type;
       cfg.tele_mode = m.mode;

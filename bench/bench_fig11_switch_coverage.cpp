@@ -18,7 +18,7 @@ int main() {
                                   eval::Method::kFullPolling,
                                   eval::Method::kVictimOnly};
 
-  for (const auto type : all_anomalies()) {
+  for (const auto type : diagnosis::kTable2Anomalies) {
     std::printf("\n--- %s ---\n", std::string(to_string(type)).c_str());
     std::printf("%-14s %-18s %-16s\n", "method", "switches collected",
                 "causal coverage");

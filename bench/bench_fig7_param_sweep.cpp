@@ -17,7 +17,7 @@ int main() {
   const int shifts[] = {17, 19, 21};        // ~131 us, ~524 us, ~2.1 ms
   const double thresholds[] = {2.0, 3.0, 5.0};  // 200%, 300%, 500% RTT
 
-  for (const auto type : all_anomalies()) {
+  for (const auto type : diagnosis::kTable2Anomalies) {
     std::printf("\n--- %s ---\n", std::string(to_string(type)).c_str());
     std::printf("%-10s %-12s %-10s %-8s %-8s\n", "epoch", "threshold",
                 "precision", "recall", "traces");

@@ -76,7 +76,7 @@ int main() {
   bool first_point = true;
 
   for (const FaultRound& round : fault_rounds()) {
-    for (const auto type : all_anomalies()) {
+    for (const auto type : diagnosis::kTable2Anomalies) {
       std::printf("\n--- %s (faults: %s) ---\n",
                   std::string(to_string(type)).c_str(), round.name);
       std::printf("%-14s %-10s %-8s %-11s\n", "method", "precision", "recall",

@@ -25,7 +25,7 @@ int main() {
               "report packets", "monitor bw");
   for (const auto m : methods) {
     PointStats agg;
-    for (const auto type : all_anomalies()) {
+    for (const auto type : diagnosis::kTable2Anomalies) {
       if (type == diagnosis::AnomalyType::kNormalContention) continue;
       eval::RunConfig cfg;
       cfg.scenario = type;

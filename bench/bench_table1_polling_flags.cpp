@@ -6,9 +6,10 @@
 //   01  trace along victim path      -> victim-path switches
 //   10  trace along PFC causality    -> downstream causal switches
 //   11  both                         -> union
+//
+// Exits 1 unless flag 00 collects no switch and every other flag collects
+// at least one.
 #include "bench_common.hpp"
-#include "eval/testbed.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
@@ -16,19 +17,15 @@ using namespace hawkeye::bench;
 namespace {
 
 std::size_t collected_with_flag(net::PollingFlag flag) {
-  sim::Rng rng(7);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(diagnosis::AnomalyType::kMicroBurstIncast,
-                                   probe, pr, rng);
-  }
+  eval::RunConfig cfg;
+  cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
+  cfg.seed = 7;
+  cfg.background_load = 0;
   // Disable the built-in agent: we inject the polling packet by hand.
-  eval::Testbed::Options opts;
-  opts.agent_cfg.threshold_factor = 1e9;
-  eval::Testbed tb(opts);
-  tb.install(spec);
+  cfg.threshold_factor = 1e9;
+  eval::Run run(cfg);
+  eval::Testbed& tb = run.testbed();
+  const workload::ScenarioSpec& spec = run.spec();
 
   const net::NodeId src = net::Topology::node_of_ip(spec.victim.src_ip);
   tb.collector.open_episode(42, spec.victim, 0);
@@ -56,10 +53,16 @@ int main() {
       {net::PollingFlag::kPfcCausality, "trace along PFC causality"},
       {net::PollingFlag::kBoth, "trace both"},
   };
+  bool ok = true;
   for (const Row& r : rows) {
+    const std::size_t collected = collected_with_flag(r.flag);
     std::printf("%02d     %-38s %zu\n",
-                static_cast<int>(r.flag), r.meaning,
-                collected_with_flag(r.flag));
+                static_cast<int>(r.flag), r.meaning, collected);
+    ok = ok && (r.flag == net::PollingFlag::kUseless) == (collected == 0);
+  }
+  if (!ok) {
+    std::printf("\nFAIL: a flag's collection differs from its Table 1 row\n");
+    return 1;
   }
   return 0;
 }

@@ -7,8 +7,6 @@
 #include <set>
 
 #include "bench_common.hpp"
-#include "eval/testbed.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
@@ -24,22 +22,12 @@ struct TriggerStats {
 };
 
 TriggerStats run_case(diagnosis::AnomalyType type, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(type, probe, pr, rng);
-  }
-  eval::Testbed::Options opts;
-  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(opts);
-  tb.install(spec);
-  for (const auto& f : workload::background_flows(
-           tb.ft, rng, 0.05, sim::us(5), spec.duration - sim::us(100))) {
-    tb.add_flow(f);
-  }
+  eval::RunConfig cfg;
+  cfg.scenario = type;
+  cfg.seed = seed;
+  cfg.background_load = 0.05;
+  eval::Run run(cfg);
+  eval::Testbed& tb = run.testbed();
 
   // Model switch-side triggering in parallel: a switch "detects" the
   // anomaly when any of its ports accumulates paused packets; each
@@ -63,7 +51,7 @@ TriggerStats run_case(diagnosis::AnomalyType type, std::uint64_t seed) {
     }
   });
 
-  tb.run_for(spec.duration);
+  tb.run_for(run.spec().duration);
 
   TriggerStats st;
   std::set<net::NodeId> collected;
@@ -89,7 +77,7 @@ int main() {
   print_header("Extension", "host-triggered vs switch-triggered detection");
   std::printf("%-34s %-10s %-12s %-12s %-14s\n", "anomaly", "episodes",
               "collected", "sw-triggers", "sw-collections");
-  for (const auto type : all_anomalies()) {
+  for (const auto type : diagnosis::kTable2Anomalies) {
     const TriggerStats st = run_case(type, 2);
     std::printf("%-34s %-10d %-12zu %-12d %-14zu\n",
                 std::string(to_string(type)).c_str(), st.host_episodes,

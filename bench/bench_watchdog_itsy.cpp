@@ -12,8 +12,6 @@
 #include "bench_common.hpp"
 #include "baselines/itsy.hpp"
 #include "baselines/pfc_watchdog.hpp"
-#include "eval/testbed.hpp"
-#include "workload/scenario.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
@@ -29,18 +27,13 @@ struct CaseResult {
 
 CaseResult run_case(diagnosis::AnomalyType type, std::uint64_t seed,
                     sim::Time watchdog_period) {
-  sim::Rng rng(seed);
-  workload::ScenarioSpec spec;
-  {
-    const net::FatTree probe = net::build_fat_tree(4);
-    const net::Routing pr(probe.topo);
-    spec = workload::make_scenario(type, probe, pr, rng);
-  }
-  eval::Testbed::Options opts;
-  if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) opts.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(opts);
-  tb.install(spec);
+  eval::RunConfig cfg;
+  cfg.scenario = type;
+  cfg.seed = seed;
+  cfg.background_load = 0;
+  eval::Run run(cfg);
+  eval::Testbed& tb = run.testbed();
+  const workload::ScenarioSpec& spec = run.spec();
 
   baselines::PfcWatchdog watchdog(tb.net, watchdog_period);
   baselines::ItsyDetector itsy(tb.net);
@@ -70,7 +63,7 @@ int main() {
   print_header("Extension", "PFC watchdog & ITSY vs Hawkeye");
   std::printf("%-34s %-12s %-8s %-14s %-10s\n", "anomaly", "wd period",
               "alarms", "wd latency", "ITSY loop");
-  for (const auto type : all_anomalies()) {
+  for (const auto type : diagnosis::kTable2Anomalies) {
     for (const sim::Time period : {sim::us(50), sim::us(400), sim::ms(100)}) {
       const CaseResult r = run_case(type, 2, period);
       char lat[24];

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <string_view>
 
 namespace hawkeye::diagnosis {
@@ -24,6 +25,17 @@ enum class AnomalyType {
   kLinkSpeedMismatch,       // one slow-negotiated link in a fast fabric
   kHostPcieBottleneck,      // receiver DMA drain cap: victim, nobody paused
   kOversubscribedDownlink,  // tier-wide down-link capacity reduction
+};
+
+/// The six anomalies of Table 2, in the order every per-anomaly listing
+/// uses (bench rows, golden fixture rows).
+inline constexpr std::array<AnomalyType, 6> kTable2Anomalies = {
+    AnomalyType::kMicroBurstIncast,
+    AnomalyType::kPfcStorm,
+    AnomalyType::kInLoopDeadlock,
+    AnomalyType::kOutOfLoopDeadlockContention,
+    AnomalyType::kOutOfLoopDeadlockInjection,
+    AnomalyType::kNormalContention,
 };
 
 constexpr std::string_view to_string(AnomalyType t) {

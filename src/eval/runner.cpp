@@ -153,11 +153,8 @@ workload::ScenarioSpec craft_scenario(const RunConfig& cfg, sim::Rng& rng) {
   const net::FatTree probe = net::build_fat_tree(cfg.fat_tree_k);
   net::Routing probe_routing(probe.topo);
   workload::ScenarioSpec spec =
-      diagnosis::is_fleet_fault(cfg.scenario)
-          ? workload::make_fleet_scenario(cfg.scenario, cfg.fleet_workload,
-                                          probe, probe_routing, rng,
-                                          cfg.fleet_severity)
-          : workload::make_scenario(cfg.scenario, probe, probe_routing, rng);
+      workload::make_scenario(cfg.scenario, probe, probe_routing, rng,
+                              cfg.fleet_workload, cfg.fleet_severity);
   if (cfg.faults.enabled()) {
     // Mix the run seed into the injector seed so each sweep point sees an
     // independent (but reproducible) fault stream.

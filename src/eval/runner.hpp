@@ -66,7 +66,7 @@ struct RunConfig {
   /// sweep).
   workload::FleetWorkload fleet_workload = workload::FleetWorkload::kCrafted;
   /// Severity of the injected fleet defect, 1.0 = the scenario's default
-  /// (passed to make_fleet_scenario; see its doc for the per-class
+  /// (passed to workload::make_scenario; see its doc for the per-class
   /// mapping — each is monotone and keeps the defect a genuine anomaly at
   /// any severity in the bench's sweep range). The fleet sweep of
   /// bench_fault_sweeps varies this to show zero silently-wrong verdicts

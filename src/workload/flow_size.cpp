@@ -1,45 +1,46 @@
 #include "workload/flow_size.hpp"
 
 #include <cmath>
-#include <stdexcept>
+#include <iterator>
 
 namespace hawkeye::workload {
 
-FlowSizeDistribution FlowSizeDistribution::roce_longtail() {
-  return FlowSizeDistribution({
-      // 60% mice below 100 KB, 20% up to 10 MB (=> 80% < 10 MB),
-      // 10% in 10–100 MB, 10% in 100–300 MB.
-      {0.60, 1'000, 100'000},
-      {0.80, 100'000, 10'000'000},
-      {0.90, 10'000'000, 100'000'000},
-      {1.00, 100'000'000, 300'000'000},
-  });
-}
+namespace {
 
-FlowSizeDistribution FlowSizeDistribution::mice_only() {
-  return FlowSizeDistribution({
-      {0.80, 1'000, 64'000},
-      {1.00, 64'000, 1'000'000},
-  });
-}
+struct Band {
+  double cum_prob;  // upper cumulative probability of the band
+  std::int64_t lo_bytes;
+  std::int64_t hi_bytes;
+};
 
-FlowSizeDistribution::FlowSizeDistribution(std::vector<Band> bands)
-    : bands_(std::move(bands)) {
-  if (bands_.empty() || bands_.back().cum_prob != 1.0) {
-    throw std::invalid_argument("flow-size bands must end at cum_prob 1.0");
-  }
+constexpr Band kBands[] = {
+    // 60% mice below 100 KB, 20% up to 10 MB (=> 80% < 10 MB),
+    // 10% in 10–100 MB, 10% in 100–300 MB.
+    {0.60, 1'000, 100'000},
+    {0.80, 100'000, 10'000'000},
+    {0.90, 10'000'000, 100'000'000},
+    {1.00, 100'000'000, 300'000'000},
+};
+
+/// Cumulative probabilities rise strictly and end at 1.0; every band is a
+/// non-empty range of positive sizes.
+constexpr bool well_formed() {
   double prev = 0;
-  for (const Band& b : bands_) {
+  for (const Band& b : kBands) {
     if (b.cum_prob <= prev || b.lo_bytes <= 0 || b.hi_bytes < b.lo_bytes) {
-      throw std::invalid_argument("malformed flow-size band");
+      return false;
     }
     prev = b.cum_prob;
   }
+  return prev == 1.0;
 }
+static_assert(well_formed(), "malformed flow-size bands");
 
-std::int64_t FlowSizeDistribution::sample(sim::Rng& rng) const {
+}  // namespace
+
+std::int64_t sample_flow_size(sim::Rng& rng) {
   const double u = rng.uniform_real(0.0, 1.0);
-  for (const Band& b : bands_) {
+  for (const Band& b : kBands) {
     if (u <= b.cum_prob) {
       const double lo = std::log(static_cast<double>(b.lo_bytes));
       const double hi = std::log(static_cast<double>(b.hi_bytes));
@@ -47,7 +48,7 @@ std::int64_t FlowSizeDistribution::sample(sim::Rng& rng) const {
       return static_cast<std::int64_t>(v);
     }
   }
-  return bands_.back().hi_bytes;
+  return kBands[std::size(kBands) - 1].hi_bytes;
 }
 
 }  // namespace hawkeye::workload

@@ -1,11 +1,9 @@
 #include "workload/scenario.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "workload/flow_size.hpp"
 
@@ -45,6 +43,16 @@ NodeId tor_of(const FatTree& ft, NodeId host) {
   return ft.topo.peer(host, 0).node;
 }
 
+/// The first other host under `host`'s ToR.
+NodeId tor_sibling(const FatTree& ft, NodeId host) {
+  const NodeId tor = tor_of(ft, host);
+  for (PortId p = 0; p < ft.topo.port_count(tor); ++p) {
+    const NodeId peer = ft.topo.peer(tor, p).node;
+    if (ft.topo.is_host(peer) && peer != host) return peer;
+  }
+  throw std::runtime_error("tor_sibling: host has no ToR sibling");
+}
+
 NodeId random_host(const FatTree& ft, Rng& rng,
                    const std::vector<NodeId>& exclude,
                    int exclude_pod = -1) {
@@ -58,39 +66,36 @@ NodeId random_host(const FatTree& ft, Rng& rng,
   throw std::runtime_error("random_host: exhausted candidates");
 }
 
-/// Finds a source port such that the flow src->dst traverses `via` (an
-/// egress PortRef), exploiting deterministic ECMP hashing. Crafting-time
-/// only; returns 0 on failure.
-std::uint16_t force_path_through(const Routing& routing, NodeId src,
-                                 NodeId dst, PortRef via,
-                                 std::uint16_t base_port) {
-  for (std::uint16_t sp = base_port; sp < base_port + 512; ++sp) {
-    net::FiveTuple t;
-    t.src_ip = net::Topology::ip_of(src);
-    t.dst_ip = net::Topology::ip_of(dst);
-    t.src_port = sp;
-    t.dst_port = 4791;
-    const auto path = routing.path_of(t);
-    if (std::find(path.begin(), path.end(), via) != path.end()) return sp;
-  }
-  return 0;
-}
-
-/// Same, but matching any hop on the given node.
-std::uint16_t force_path_through_node(const Routing& routing, NodeId src,
-                                      NodeId dst, NodeId node,
-                                      std::uint16_t base_port) {
-  for (std::uint16_t sp = base_port; sp < base_port + 512; ++sp) {
-    net::FiveTuple t;
-    t.src_ip = net::Topology::ip_of(src);
-    t.dst_ip = net::Topology::ip_of(dst);
-    t.src_port = sp;
-    t.dst_port = 4791;
-    for (const auto& hop : routing.path_of(t)) {
-      if (hop.node == node) return sp;
+/// The first source port in [base, base + 512) whose ECMP path src -> dst
+/// crosses `via`, an egress port (kInvalidPort matches any port of
+/// via.node): deterministic hashing lets crafting pin a flow's route.
+/// nullopt when no port in the range does.
+std::optional<std::uint16_t> steer(const Routing& routing, NodeId src,
+                                   NodeId dst, PortRef via,
+                                   std::uint16_t base) {
+  for (int sp = base; sp < base + 512; ++sp) {
+    const auto port = static_cast<std::uint16_t>(sp);
+    for (const PortRef& hop : routing.path_of(tuple_of({src, dst, port}))) {
+      if (hop.node == via.node &&
+          (via.port == net::kInvalidPort || hop.port == via.port)) {
+        return port;
+      }
     }
   }
-  return 0;
+  return std::nullopt;
+}
+
+/// The hop on `flow`'s path into switch `to`: the switch before it and
+/// that switch's egress port towards it.
+PortRef hop_into(const FatTree& ft, const Routing& routing,
+                 const net::FiveTuple& flow, NodeId to) {
+  for (const PortRef& hop : routing.path_of(flow)) {
+    if (ft.topo.is_switch(hop.node) &&
+        ft.topo.peer(hop.node, hop.port).node == to) {
+      return hop;
+    }
+  }
+  throw std::runtime_error("hop_into: the path never enters the switch");
 }
 
 PortId port_to(const FatTree& ft, NodeId from, NodeId to) {
@@ -99,6 +104,17 @@ PortId port_to(const FatTree& ft, NodeId from, NodeId to) {
     throw std::runtime_error("port_to: nodes not adjacent");
   }
   return p;
+}
+
+/// Adds the victim flow src -> dst on a drawn source port and records its
+/// tuple.
+void add_victim(ScenarioSpec& spec, Rng& rng, NodeId src, NodeId dst,
+                std::int64_t bytes, Time start, double cap_gbps) {
+  const FlowSpec victim{src, dst,
+                        static_cast<std::uint16_t>(rng.uniform_int(100, 999)),
+                        4791, bytes, start, true, cap_gbps};
+  spec.victim = tuple_of(victim);
+  spec.flows.push_back(victim);
 }
 
 /// The four intra-pod switches and loop egress ports of the crafted CBD:
@@ -164,44 +180,22 @@ void add_loop_flows(ScenarioSpec& spec, const FatTree& ft, const LoopPlan& lp,
   spec.overrides.push_back({lp.e1, y, port_to(ft, lp.e1, lp.a1)});
 }
 
-}  // namespace
-
 ScenarioSpec make_incast_burst(const FatTree& ft, const Routing& routing,
                                Rng& rng) {
   ScenarioSpec spec;
   spec.name = "incast-burst";
   spec.type = AnomalyType::kMicroBurstIncast;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
 
   // Burst sink B, victim destination W = B's ToR sibling.
   const NodeId b = random_host(ft, rng, {});
   const NodeId e_b = tor_of(ft, b);
-  NodeId w = net::kInvalidNode;
-  for (PortId p = 0; p < ft.topo.port_count(e_b); ++p) {
-    const PortRef pr = ft.topo.peer(e_b, p);
-    if (ft.topo.is_host(pr.node) && pr.node != b) {
-      w = pr.node;
-      break;
-    }
-  }
+  const NodeId w = tor_sibling(ft, b);
   const NodeId v = random_host(ft, rng, {b, w}, pod_of_host(ft, b));
+  add_victim(spec, rng, v, w, 40'000'000, sim::us(10), 0);
 
-  FlowSpec victim{v, w, static_cast<std::uint16_t>(rng.uniform_int(100, 999)),
-                  4791, 40'000'000, sim::us(10), true, 0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
-
-  // Agg switch through which the victim enters B's pod.
-  NodeId a_v = net::kInvalidNode;
-  for (const auto& hop : routing.path_of(spec.victim)) {
-    if (ft.topo.is_switch(hop.node) &&
-        ft.topo.peer(hop.node, hop.port).node == e_b) {
-      a_v = hop.node;
-      break;
-    }
-  }
-  const PortRef via{a_v, port_to(ft, a_v, e_b)};
+  // The agg port through which the victim enters B's ToR.
+  const PortRef via = hop_into(ft, routing, spec.victim, e_b);
 
   // Four synchronized line-rate micro-bursts into B, two of them steered
   // through the victim's agg so the backpressure provably crosses the
@@ -211,15 +205,11 @@ ScenarioSpec make_incast_burst(const FatTree& ft, const Routing& routing,
   for (int i = 0; i < 4; ++i) {
     const NodeId src = random_host(ft, rng, used, pod_of_host(ft, b));
     used.push_back(src);
-    std::uint16_t sp =
-        static_cast<std::uint16_t>(2000 + 100 * i);
-    if (i < 2) {
-      const std::uint16_t forced =
-          force_path_through(routing, src, b, via, sp);
-      if (forced != 0) sp = forced;
-    }
-    FlowSpec burst{src, b, sp, 4791,
-                   500'000 + rng.uniform_int(0, 300'000),
+    const auto base = static_cast<std::uint16_t>(2000 + 100 * i);
+    FlowSpec burst{src, b,
+                   i < 2 ? steer(routing, src, b, via, base).value_or(base)
+                         : base,
+                   4791, 500'000 + rng.uniform_int(0, 300'000),
                    spec.anomaly_start + rng.uniform_int(0, sim::us(3)), false,
                    0};
     spec.flows.push_back(burst);
@@ -231,9 +221,7 @@ ScenarioSpec make_incast_burst(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_pfc_storm(const FatTree& ft, const Routing& routing,
-                            Rng& rng) {
-  (void)routing;
+ScenarioSpec make_pfc_storm(const FatTree& ft, Rng& rng) {
   ScenarioSpec spec;
   spec.name = "pfc-storm";
   spec.type = AnomalyType::kPfcStorm;
@@ -250,10 +238,7 @@ ScenarioSpec make_pfc_storm(const FatTree& ft, const Routing& routing,
   // Victim and feeder are rate-capped so the pre-injection fabric is
   // uncongested (40 + 30 < 100 G): every pause observed afterwards is the
   // storm's, not startup incast.
-  FlowSpec victim{v, h, static_cast<std::uint16_t>(rng.uniform_int(100, 999)),
-                  4791, 40'000'000, sim::us(10), true, 40.0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, h, 40'000'000, sim::us(10), 40.0);
 
   // A second feeder widens the storm's blast radius.
   const NodeId f = random_host(ft, rng, {h, v});
@@ -282,7 +267,6 @@ ScenarioSpec make_inloop_deadlock(const FatTree& ft, const Routing& routing,
   spec.name = "in-loop-deadlock";
   spec.type = AnomalyType::kInLoopDeadlock;
   spec.anomaly_start = sim::us(400) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
 
   // Shallow PFC headroom (32 K / 8 K): the pause chain around the CBD
   // completes well inside the initiator's lifetime and the stuck bytes at
@@ -307,26 +291,24 @@ ScenarioSpec make_inloop_deadlock(const FatTree& ft, const Routing& routing,
   //
   // The burst must enter the pod through a core attached to A1 (the a=0
   // agg group, i.e. cores[0..k/2)).
-  const int half = half_of(ft);
   const NodeId entry_core = ft.cores[0];
   NodeId bsrc = net::kInvalidNode;
   NodeId x2 = net::kInvalidNode;
-  std::uint16_t bsp = 0;
-  for (int tries = 0; tries < 64 && bsp == 0; ++tries) {
+  std::optional<std::uint16_t> bsp;
+  for (int tries = 0; tries < 64 && !bsp; ++tries) {
     bsrc = random_host(ft, rng, {x, y}, pod);
     x2 = random_host(ft, rng, {x, y, bsrc}, pod);
     if (pod_of_host(ft, x2) == pod_of_host(ft, bsrc)) continue;
-    bsp = force_path_through_node(routing, bsrc, x2, entry_core, 3001);
+    bsp = steer(routing, bsrc, x2, {entry_core, net::kInvalidPort}, 3001);
   }
-  FlowSpec burst{bsrc, x2, bsp != 0 ? bsp : static_cast<std::uint16_t>(3001),
-                 4791, 2'000'000 + rng.uniform_int(0, 500'000),
-                 spec.anomaly_start, false, 40.0};
+  FlowSpec burst{bsrc, x2, bsp.value_or(3001), 4791,
+                 2'000'000 + rng.uniform_int(0, 500'000), spec.anomaly_start,
+                 false, 40.0};
   spec.overrides.push_back({entry_core, x2, port_to(ft, entry_core, lp.a1)});
   spec.overrides.push_back({lp.a1, x2, port_to(ft, lp.a1, lp.e2)});
   spec.overrides.push_back({lp.e2, x2, port_to(ft, lp.e2, lp.a2)});
   spec.flows.push_back(burst);
   spec.truth.root_cause_flows.push_back(tuple_of(burst));
-  (void)half;
 
   spec.truth.type = spec.type;
   spec.truth.loop_ports = lp.loop_ports;
@@ -342,7 +324,6 @@ ScenarioSpec make_outofloop_deadlock(const FatTree& ft, const Routing& routing,
   spec.type = by_injection ? AnomalyType::kOutOfLoopDeadlockInjection
                            : AnomalyType::kOutOfLoopDeadlockContention;
   spec.anomaly_start = sim::us(400) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
 
   // Same shallow PFC headroom as the in-loop scenario (see comment there).
   spec.xoff_bytes = 32 * 1024;
@@ -358,12 +339,10 @@ ScenarioSpec make_outofloop_deadlock(const FatTree& ft, const Routing& routing,
   const PortRef l1 = lp.loop_ports[1];
   const NodeId sink = lp.he2[1];
   const NodeId r = random_host(ft, rng, {x, y}, pod);
-  const std::uint16_t rsp =
-      force_path_through(routing, r, sink, l1, 4000);
   // 30 G keeps L1 (feeder + burst-via-A1 + two 26 G loop flows) under
   // 100 G pre-anomaly: the loop links must carry no standing contention of
   // their own, or the initiator would look in-loop.
-  FlowSpec feeder{r, sink, rsp != 0 ? rsp : static_cast<std::uint16_t>(4000),
+  FlowSpec feeder{r, sink, steer(routing, r, sink, l1, 4000).value_or(4000),
                   4791, 100'000'000, sim::us(40), false, 30.0};
   spec.flows.push_back(feeder);
   spec.victim = tuple_of(feeder);
@@ -379,31 +358,27 @@ ScenarioSpec make_outofloop_deadlock(const FatTree& ft, const Routing& routing,
     // feeder; rate caps keep every loop link under capacity so the only
     // contention point is the sink port E2 -> he2[1], outside the CBD.
     const NodeId b1 = random_host(ft, rng, {x, y, r}, pod);
-    const std::uint16_t b1sp = force_path_through(routing, b1, sink, l1, 4200);
     // Not a ground-truth root cause: once L1 pauses, this 20 G burst is
     // throttled by the loop and contributes little to the sink congestion;
     // it exists to keep causal traffic flowing on L1 during the buildup.
-    FlowSpec via_a1{b1, sink, b1sp != 0 ? b1sp : static_cast<std::uint16_t>(4200),
+    FlowSpec via_a1{b1, sink, steer(routing, b1, sink, l1, 4200).value_or(4200),
                     4791, 900'000 + rng.uniform_int(0, 300'000),
                     spec.anomaly_start + sim::us(1), false, 15.0};
     spec.flows.push_back(via_a1);
 
     const NodeId b2 = random_host(ft, rng, {x, y, r, b1}, pod);
     const PortRef a2_down{lp.a2, port_to(ft, lp.a2, lp.e2)};
-    const std::uint16_t b2sp =
-        force_path_through(routing, b2, sink, a2_down, 4300);
-    FlowSpec via_a2{b2, sink, b2sp != 0 ? b2sp : static_cast<std::uint16_t>(4300),
+    FlowSpec via_a2{b2, sink,
+                    steer(routing, b2, sink, a2_down, 4300).value_or(4300),
                     4791, 2'000'000 + rng.uniform_int(0, 500'000),
                     spec.anomaly_start + sim::us(2), false, 90.0};
     spec.flows.push_back(via_a2);
     spec.truth.root_cause_flows.push_back(tuple_of(via_a2));
 
     const NodeId b3 = random_host(ft, rng, {x, y, r, b1, b2}, pod);
-    const std::uint16_t b3sp =
-        force_path_through(routing, b3, sink, a2_down, 4400);
     FlowSpec via_a2b{b3, sink,
-                     b3sp != 0 ? b3sp : static_cast<std::uint16_t>(4400), 4791,
-                     1'800'000 + rng.uniform_int(0, 500'000),
+                     steer(routing, b3, sink, a2_down, 4400).value_or(4400),
+                     4791, 1'800'000 + rng.uniform_int(0, 500'000),
                      spec.anomaly_start + sim::us(3), false, 80.0};
     spec.flows.push_back(via_a2b);
     spec.truth.root_cause_flows.push_back(tuple_of(via_a2b));
@@ -415,14 +390,11 @@ ScenarioSpec make_outofloop_deadlock(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_normal_contention(const FatTree& ft, const Routing& routing,
-                                    Rng& rng) {
-  (void)routing;
+ScenarioSpec make_normal_contention(const FatTree& ft, Rng& rng) {
   ScenarioSpec spec;
   spec.name = "normal-contention";
   spec.type = AnomalyType::kNormalContention;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
   // Deep PFC headroom: queues build without PAUSE, the regime where RDMA
   // congestion degenerates to traditional contention (§3.5.2).
   spec.xoff_bytes = 8 * 1024 * 1024;
@@ -432,10 +404,7 @@ ScenarioSpec make_normal_contention(const FatTree& ft, const Routing& routing,
   const NodeId v = random_host(ft, rng, {w}, pod_of_host(ft, w));
   // Application-limited victim: persists through the contention window
   // without dominating the queue's packet share.
-  FlowSpec victim{v, w, static_cast<std::uint16_t>(rng.uniform_int(100, 999)),
-                  4791, 2'000'000, sim::us(10), true, 25.0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, w, 2'000'000, sim::us(10), 25.0);
 
   std::vector<NodeId> used{w, v};
   for (int i = 0; i < 3; ++i) {
@@ -453,12 +422,13 @@ ScenarioSpec make_normal_contention(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_slow_receiver(const FatTree& ft, const Routing& routing,
-                                Rng& rng) {
+}  // namespace
+
+ScenarioSpec make_slow_receiver(const FatTree& ft, Rng& rng) {
   // Same shape as the storm but with a duty-cycled injection: short pause
   // quanta (~20 us each) re-armed every 40 us, i.e. the NIC drains between
   // pauses like a back-pressured slow receiver rather than a dead one.
-  ScenarioSpec spec = make_pfc_storm(ft, routing, rng);
+  ScenarioSpec spec = make_pfc_storm(ft, rng);
   spec.name = "slow-receiver";
   spec.injections.clear();
   const NodeId h = spec.truth.injecting_host;
@@ -475,7 +445,6 @@ ScenarioSpec make_ecmp_imbalance(const FatTree& ft, const Routing& routing,
   spec.name = "ecmp-imbalance";
   spec.type = AnomalyType::kNormalContention;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
   // Deep PFC headroom, as in the normal-contention scenario: the skewed
   // uplink queues without pausing anyone.
   spec.xoff_bytes = 8 * 1024 * 1024;
@@ -490,35 +459,26 @@ ScenarioSpec make_ecmp_imbalance(const FatTree& ft, const Routing& routing,
   const PortRef hot{e_src, port_to(ft, e_src, a_hot)};
 
   const NodeId vdst = random_host(ft, rng, {vsrc}, pod);
-  const std::uint16_t vsp = force_path_through(routing, vsrc, vdst, hot, 500);
-  FlowSpec victim{vsrc, vdst, vsp != 0 ? vsp : static_cast<std::uint16_t>(500),
-                  4791, 3'000'000, sim::us(10), true, 25.0};
+  FlowSpec victim{vsrc, vdst,
+                  steer(routing, vsrc, vdst, hot, 500).value_or(500), 4791,
+                  3'000'000, sim::us(10), true, 25.0};
   spec.victim = tuple_of(victim);
   spec.flows.push_back(victim);
 
-  // Sibling host's flows all hash onto the hot uplink (the imbalance).
-  const NodeId h1 = [&] {
-    for (const NodeId h : hosts_of_edge(
-             ft, static_cast<int>(std::find(ft.edges.begin(), ft.edges.end(),
-                                            e_src) -
-                                  ft.edges.begin()))) {
-      if (h != vsrc) return h;
-    }
-    return vsrc;
-  }();
-  // Three skewed flows (two from the sibling host, one sharing the
+  // Three skewed flows (two from the victim's ToR sibling, one sharing the
   // victim's NIC) all hash onto the hot uplink: 49+49+60 G against its
   // 100 G while the other agg uplink idles.
+  const NodeId h1 = tor_sibling(ft, vsrc);
   std::vector<NodeId> used{vsrc, vdst, h1};
   for (int i = 0; i < 3; ++i) {
     const NodeId src = i < 2 ? h1 : vsrc;
     const double cap = i < 2 ? 49.0 : 60.0;
     const NodeId dst = random_host(ft, rng, used, pod);
     used.push_back(dst);
-    const std::uint16_t sp = force_path_through(
-        routing, src, dst, hot, static_cast<std::uint16_t>(6000 + 100 * i));
-    FlowSpec skewed{src, dst, sp != 0 ? sp : static_cast<std::uint16_t>(6000),
-                    4791, 5'000'000 + rng.uniform_int(0, 500'000),
+    const auto base = static_cast<std::uint16_t>(6000 + 100 * i);
+    FlowSpec skewed{src, dst,
+                    steer(routing, src, dst, hot, base).value_or(base), 4791,
+                    5'000'000 + rng.uniform_int(0, 500'000),
                     spec.anomaly_start + rng.uniform_int(0, sim::us(5)), false,
                     cap};
     spec.flows.push_back(skewed);
@@ -538,6 +498,60 @@ namespace {
 std::uint64_t draw_plan_seed(Rng& rng) {
   return static_cast<std::uint64_t>(
       rng.uniform_int(1, std::numeric_limits<std::int64_t>::max() - 1));
+}
+
+/// Client/server RPC pattern: `clients` hosts issue Poisson-spaced requests
+/// (2-16 KB) to `server`, each answered by a larger (32-256 KB) response
+/// after a short service time. Rates are modest so the pattern itself never
+/// congests a healthy fabric.
+std::vector<FlowSpec> rpc_client_server_flows(const FatTree& ft, Rng& rng,
+                                              NodeId server, int clients,
+                                              Time start, Time stop) {
+  std::vector<FlowSpec> out;
+  std::vector<NodeId> used{server};
+  std::uint16_t sport = 26000;
+  for (int c = 0; c < clients; ++c) {
+    const NodeId cl = random_host(ft, rng, used);
+    used.push_back(cl);
+    double t = static_cast<double>(start + rng.uniform_int(0, sim::us(40)));
+    while (t < static_cast<double>(stop)) {
+      const std::int64_t req = 2'000 + rng.uniform_int(0, 14'000);
+      const std::int64_t resp = 32'000 + rng.uniform_int(0, 224'000);
+      out.push_back({cl, server, sport++, 4791, req, static_cast<Time>(t),
+                     true, 0});
+      // The response leaves after a short service time; 30 G keeps the
+      // server's response fan-out from congesting its own uplink.
+      out.push_back({server, cl, sport++, 4791, resp,
+                     static_cast<Time>(t) + sim::us(20), true, 30.0});
+      t += rng.exponential(static_cast<double>(sim::us(150)));
+    }
+  }
+  return out;
+}
+
+/// All-to-all shuffle: every ordered pair in `group` exchanges one shard
+/// (150-250 KB), starts jittered, per-flow rate capped to a fair NIC share
+/// so the shuffle is feasible on a healthy fabric.
+std::vector<FlowSpec> all_to_all_flows(const FatTree& ft, Rng& rng,
+                                       const std::vector<NodeId>& group,
+                                       Time start) {
+  std::vector<FlowSpec> out;
+  if (group.size() < 2) return out;
+  const double line_gbps = ft.topo.link(0).gbps;
+  // A fair NIC share per peer (with 20% slack) keeps the healthy shuffle
+  // congestion-free: the fault, not the pattern, must be the anomaly.
+  const double cap =
+      line_gbps / static_cast<double>(group.size() - 1) * 0.8;
+  std::uint16_t sport = 27000;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      if (i == j) continue;
+      out.push_back({group[i], group[j], sport++, 4791,
+                     150'000 + rng.uniform_int(0, 100'000),
+                     start + rng.uniform_int(0, sim::us(30)), true, cap});
+    }
+  }
+  return out;
 }
 
 /// Layer the selected net_sanitizer traffic pattern over a fleet-fault
@@ -570,79 +584,20 @@ void add_fleet_workload(ScenarioSpec& spec, const FatTree& ft, Rng& rng,
   }
 }
 
-}  // namespace
-
-std::string_view to_string(FleetWorkload w) {
-  switch (w) {
-    case FleetWorkload::kCrafted: return "crafted";
-    case FleetWorkload::kRpcClientServer: return "rpc";
-    case FleetWorkload::kAllToAll: return "all-to-all";
-  }
-  return "?";
-}
-
-std::vector<device::FlowSpec> rpc_client_server_flows(
-    const FatTree& ft, Rng& rng, NodeId server, int clients, Time start,
-    Time stop) {
-  std::vector<FlowSpec> out;
-  std::vector<NodeId> used{server};
-  std::uint16_t sport = 26000;
-  for (int c = 0; c < clients; ++c) {
-    const NodeId cl = random_host(ft, rng, used);
-    used.push_back(cl);
-    double t = static_cast<double>(start + rng.uniform_int(0, sim::us(40)));
-    while (t < static_cast<double>(stop)) {
-      const std::int64_t req = 2'000 + rng.uniform_int(0, 14'000);
-      const std::int64_t resp = 32'000 + rng.uniform_int(0, 224'000);
-      out.push_back({cl, server, sport++, 4791, req, static_cast<Time>(t),
-                     true, 0});
-      // The response leaves after a short service time; 30 G keeps the
-      // server's response fan-out from congesting its own uplink.
-      out.push_back({server, cl, sport++, 4791, resp,
-                     static_cast<Time>(t) + sim::us(20), true, 30.0});
-      t += rng.exponential(static_cast<double>(sim::us(150)));
-    }
-  }
-  return out;
-}
-
-std::vector<device::FlowSpec> all_to_all_flows(
-    const FatTree& ft, Rng& rng, const std::vector<NodeId>& group,
-    Time start) {
-  std::vector<FlowSpec> out;
-  if (group.size() < 2) return out;
-  const double line_gbps = ft.topo.link(0).gbps;
-  // A fair NIC share per peer (with 20% slack) keeps the healthy shuffle
-  // congestion-free: the fault, not the pattern, must be the anomaly.
-  const double cap =
-      line_gbps / static_cast<double>(group.size() - 1) * 0.8;
-  std::uint16_t sport = 27000;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      if (i == j) continue;
-      out.push_back({group[i], group[j], sport++, 4791,
-                     150'000 + rng.uniform_int(0, 100'000),
-                     start + rng.uniform_int(0, sim::us(30)), true, cap});
-    }
-  }
-  return out;
-}
-
+/// Fleet fault class 1 — degraded link: a BER-injected cable on the middle
+/// link of the victim's path corrupts frames (CRC drops + go-back-N
+/// retransmits). Congestion provenance without incast fan-in; diagnosis
+/// must report kDegradedLink at the erroring link.
 ScenarioSpec make_degraded_link(const FatTree& ft, const Routing& routing,
                                 Rng& rng, FleetWorkload w, double severity) {
   ScenarioSpec spec;
   spec.name = "degraded-link";
   spec.type = AnomalyType::kDegradedLink;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
 
   const NodeId v = random_host(ft, rng, {});
   const NodeId dst = random_host(ft, rng, {v}, pod_of_host(ft, v));
-  FlowSpec victim{v, dst,
-                  static_cast<std::uint16_t>(rng.uniform_int(100, 999)), 4791,
-                  40'000'000, sim::us(10), true, 0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, dst, 40'000'000, sim::us(10), 0);
 
   const auto [la, lb] = routing.middle_link(spec.victim);
   fault::FaultPlan plan;
@@ -667,13 +622,15 @@ ScenarioSpec make_degraded_link(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
+/// Fleet fault class 2 — link-speed mismatch: the middle victim-path link
+/// negotiated 25 G in a 100 G fabric, a persistent single-port
+/// serialization bottleneck (clean FCS, no fan-in).
 ScenarioSpec make_speed_mismatch(const FatTree& ft, const Routing& routing,
                                  Rng& rng, FleetWorkload w, double severity) {
   ScenarioSpec spec;
   spec.name = "link-speed-mismatch";
   spec.type = AnomalyType::kLinkSpeedMismatch;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
   // Deep PFC headroom (the normal-contention convention): the standing
   // queue at the quarter-speed hop builds in the switch buffer and shows
   // up as end-to-end RTT. With default shallow thresholds the mismatch
@@ -687,11 +644,7 @@ ScenarioSpec make_speed_mismatch(const FatTree& ft, const Routing& routing,
   // The victim starts with the anomaly window: a line-rate flow hitting a
   // quarter-speed hop queues immediately, which IS the symptom onset (the
   // link itself has been mis-negotiated since boot).
-  FlowSpec victim{v, dst,
-                  static_cast<std::uint16_t>(rng.uniform_int(100, 999)), 4791,
-                  40'000'000, spec.anomaly_start, true, 0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, dst, 40'000'000, spec.anomaly_start, 0);
 
   const auto [la, lb] = routing.middle_link(spec.victim);
   fault::FaultPlan plan;
@@ -714,14 +667,15 @@ ScenarioSpec make_speed_mismatch(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_pcie_bottleneck(const FatTree& ft, const Routing& routing,
-                                  Rng& rng, FleetWorkload w, double severity) {
-  (void)routing;
+/// Fleet fault class 3 — host PCIe bottleneck: the victim's destination
+/// NIC drains toward host memory far below line rate; RTT inflates with
+/// the DMA backlog while no switch pauses (pure victim).
+ScenarioSpec make_pcie_bottleneck(const FatTree& ft, Rng& rng,
+                                  FleetWorkload w, double severity) {
   ScenarioSpec spec;
   spec.name = "host-pcie-bottleneck";
   spec.type = AnomalyType::kHostPcieBottleneck;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
 
   const NodeId v = random_host(ft, rng, {});
   const NodeId dst = random_host(ft, rng, {v}, pod_of_host(ft, v));
@@ -731,11 +685,7 @@ ScenarioSpec make_pcie_bottleneck(const FatTree& ft, const Routing& routing,
   // congest a switch, keeping the "nobody paused, still slow" signature
   // clean. A line-rate victim would turn its own RTO storm into genuine
   // fabric congestion and present as incast instead.
-  FlowSpec victim{v, dst,
-                  static_cast<std::uint16_t>(rng.uniform_int(100, 999)), 4791,
-                  40'000'000, sim::us(10), true, 30.0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, dst, 40'000'000, sim::us(10), 30.0);
 
   fault::FaultPlan plan;
   plan.seed = draw_plan_seed(rng);
@@ -758,6 +708,10 @@ ScenarioSpec make_pcie_bottleneck(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
+/// Fleet fault class 4 — oversubscribed down-links: every down-link of the
+/// aggregation switch the victim enters its destination pod through runs
+/// at half capacity; fan-in traffic shows sustained multi-flow contention
+/// on the reduced tier.
 ScenarioSpec make_oversubscribed_downlink(const FatTree& ft,
                                           const Routing& routing, Rng& rng,
                                           FleetWorkload w, double severity) {
@@ -765,7 +719,6 @@ ScenarioSpec make_oversubscribed_downlink(const FatTree& ft,
   spec.name = "oversubscribed-downlink";
   spec.type = AnomalyType::kOversubscribedDownlink;
   spec.anomaly_start = sim::us(300) + rng.uniform_int(0, sim::us(200));
-  spec.duration = sim::ms(2);
   // Deep PFC headroom (the normal-contention convention): a capacity
   // shortfall is classic congestion — the standing queue on the reduced
   // down-link must show up as end-to-end RTT at ANY severity, not only
@@ -780,32 +733,16 @@ ScenarioSpec make_oversubscribed_downlink(const FatTree& ft,
   // Application-limited victim: 25 G fits the halved (50 G) down-link on
   // its own, so the pre-contention fabric is healthy even though the tier
   // has been oversubscribed since boot.
-  FlowSpec victim{v, dst,
-                  static_cast<std::uint16_t>(rng.uniform_int(100, 999)), 4791,
-                  6'000'000, sim::us(10), true, 25.0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, v, dst, 6'000'000, sim::us(10), 25.0);
 
   // The aggregation switch the victim enters the destination pod through;
   // every one of its down-links is reduced by the spec.
-  NodeId a_v = net::kInvalidNode;
-  for (const auto& hop : routing.path_of(spec.victim)) {
-    if (ft.topo.is_switch(hop.node) &&
-        ft.topo.peer(hop.node, hop.port).node == e_dst) {
-      a_v = hop.node;
-      break;
-    }
-  }
-  if (a_v == net::kInvalidNode) {
-    throw std::runtime_error(
-        "make_oversubscribed_downlink: no agg hop toward the dst ToR");
-  }
-  const PortRef via{a_v, port_to(ft, a_v, e_dst)};
+  const PortRef via = hop_into(ft, routing, spec.victim, e_dst);
 
   fault::FaultPlan plan;
   plan.seed = draw_plan_seed(rng);
   fault::OversubscribedDownlinkSpec os;
-  os.sw = a_v;
+  os.sw = via.node;
   // 0.5^severity of nominal capacity: stays in (0, 1) for any positive
   // severity, halved at the default.
   os.factor = std::pow(0.5, severity);
@@ -818,24 +755,15 @@ ScenarioSpec make_oversubscribed_downlink(const FatTree& ft,
   // steered through the same reduced down-link: 25 + 30 + 30 G against its
   // halved 50 G is sustained multi-flow contention, while a healthy 100 G
   // link would carry all three without queueing.
-  NodeId sibling = net::kInvalidNode;
-  for (PortId p = 0; p < ft.topo.port_count(e_dst); ++p) {
-    const PortRef pr = ft.topo.peer(e_dst, p);
-    if (ft.topo.is_host(pr.node) && pr.node != dst) {
-      sibling = pr.node;
-      break;
-    }
-  }
+  const NodeId sibling = tor_sibling(ft, dst);
   std::vector<NodeId> used{dst, v, sibling};
   for (int i = 0; i < 2; ++i) {
     const NodeId src = random_host(ft, rng, used, pod);
     used.push_back(src);
-    std::uint16_t sp = static_cast<std::uint16_t>(7000 + 100 * i);
-    const std::uint16_t forced =
-        force_path_through(routing, src, sibling, via, sp);
-    if (forced != 0) sp = forced;
-    FlowSpec feeder{src, sibling, sp, 4791,
-                    8'000'000 + rng.uniform_int(0, 500'000),
+    const auto base = static_cast<std::uint16_t>(7000 + 100 * i);
+    FlowSpec feeder{src, sibling,
+                    steer(routing, src, sibling, via, base).value_or(base),
+                    4791, 8'000'000 + rng.uniform_int(0, 500'000),
                     spec.anomaly_start + rng.uniform_int(0, sim::us(5)), false,
                     30.0};
     spec.flows.push_back(feeder);
@@ -848,23 +776,20 @@ ScenarioSpec make_oversubscribed_downlink(const FatTree& ft,
   return spec;
 }
 
-ScenarioSpec make_benign(const FatTree& ft, const Routing& routing,
-                         Rng& rng) {
-  (void)routing;
+/// Benign trace (AnomalyType::kNone): a healthy victim transfer plus a few
+/// light, uncorrelated peers — nothing congests, nothing should trigger.
+/// The false-alarm probe of the misdiagnosis hunter: any asserted verdict
+/// on this trace is a silent-wrong find by construction.
+ScenarioSpec make_benign(const FatTree& ft, Rng& rng) {
   ScenarioSpec spec;
   spec.name = "benign";
   spec.type = AnomalyType::kNone;
   // No anomaly ever starts; the onset marker only anchors scoring math.
   spec.anomaly_start = sim::us(500);
-  spec.duration = sim::ms(2);
 
   const NodeId src = random_host(ft, rng, {});
   const NodeId dst = random_host(ft, rng, {src}, pod_of_host(ft, src));
-  FlowSpec victim{src, dst,
-                  static_cast<std::uint16_t>(rng.uniform_int(100, 999)), 4791,
-                  10'000'000, sim::us(10), true, 0};
-  spec.victim = tuple_of(victim);
-  spec.flows.push_back(victim);
+  add_victim(spec, rng, src, dst, 10'000'000, sim::us(10), 0);
 
   // A handful of light cross-fabric peers: enough concurrent traffic that a
   // trigger-happy detector has something to mis-blame, far too little to
@@ -886,31 +811,32 @@ ScenarioSpec make_benign(const FatTree& ft, const Routing& routing,
   return spec;
 }
 
-ScenarioSpec make_fleet_scenario(AnomalyType type, FleetWorkload w,
-                                 const FatTree& ft, const Routing& routing,
-                                 Rng& rng, double severity) {
-  switch (type) {
-    case AnomalyType::kDegradedLink:
-      return make_degraded_link(ft, routing, rng, w, severity);
-    case AnomalyType::kLinkSpeedMismatch:
-      return make_speed_mismatch(ft, routing, rng, w, severity);
-    case AnomalyType::kHostPcieBottleneck:
-      return make_pcie_bottleneck(ft, routing, rng, w, severity);
-    case AnomalyType::kOversubscribedDownlink:
-      return make_oversubscribed_downlink(ft, routing, rng, w, severity);
-    default:
-      break;
+// Long 100 MB+ flows cannot complete inside millisecond traces; background
+// flows clamp to 2 MB so the Poisson arrival rate stays meaningful while
+// keeping the mice-heavy shape (DESIGN.md, substitutions).
+constexpr std::int64_t kBackgroundCapBytes = 2'000'000;
+
+}  // namespace
+
+std::string_view to_string(FleetWorkload w) {
+  switch (w) {
+    case FleetWorkload::kCrafted: return "crafted";
+    case FleetWorkload::kRpcClientServer: return "rpc";
+    case FleetWorkload::kAllToAll: return "all-to-all";
   }
-  throw std::invalid_argument("make_fleet_scenario: not a fleet fault type");
+  return "?";
 }
 
 ScenarioSpec make_scenario(AnomalyType type, const FatTree& ft,
-                           const Routing& routing, Rng& rng) {
+                           const Routing& routing, Rng& rng, FleetWorkload w,
+                           double severity) {
   switch (type) {
+    case AnomalyType::kNone:
+      return make_benign(ft, rng);
     case AnomalyType::kMicroBurstIncast:
       return make_incast_burst(ft, routing, rng);
     case AnomalyType::kPfcStorm:
-      return make_pfc_storm(ft, routing, rng);
+      return make_pfc_storm(ft, rng);
     case AnomalyType::kInLoopDeadlock:
       return make_inloop_deadlock(ft, routing, rng);
     case AnomalyType::kOutOfLoopDeadlockContention:
@@ -918,15 +844,15 @@ ScenarioSpec make_scenario(AnomalyType type, const FatTree& ft,
     case AnomalyType::kOutOfLoopDeadlockInjection:
       return make_outofloop_deadlock(ft, routing, rng, true);
     case AnomalyType::kNormalContention:
-      return make_normal_contention(ft, routing, rng);
+      return make_normal_contention(ft, rng);
     case AnomalyType::kDegradedLink:
+      return make_degraded_link(ft, routing, rng, w, severity);
     case AnomalyType::kLinkSpeedMismatch:
+      return make_speed_mismatch(ft, routing, rng, w, severity);
     case AnomalyType::kHostPcieBottleneck:
+      return make_pcie_bottleneck(ft, rng, w, severity);
     case AnomalyType::kOversubscribedDownlink:
-      return make_fleet_scenario(type, FleetWorkload::kCrafted, ft, routing,
-                                 rng);
-    case AnomalyType::kNone:
-      return make_benign(ft, routing, rng);
+      return make_oversubscribed_downlink(ft, routing, rng, w, severity);
   }
   throw std::invalid_argument("make_scenario: unsupported type");
 }
@@ -936,24 +862,20 @@ std::vector<device::FlowSpec> background_flows(const FatTree& ft, Rng& rng,
                                                Time stop) {
   std::vector<FlowSpec> out;
   if (load <= 0) return out;
-  const FlowSizeDistribution dist = FlowSizeDistribution::roce_longtail();
-  // Long 100 MB+ flows cannot complete inside millisecond traces; clamp to
-  // 2 MB so the Poisson arrival rate stays meaningful while keeping the
-  // mice-heavy shape (DESIGN.md, substitutions).
-  constexpr std::int64_t kCap = 2'000'000;
+  // The truncated mean flow size, estimated once from a fixed probe stream.
+  static const double mean_bytes = [] {
+    sim::Rng probe(12345);
+    double sum = 0;
+    for (int i = 0; i < 2000; ++i) {
+      sum += static_cast<double>(
+          std::min(sample_flow_size(probe), kBackgroundCapBytes));
+    }
+    return sum / 2000;
+  }();
   const double line_gbps = ft.topo.link(0).gbps;
   const double agg_bits_per_ns =
       load * static_cast<double>(ft.hosts.size()) * line_gbps;
-  // Estimate the truncated mean by sampling.
-  double mean = 0;
-  {
-    sim::Rng probe(12345);
-    for (int i = 0; i < 2000; ++i) {
-      mean += static_cast<double>(std::min(dist.sample(probe), kCap));
-    }
-    mean /= 2000;
-  }
-  const double mean_gap_ns = mean * 8.0 / agg_bits_per_ns;
+  const double mean_gap_ns = mean_bytes * 8.0 / agg_bits_per_ns;
 
   double t = static_cast<double>(start);
   std::uint16_t sport = 20000;
@@ -963,7 +885,7 @@ std::vector<device::FlowSpec> background_flows(const FatTree& ft, Rng& rng,
     const NodeId src = random_host(ft, rng, {});
     const NodeId dst = random_host(ft, rng, {src});
     out.push_back({src, dst, sport++, 4791,
-                   std::min(dist.sample(rng), kCap),
+                   std::min(sample_flow_size(rng), kBackgroundCapBytes),
                    static_cast<Time>(t), true, 0});
   }
   return out;

@@ -70,45 +70,6 @@ struct ScenarioSpec {
   std::optional<fault::FaultPlan> faults;
 };
 
-/// Crafts one trace of the given anomaly type on a fat-tree. `routing` must
-/// be the default (override-free) table; crafting uses it to pick paths.
-ScenarioSpec make_incast_burst(const net::FatTree& ft,
-                               const net::Routing& routing, sim::Rng& rng);
-ScenarioSpec make_pfc_storm(const net::FatTree& ft,
-                            const net::Routing& routing, sim::Rng& rng);
-ScenarioSpec make_inloop_deadlock(const net::FatTree& ft,
-                                  const net::Routing& routing, sim::Rng& rng);
-ScenarioSpec make_outofloop_deadlock(const net::FatTree& ft,
-                                     const net::Routing& routing,
-                                     sim::Rng& rng, bool by_injection);
-ScenarioSpec make_normal_contention(const net::FatTree& ft,
-                                    const net::Routing& routing,
-                                    sim::Rng& rng);
-
-/// Benign trace (AnomalyType::kNone): a healthy victim transfer plus a few
-/// light, uncorrelated peers — nothing congests, nothing should trigger.
-/// The false-alarm probe of the misdiagnosis hunter: any asserted verdict
-/// on this trace is a silent-wrong find by construction.
-ScenarioSpec make_benign(const net::FatTree& ft, const net::Routing& routing,
-                         sim::Rng& rng);
-
-/// Extension scenario (§2.1's "slow receiver issues caused by buffer
-/// exhaustion on the NIC"): the receiver NIC intermittently PAUSEs its
-/// uplink with short quanta instead of flooding it — throughput halves and
-/// victims see repeated spikes. Ground truth is still host PFC injection
-/// (a PFC storm in Table 2's taxonomy).
-ScenarioSpec make_slow_receiver(const net::FatTree& ft,
-                                const net::Routing& routing, sim::Rng& rng);
-
-/// Extension scenario (§3.5.2's load-imbalance root cause): several flows
-/// hash onto the same ECMP uplink while its sibling idles; the victim
-/// shares the hot uplink. Type-wise this is plain contention; the
-/// fine-grained cause is kEcmpImbalance.
-ScenarioSpec make_ecmp_imbalance(const net::FatTree& ft,
-                                 const net::Routing& routing, sim::Rng& rng);
-
-// ---- Fleet-ops fault scenarios (net_sanitizer's field pathologies) ----
-
 /// Traffic pattern riding a fleet-fault scenario. Beyond the crafted
 /// victim-plus-feeders shape of paper §4.1, the fleet bench exercises the
 /// two application patterns net_sanitizer ships: a client/server RPC
@@ -123,74 +84,42 @@ enum class FleetWorkload {
 
 std::string_view to_string(FleetWorkload w);
 
-/// Client/server RPC pattern: `clients` hosts issue Poisson-spaced requests
-/// (2-16 KB) to `server`, each answered by a larger (32-256 KB) response
-/// after a short service time. Rates are modest so the pattern itself never
-/// congests a healthy fabric.
-std::vector<device::FlowSpec> rpc_client_server_flows(
-    const net::FatTree& ft, sim::Rng& rng, net::NodeId server, int clients,
-    sim::Time start, sim::Time stop);
-
-/// All-to-all shuffle: every ordered pair in `group` exchanges one shard
-/// (150-250 KB), starts jittered, per-flow rate capped to a fair NIC share
-/// so the shuffle is feasible on a healthy fabric.
-std::vector<device::FlowSpec> all_to_all_flows(
-    const net::FatTree& ft, sim::Rng& rng,
-    const std::vector<net::NodeId>& group, sim::Time start);
-
-/// Fleet fault class 1 — degraded link: a BER-injected cable on the middle
-/// link of the victim's path corrupts frames (CRC drops + go-back-N
-/// retransmits). Congestion provenance without incast fan-in; diagnosis
-/// must report kDegradedLink at the erroring link.
-ScenarioSpec make_degraded_link(const net::FatTree& ft,
-                                const net::Routing& routing, sim::Rng& rng,
-                                FleetWorkload w = FleetWorkload::kCrafted,
-                                double severity = 1.0);
-
-/// Fleet fault class 2 — link-speed mismatch: the middle victim-path link
-/// negotiated 25 G in a 100 G fabric, a persistent single-port
-/// serialization bottleneck (clean FCS, no fan-in).
-ScenarioSpec make_speed_mismatch(const net::FatTree& ft,
-                                 const net::Routing& routing, sim::Rng& rng,
-                                 FleetWorkload w = FleetWorkload::kCrafted,
-                                 double severity = 1.0);
-
-/// Fleet fault class 3 — host PCIe bottleneck: the victim's destination
-/// NIC drains toward host memory far below line rate; RTT inflates with
-/// the DMA backlog while no switch pauses (pure victim).
-ScenarioSpec make_pcie_bottleneck(const net::FatTree& ft,
-                                  const net::Routing& routing, sim::Rng& rng,
-                                  FleetWorkload w = FleetWorkload::kCrafted,
-                                  double severity = 1.0);
-
-/// Fleet fault class 4 — oversubscribed down-links: every down-link of the
-/// aggregation switch the victim enters its destination pod through runs
-/// at half capacity; fan-in traffic shows sustained multi-flow contention
-/// on the reduced tier.
-ScenarioSpec make_oversubscribed_downlink(
-    const net::FatTree& ft, const net::Routing& routing, sim::Rng& rng,
-    FleetWorkload w = FleetWorkload::kCrafted, double severity = 1.0);
-
-/// Dispatch for the four fleet classes with an explicit traffic pattern
-/// and defect severity. `severity` scales the injected defect (1.0 = the
-/// class default), monotone per class and chosen so the defect stays a
-/// genuine anomaly for any severity in (0, ~4]: the BER scales linearly,
-/// the mis-negotiated rate decays geometrically from nominal, the PCIe
-/// drain cap falls linearly below the victim's arrival rate, and the
-/// oversubscription factor is raised to the severity-th power.
-ScenarioSpec make_fleet_scenario(diagnosis::AnomalyType type, FleetWorkload w,
-                                 const net::FatTree& ft,
-                                 const net::Routing& routing, sim::Rng& rng,
-                                 double severity = 1.0);
-
-/// Dispatch by anomaly type.
+/// Crafts one trace of `type` on a fat-tree. `routing` must be the default
+/// (override-free) table; crafting uses it to pick paths. kNone crafts the
+/// benign trace: a healthy victim transfer plus a few light, uncorrelated
+/// peers — nothing congests, so any asserted verdict on it is a false
+/// alarm.
+///
+/// `w` and `severity` apply to the four fleet-fault classes only. `w`
+/// layers its traffic pattern over the crafted trace. `severity` scales
+/// the injected defect (1.0 = the class default), monotone per class and
+/// chosen so the defect stays a genuine anomaly for any severity in
+/// (0, ~4]: the BER scales linearly, the mis-negotiated rate decays
+/// geometrically from nominal, the PCIe drain cap falls linearly below the
+/// victim's arrival rate, and the oversubscription factor is raised to the
+/// severity-th power.
 ScenarioSpec make_scenario(diagnosis::AnomalyType type,
                            const net::FatTree& ft,
-                           const net::Routing& routing, sim::Rng& rng);
+                           const net::Routing& routing, sim::Rng& rng,
+                           FleetWorkload w = FleetWorkload::kCrafted,
+                           double severity = 1.0);
+
+/// Extension scenario (§2.1's "slow receiver issues caused by buffer
+/// exhaustion on the NIC"): the receiver NIC intermittently PAUSEs its
+/// uplink with short quanta instead of flooding it — throughput halves and
+/// victims see repeated spikes. Ground truth is still host PFC injection
+/// (a PFC storm in Table 2's taxonomy).
+ScenarioSpec make_slow_receiver(const net::FatTree& ft, sim::Rng& rng);
+
+/// Extension scenario (§3.5.2's load-imbalance root cause): several flows
+/// hash onto the same ECMP uplink while its sibling idles; the victim
+/// shares the hot uplink. Type-wise this is plain contention; the
+/// fine-grained cause is kEcmpImbalance.
+ScenarioSpec make_ecmp_imbalance(const net::FatTree& ft,
+                                 const net::Routing& routing, sim::Rng& rng);
 
 /// Background load: Poisson arrivals, long-tailed sizes, random src/dst
 /// pairs, scaled so offered load ≈ `load` of aggregate host bandwidth.
-/// Returns the generated specs (they are also appended to `out`).
 std::vector<device::FlowSpec> background_flows(const net::FatTree& ft,
                                                sim::Rng& rng, double load,
                                                sim::Time start,

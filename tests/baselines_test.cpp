@@ -6,7 +6,6 @@
 #include "diagnosis/contention_cause.hpp"
 #include "eval/runner.hpp"
 #include "eval/testbed.hpp"
-#include "provenance/builder.hpp"
 #include "workload/scenario.hpp"
 
 namespace hawkeye::baselines {
@@ -112,27 +111,25 @@ namespace hawkeye::diagnosis {
 namespace {
 
 TEST(ContentionCauseTest, ClassifiesEcmpImbalance) {
+  // The pipeline bench_contention_causes runs: the switches' epoch, the
+  // signature ranking and the victim's merged episode.
+  eval::RunConfig cfg;
+  cfg.scenario = AnomalyType::kNormalContention;
+  cfg.seed = 1;
+  cfg.background_load = 0;
   const net::FatTree ft = net::build_fat_tree(4);
-  net::Routing routing(ft.topo);
-  sim::Rng rng(1);
-  const auto spec = workload::make_ecmp_imbalance(ft, routing, rng);
-  eval::Testbed::Options o;
-  if (spec.xoff_bytes) o.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
-  if (spec.xon_bytes) o.switch_cfg.pfc_xon_bytes = *spec.xon_bytes;
-  eval::Testbed tb(o);
-  tb.install(spec);
-  tb.run_for(spec.duration + sim::us(300));
+  const net::Routing routing(ft.topo);
+  sim::Rng rng(cfg.seed);
+  eval::Run run(cfg, workload::make_ecmp_imbalance(ft, routing, rng));
+  run.simulate();
 
-  const collect::Episode* ep = nullptr;
-  for (const auto id : tb.collector.episode_order()) {
-    const auto* cand = tb.collector.episode(id);
-    if (cand->victim == spec.victim && ep == nullptr) ep = cand;
-  }
-  ASSERT_NE(ep, nullptr);
-  const auto g = provenance::build_provenance(*ep, tb.ft.topo);
-  const auto dx = diagnose(g, tb.ft.topo, tb.routing, spec.victim);
-  EXPECT_EQ(dx.type, AnomalyType::kNormalContention);
-  const auto cause = analyze_contention_cause(g, tb.ft.topo, tb.routing, dx);
+  const std::optional<collect::Episode> ep = run.victim_episode();
+  ASSERT_TRUE(ep.has_value());
+  const eval::Run::Diagnosis d = run.diagnose(*ep);
+  EXPECT_EQ(d.dx.type, AnomalyType::kNormalContention);
+  const eval::Testbed& tb = run.testbed();
+  const auto cause =
+      analyze_contention_cause(d.graph, tb.ft.topo, tb.routing, d.dx);
   EXPECT_EQ(cause.cause, ContentionCause::kEcmpImbalance);
   EXPECT_GT(cause.ecmp_imbalance_ratio, 1.5);
 }

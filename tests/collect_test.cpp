@@ -3,51 +3,23 @@
 #include <algorithm>
 
 #include "eval/testbed.hpp"
+#include "incast_rig.hpp"
 
 namespace hawkeye::collect {
 namespace {
 
 using eval::Testbed;
 
-net::FiveTuple flow_tuple(net::NodeId src, net::NodeId dst,
-                          std::uint16_t sp) {
-  net::FiveTuple t;
-  t.src_ip = net::Topology::ip_of(src);
-  t.dst_ip = net::Topology::ip_of(dst);
-  t.src_port = sp;
-  t.dst_port = 4791;
-  return t;
-}
-
-/// Drives an incast so the cross-pod victim degrades and Hawkeye collects.
-struct IncastRig {
-  Testbed tb;
-  net::FiveTuple victim;
-
-  explicit IncastRig(Testbed::Options opts = {}) : tb(opts) {
-    const net::NodeId sink = tb.ft.hosts[0];
-    const net::NodeId vdst = tb.ft.hosts[1];  // sink's ToR sibling
-    const net::NodeId vsrc = tb.ft.hosts[12];
-    victim = flow_tuple(vsrc, vdst, 900);
-    tb.add_flow({vsrc, vdst, 900, 4791, 20'000'000, sim::us(1), true, 0});
-    for (int i = 0; i < 4; ++i) {
-      tb.add_flow({tb.ft.hosts[static_cast<size_t>(4 + 2 * i)], sink,
-                   static_cast<std::uint16_t>(2000 + i), 4791, 600'000,
-                   sim::us(200), false, 0});
-    }
-  }
-};
-
 TEST(DetectionAgentTest, BaselineRttMatchesTopology) {
   Testbed tb;
   // Cross-pod: 6 links each way at 2 us ≈ 24 us + serialization.
   const auto rtt = tb.agent->baseline_rtt(
-      flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 1));
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[15], 1}));
   EXPECT_GE(rtt, sim::us(24));
   EXPECT_LE(rtt, sim::us(32));
   // Same-ToR: 2 links each way.
   const auto near = tb.agent->baseline_rtt(
-      flow_tuple(tb.ft.hosts[0], tb.ft.hosts[1], 1));
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[1], 1}));
   EXPECT_LT(near, rtt);
 }
 
@@ -187,7 +159,7 @@ TEST(StalenessGuardTest, EpochStartingExactlyAtLimitIsKept) {
   tb.install_faults(plan);
   tb.collector.register_switch(sw);
   Episode& ep = tb.collector.open_episode(
-      7, flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 900), mirror);
+      7, device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[15], 900}), mirror);
   tb.simu.schedule_at(mirror,
                       [&] { tb.collector.collect_from(sw, 7, mirror); });
   tb.run_for(11 * E);
@@ -209,8 +181,8 @@ TEST(StalenessGuardTest, EpochStartingExactlyAtLimitIsKept) {
 TEST(CollectorTest, SwitchCollectionDeduplicated) {
   Testbed tb;
   auto& sw = tb.switch_at(tb.ft.edges[0]);
-  net::FiveTuple v1 = flow_tuple(tb.ft.hosts[0], tb.ft.hosts[5], 1);
-  net::FiveTuple v2 = flow_tuple(tb.ft.hosts[1], tb.ft.hosts[6], 2);
+  net::FiveTuple v1 = device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[5], 1});
+  net::FiveTuple v2 = device::tuple_of({tb.ft.hosts[1], tb.ft.hosts[6], 2});
   tb.collector.open_episode(1, v1, 100);
   tb.collector.open_episode(2, v2, 200);
   tb.collector.collect_from(sw, 1, 100);
@@ -228,10 +200,10 @@ namespace {
 
 TEST(PollingEdgeTest, UselessFlagCollectsNothing) {
   Testbed tb;
-  tb.collector.open_episode(7, flow_tuple(tb.ft.hosts[0], tb.ft.hosts[9], 1),
-                            0);
+  tb.collector.open_episode(
+      7, device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[9], 1}), 0);
   net::Packet poll = net::make_polling(
-      flow_tuple(tb.ft.hosts[0], tb.ft.hosts[9], 1), 7,
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[9], 1}), 7,
       net::PollingFlag::kUseless);
   tb.net.deliver(tb.ft.hosts[0], 0, std::move(poll), 1);
   tb.run_for(sim::ms(1));
@@ -293,8 +265,8 @@ struct MergeRig {
   static constexpr sim::Time kOnset = 1000;
   sim::Simulator simu;
   Collector collector;
-  net::FiveTuple victim = flow_tuple(0, 15, 900);
-  net::FiveTuple other = flow_tuple(1, 14, 901);
+  net::FiveTuple victim = device::tuple_of({0, 15, 900});
+  net::FiveTuple other = device::tuple_of({1, 14, 901});
 
   explicit MergeRig(Collector::Config cfg = {}) : collector(simu, cfg) {}
 

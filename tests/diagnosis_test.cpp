@@ -334,8 +334,7 @@ TEST(RunStageTest, SlowReceiverDiagnosedAsInjection) {
   const net::FatTree ft = net::build_fat_tree(4);
   RunConfig cfg;
   cfg.background_load = 0;
-  eval::Run run(cfg,
-                workload::make_slow_receiver(ft, net::Routing(ft.topo), rng));
+  eval::Run run(cfg, workload::make_slow_receiver(ft, rng));
   run.simulate();
   const std::optional<collect::Episode> ep = run.victim_episode();
   ASSERT_TRUE(ep.has_value());

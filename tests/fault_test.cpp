@@ -17,6 +17,7 @@
 #include "eval/runner.hpp"
 #include "eval/testbed.hpp"
 #include "fault/fault.hpp"
+#include "incast_rig.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
 #include "workload/scenario.hpp"
@@ -26,45 +27,6 @@ namespace {
 
 using eval::Testbed;
 
-net::FiveTuple flow_tuple(net::NodeId src, net::NodeId dst,
-                          std::uint16_t sp) {
-  net::FiveTuple t;
-  t.src_ip = net::Topology::ip_of(src);
-  t.dst_ip = net::Topology::ip_of(dst);
-  t.src_port = sp;
-  t.dst_port = 4791;
-  return t;
-}
-
-/// Same incast rig as collect_test: cross-pod victim degrades ~200-600 us
-/// in, Hawkeye triggers and collects along the victim path.
-struct IncastRig {
-  Testbed tb;
-  net::FiveTuple victim;
-
-  explicit IncastRig(Testbed::Options opts = {}) : tb(opts) {
-    const net::NodeId sink = tb.ft.hosts[0];
-    const net::NodeId vdst = tb.ft.hosts[1];
-    const net::NodeId vsrc = tb.ft.hosts[12];
-    victim = flow_tuple(vsrc, vdst, 900);
-    tb.add_flow({vsrc, vdst, 900, 4791, 20'000'000, sim::us(1), true, 0});
-    for (int i = 0; i < 4; ++i) {
-      tb.add_flow({tb.ft.hosts[static_cast<size_t>(4 + 2 * i)], sink,
-                   static_cast<std::uint16_t>(2000 + i), 4791, 600'000,
-                   sim::us(200), false, 0});
-    }
-  }
-
-  const Episode* victim_episode() {
-    const Episode* ep = nullptr;
-    for (const auto id : tb.collector.episode_order()) {
-      const Episode* cand = tb.collector.episode(id);
-      if (cand->victim == victim && ep == nullptr) ep = cand;
-    }
-    return ep;
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Determinism
 
@@ -73,7 +35,7 @@ TEST(FaultInjectorTest, SamePlanSameDecisionStream) {
   plan.rtt_jitter = {0.5, 2.0};
   fault::FaultInjector a(plan);
   fault::FaultInjector b(plan);
-  const net::FiveTuple v = flow_tuple(0, 1, 7);
+  const net::FiveTuple v = device::tuple_of({0, 1, 7});
   for (int i = 0; i < 200; ++i) {
     const auto va = a.on_polling(3, v, i * 100);
     const auto vb = b.on_polling(3, v, i * 100);
@@ -95,7 +57,7 @@ TEST(FaultInjectorTest, SamePlanSameDecisionStream) {
 TEST(FaultInjectorTest, EveryHookMatchesItsSiteAndWindow) {
   constexpr net::NodeId kAny = net::kInvalidNode;
   constexpr sim::Time kLate = sim::ms(500);  // inside every open window
-  const net::FiveTuple v = flow_tuple(0, 1, 7);
+  const net::FiveTuple v = device::tuple_of({0, 1, 7});
   fault::FaultPlan plan;
   plan.poll_faults = {{.sw = 3, .drop_prob = 1, .start = 100, .stop = 200},
                       {.delay_prob = 1, .delay_ns = 7, .start = 300}};
@@ -430,8 +392,8 @@ TEST(StaleEpochTest, StaleCountIsBoundedByRingEpochs) {
   sim::Rng rng(1);
   const net::FatTree probe = net::build_fat_tree(4);
   const net::Routing probe_routing(probe.topo);
-  const workload::ScenarioSpec spec =
-      workload::make_pfc_storm(probe, probe_routing, rng);
+  const workload::ScenarioSpec spec = workload::make_scenario(
+      diagnosis::AnomalyType::kPfcStorm, probe, probe_routing, rng);
   Testbed::Options opts;
   opts.switch_cfg.telemetry.flow_slots = 1;
   if (spec.xoff_bytes) opts.switch_cfg.pfc_xoff_bytes = *spec.xoff_bytes;
@@ -466,9 +428,9 @@ TEST(StaleEpochTest, StaleCountIsBoundedByRingEpochs) {
 TEST(DropAccountingTest, UselessPollingPacketCountsAsPollingDrop) {
   Testbed tb;
   const net::NodeId sw = tb.ft.topo.switches()[0];
-  net::Packet poll =
-      net::make_polling(flow_tuple(tb.ft.hosts[0], tb.ft.hosts[1], 5), 1,
-                        net::PollingFlag::kUseless);
+  net::Packet poll = net::make_polling(
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[1], 5}), 1,
+      net::PollingFlag::kUseless);
   tb.switch_at(sw).receive(std::move(poll), 0);
   EXPECT_EQ(tb.net.polling_drops(), 1u);
   EXPECT_EQ(tb.net.data_drops(), 0u);
@@ -866,7 +828,7 @@ TEST(LinkFlapTest, FlapBlackholesAndStallsWithoutModelDrops) {
   Testbed tb(opts);
   const net::NodeId src = tb.ft.hosts[0];
   const net::NodeId dst = tb.ft.hosts[15];
-  const net::FiveTuple t = flow_tuple(src, dst, 700);
+  const net::FiveTuple t = device::tuple_of({src, dst, 700});
   const auto path = tb.routing.switches_on_path(t);
   ASSERT_GE(path.size(), 2u);
   // One 300 us outage on a middle victim-path link, starting mid-flow.
@@ -1051,7 +1013,7 @@ TEST(TargetedRepollTest, CollectMissingOnlySnapshotsUncoveredExpectedHops) {
   Testbed tb;
   const net::NodeId a = tb.ft.topo.switches()[0];
   const net::NodeId b = tb.ft.topo.switches()[1];
-  Episode& ep = tb.collector.open_episode(42, flow_tuple(0, 1, 9), 0);
+  Episode& ep = tb.collector.open_episode(42, device::tuple_of({0, 1, 9}), 0);
   ep.expected_switches = {a, b};
   tb.collector.collect_from(tb.switch_at(a), 42, tb.simu.now());
   tb.run_for(sim::us(300));  // flush the asynchronous snapshot
@@ -1066,7 +1028,7 @@ TEST(TargetedRepollTest, CollectMissingOnlySnapshotsUncoveredExpectedHops) {
 
 TEST(TargetedRepollTest, CollectMissingWithoutExpectationIsNoOp) {
   Testbed tb;
-  tb.collector.open_episode(43, flow_tuple(0, 1, 9), 0);
+  tb.collector.open_episode(43, device::tuple_of({0, 1, 9}), 0);
   const std::uint64_t before = tb.collector.snapshot_requests();
   tb.collector.collect_missing(43, tb.simu.now());
   EXPECT_EQ(tb.collector.snapshot_requests(), before)
@@ -1083,7 +1045,7 @@ TEST(ReconvergenceTest, HolddownWithdrawsAndRestoresPorts) {
   Testbed tb(opts);
   const net::NodeId src = tb.ft.hosts[0];
   const net::NodeId dst = tb.ft.hosts[15];
-  const net::FiveTuple t = flow_tuple(src, dst, 700);
+  const net::FiveTuple t = device::tuple_of({src, dst, 700});
   const auto sws = tb.routing.switches_on_path(t);
   ASSERT_EQ(sws.size(), 5u);  // edge-agg-core-agg-edge
   const net::NodeId agg = sws[1];
@@ -1119,7 +1081,8 @@ TEST(ReconvergenceTest, OutageShorterThanHolddownNeverReconverges) {
   Testbed::Options opts;
   opts.install_hawkeye = false;
   Testbed tb(opts);
-  const net::FiveTuple t = flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 700);
+  const net::FiveTuple t =
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[15], 700});
   const auto sws = tb.routing.switches_on_path(t);
   fault::FaultPlan plan;
   fault::LinkFlapSpec flap;
@@ -1138,7 +1101,8 @@ TEST(ReconvergenceTest, ZeroHolddownKeepsRoutingFrozen) {
   Testbed::Options opts;
   opts.install_hawkeye = false;
   Testbed tb(opts);
-  const net::FiveTuple t = flow_tuple(tb.ft.hosts[0], tb.ft.hosts[15], 700);
+  const net::FiveTuple t =
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[15], 700});
   const auto sws = tb.routing.switches_on_path(t);
   fault::FaultPlan plan;
   fault::LinkFlapSpec flap;  // default holddown_ns = 0 => PR 3 behaviour
@@ -1173,7 +1137,7 @@ TEST(ReconvergenceTest, ReroutedFlowFinishesFasterThanFrozen) {
     Testbed tb(opts);
     const net::NodeId src = tb.ft.hosts[0];
     const net::NodeId dst = tb.ft.hosts[15];
-    const net::FiveTuple t = flow_tuple(src, dst, 700);
+    const net::FiveTuple t = device::tuple_of({src, dst, 700});
     const auto sws = tb.routing.switches_on_path(t);
     EXPECT_EQ(sws.size(), 5u);  // edge-agg-core-agg-edge
     net::NodeId alt_core = -1;
@@ -1234,7 +1198,7 @@ TEST(FaultAttributionTest, FlapHitVictimPathMatchesAdjacency) {
   Testbed tb(opts);
   const net::NodeId src = tb.ft.hosts[0];
   const net::NodeId dst = tb.ft.hosts[15];
-  const net::FiveTuple t = flow_tuple(src, dst, 700);
+  const net::FiveTuple t = device::tuple_of({src, dst, 700});
   const auto path = tb.routing.path_of(t);
   const auto sws = tb.routing.switches_on_path(t);
   ASSERT_EQ(sws.size(), 5u);
@@ -1309,9 +1273,9 @@ TEST(DropAccountingTest, NonHawkeyeSwitchDropsPollingAsPolling) {
   opts.install_hawkeye = false;
   Testbed tb(opts);
   const net::NodeId sw = tb.ft.topo.switches()[0];
-  net::Packet poll =
-      net::make_polling(flow_tuple(tb.ft.hosts[0], tb.ft.hosts[1], 5), 1,
-                        net::PollingFlag::kVictimPath);
+  net::Packet poll = net::make_polling(
+      device::tuple_of({tb.ft.hosts[0], tb.ft.hosts[1], 5}), 1,
+      net::PollingFlag::kVictimPath);
   tb.switch_at(sw).receive(std::move(poll), 0);
   EXPECT_EQ(tb.net.polling_drops(), 1u);
   EXPECT_EQ(tb.net.data_drops(), 0u);

@@ -34,16 +34,6 @@ namespace {
 using diagnosis::AnomalyType;
 using eval::Testbed;
 
-net::FiveTuple flow_tuple(net::NodeId src, net::NodeId dst,
-                          std::uint16_t sp) {
-  net::FiveTuple t;
-  t.src_ip = net::Topology::ip_of(src);
-  t.dst_ip = net::Topology::ip_of(dst);
-  t.src_port = sp;
-  t.dst_port = 4791;
-  return t;
-}
-
 // ---------------------------------------------------------------------------
 // Plan layer
 
@@ -206,7 +196,7 @@ struct SignatureRig {
   net::NodeId mid_a, mid_b;      // that link's endpoints
 
   SignatureRig() {
-    victim = flow_tuple(tb.ft.hosts[12], tb.ft.hosts[1], 900);
+    victim = device::tuple_of({tb.ft.hosts[12], tb.ft.hosts[1], 900});
     const auto path = tb.routing.path_of(victim);
     // Skip the source-host NIC hop; pick a middle switch hop so the link
     // is unambiguously "on the victim path".
@@ -219,7 +209,8 @@ struct SignatureRig {
     diagnosis::DiagnosisResult dx;
     dx.type = AnomalyType::kNormalContention;
     dx.initial_port = mid_hop;
-    dx.root_cause_flows = {flow_tuple(tb.ft.hosts[4], tb.ft.hosts[1], 2000)};
+    dx.root_cause_flows = {
+        device::tuple_of({tb.ft.hosts[4], tb.ft.hosts[1], 2000})};
     dx.confidence = 1.0;
     return dx;
   }
@@ -271,9 +262,9 @@ TEST(FleetSignatureTest, BelievableIncastSurvivesOffPathCrcNoise) {
   elsewhere.port = 0;
   dx.initial_port = elsewhere;
   for (int i = 0; i < 4; ++i) {
-    dx.root_cause_flows.push_back(flow_tuple(
+    dx.root_cause_flows.push_back(device::tuple_of({
         rig.tb.ft.hosts[static_cast<size_t>(4 + i)], rig.tb.ft.hosts[1],
-        static_cast<std::uint16_t>(2000 + i)));
+        static_cast<std::uint16_t>(2000 + i)}));
   }
   fault::FleetEvidence ev;
   fault::LinkCounterEvidence link;
@@ -425,7 +416,8 @@ TEST(CalibrationTest, ScaleKnobsDefaultOff) {
 
 TEST(CalibrationTest, ZeroHeadroomThresholdIsFactorTimesBaseline) {
   Testbed tb;
-  const net::FiveTuple v = flow_tuple(tb.ft.hosts[12], tb.ft.hosts[1], 900);
+  const net::FiveTuple v =
+      device::tuple_of({tb.ft.hosts[12], tb.ft.hosts[1], 900});
   const sim::Time base = tb.agent->baseline_rtt(v);
   ASSERT_GT(base, 0);
   EXPECT_EQ(tb.agent->trigger_threshold(v),
@@ -438,9 +430,9 @@ TEST(CalibrationTest, HeadroomAddsPerHopOfTheVictimPath) {
   Testbed with(opts);
   Testbed without;
   const net::FiveTuple cross_pod =
-      flow_tuple(with.ft.hosts[12], with.ft.hosts[1], 900);
+      device::tuple_of({with.ft.hosts[12], with.ft.hosts[1], 900});
   const net::FiveTuple same_edge =
-      flow_tuple(with.ft.hosts[0], with.ft.hosts[1], 901);
+      device::tuple_of({with.ft.hosts[0], with.ft.hosts[1], 901});
   const sim::Time d_cross = with.agent->trigger_threshold(cross_pod) -
                             without.agent->trigger_threshold(cross_pod);
   const sim::Time d_local = with.agent->trigger_threshold(same_edge) -

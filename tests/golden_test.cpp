@@ -50,15 +50,8 @@ namespace hawkeye::eval {
 namespace {
 
 using diagnosis::AnomalyType;
+using diagnosis::kTable2Anomalies;
 
-constexpr AnomalyType kScenarios[] = {
-    AnomalyType::kMicroBurstIncast,
-    AnomalyType::kPfcStorm,
-    AnomalyType::kInLoopDeadlock,
-    AnomalyType::kOutOfLoopDeadlockContention,
-    AnomalyType::kOutOfLoopDeadlockInjection,
-    AnomalyType::kNormalContention,
-};
 constexpr std::uint64_t kSeeds[] = {1, 3, 7};
 constexpr int kFabrics[] = {4, 8};
 
@@ -133,14 +126,16 @@ std::string cell_name(
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, GoldenTrace,
-                         ::testing::Combine(::testing::Values(4),
-                                            ::testing::ValuesIn(kScenarios),
-                                            ::testing::ValuesIn(kSeeds)),
+                         ::testing::Combine(
+                             ::testing::Values(4),
+                             ::testing::ValuesIn(kTable2Anomalies),
+                             ::testing::ValuesIn(kSeeds)),
                          cell_name);
 INSTANTIATE_TEST_SUITE_P(CellsK8, GoldenTrace,
-                         ::testing::Combine(::testing::Values(8),
-                                            ::testing::ValuesIn(kScenarios),
-                                            ::testing::ValuesIn(kSeeds)),
+                         ::testing::Combine(
+                             ::testing::Values(8),
+                             ::testing::ValuesIn(kTable2Anomalies),
+                             ::testing::ValuesIn(kSeeds)),
                          cell_name);
 
 // ---- Parity tier ----
@@ -187,7 +182,7 @@ std::vector<ParityCell> parity_cells() {
        fault::FaultPlan::victim_path_flaps(sim::us(500), sim::us(50), 1)},
   };
   for (const auto& [label, plan] : plans) {
-    for (const AnomalyType t : kScenarios) {
+    for (const AnomalyType t : kTable2Anomalies) {
       RunConfig cfg;
       cfg.scenario = t;
       cfg.faults = plan;
@@ -211,7 +206,7 @@ std::vector<ParityCell> parity_cells() {
       }
     }
   }
-  for (const AnomalyType t : kScenarios) {
+  for (const AnomalyType t : kTable2Anomalies) {
     RunConfig cfg;
     cfg.scenario = t;
     cfg.fat_tree_k = 8;
@@ -223,7 +218,7 @@ std::vector<ParityCell> parity_cells() {
       {"one-bit-meter", telemetry::TelemetryMode::kFull, true},
   };
   for (const auto& [label, mode, one_bit] : ablations) {
-    for (const AnomalyType t : kScenarios) {
+    for (const AnomalyType t : kTable2Anomalies) {
       RunConfig cfg;
       cfg.scenario = t;
       cfg.tele_mode = mode;
@@ -283,7 +278,7 @@ TEST(GoldenTraceUpdate, RegenerateFixturesWhenRequested) {
           << ") — regenerate with "
              "HAWKEYE_UPDATE_GOLDEN=1 ./hawkeye_golden_test\n";
     }
-    for (const AnomalyType scenario : kScenarios) {
+    for (const AnomalyType scenario : kTable2Anomalies) {
       for (const std::uint64_t seed : kSeeds) {
         out << canonical_line(scenario, seed, run_cell(k, scenario, seed))
             << "\n";

@@ -35,15 +35,8 @@ namespace hawkeye::eval {
 namespace {
 
 using diagnosis::AnomalyType;
+using diagnosis::kTable2Anomalies;
 
-constexpr AnomalyType kScenarios[] = {
-    AnomalyType::kMicroBurstIncast,
-    AnomalyType::kPfcStorm,
-    AnomalyType::kInLoopDeadlock,
-    AnomalyType::kOutOfLoopDeadlockContention,
-    AnomalyType::kOutOfLoopDeadlockInjection,
-    AnomalyType::kNormalContention,
-};
 constexpr std::uint64_t kSeeds[] = {1, 3, 7};
 constexpr int kShardCounts[] = {2, 4, 8};
 
@@ -114,7 +107,7 @@ TEST_P(ShardIdentity, NShardBitwiseEqualsOneShard) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, ShardIdentity,
-    ::testing::Combine(::testing::ValuesIn(kScenarios),
+    ::testing::Combine(::testing::ValuesIn(kTable2Anomalies),
                        ::testing::ValuesIn(kSeeds),
                        ::testing::Values(Family::kFaultFree,
                                          Family::kCollectionFaults,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fault/fault.hpp"
 #include "workload/flow_size.hpp"
 #include "workload/scenario.hpp"
 
@@ -11,12 +12,11 @@ namespace {
 using diagnosis::AnomalyType;
 
 TEST(FlowSizeTest, RoceLongtailMatchesPaperQuantiles) {
-  const auto dist = FlowSizeDistribution::roce_longtail();
   sim::Rng rng(1);
   int below_10mb = 0, below_100mb = 0, above_100mb = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    const auto s = dist.sample(rng);
+    const auto s = sample_flow_size(rng);
     ASSERT_GE(s, 1000);
     ASSERT_LE(s, 300'000'000);
     if (s < 10'000'000) ++below_10mb;
@@ -27,18 +27,6 @@ TEST(FlowSizeTest, RoceLongtailMatchesPaperQuantiles) {
   EXPECT_NEAR(below_10mb / static_cast<double>(n), 0.80, 0.02);
   EXPECT_NEAR(below_100mb / static_cast<double>(n), 0.90, 0.02);
   EXPECT_NEAR(above_100mb / static_cast<double>(n), 0.10, 0.02);
-}
-
-TEST(FlowSizeTest, MiceOnlyStaysSmall) {
-  const auto dist = FlowSizeDistribution::mice_only();
-  sim::Rng rng(2);
-  for (int i = 0; i < 1000; ++i) EXPECT_LE(dist.sample(rng), 1'000'000);
-}
-
-TEST(FlowSizeTest, MalformedBandsRejected) {
-  EXPECT_THROW(FlowSizeDistribution({{0.5, 10, 5}}), std::invalid_argument);
-  EXPECT_THROW(FlowSizeDistribution({{0.5, 1, 10}}), std::invalid_argument);
-  EXPECT_THROW(FlowSizeDistribution({}), std::invalid_argument);
 }
 
 TEST(BackgroundTest, LoadScalesArrivalCount) {
@@ -63,18 +51,12 @@ TEST(BackgroundTest, ZeroLoadMeansNoFlows) {
 
 
 // ---- Scenario crafting invariants, swept over seeds x anomaly types ----
+//
+// Each (type, seed) case crafts at k = 4 and k = 8, and the fleet classes
+// once per FleetWorkload.
 
-class ScenarioInvariants
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
-
-TEST_P(ScenarioInvariants, WellFormed) {
-  const auto type = static_cast<AnomalyType>(std::get<0>(GetParam()));
-  const std::uint64_t seed = std::get<1>(GetParam());
-  const net::FatTree ft = net::build_fat_tree(4);
-  const net::Routing routing(ft.topo);
-  sim::Rng rng(seed);
-  const ScenarioSpec spec = make_scenario(type, ft, routing, rng);
-
+void check_well_formed(AnomalyType type, const net::FatTree& ft,
+                       const ScenarioSpec& spec) {
   EXPECT_EQ(spec.truth.type, type);
   EXPECT_FALSE(spec.flows.empty());
   EXPECT_GT(spec.duration, spec.anomaly_start);
@@ -132,16 +114,63 @@ TEST_P(ScenarioInvariants, WellFormed) {
     EXPECT_TRUE(spec.injections.empty());
   }
 
-  // Contention-rooted scenarios declare their congestion port(s).
-  if (type != AnomalyType::kPfcStorm &&
-      type != AnomalyType::kOutOfLoopDeadlockInjection) {
-    EXPECT_FALSE(spec.truth.congestion_ports.empty());
+  // Every anomalous trace names its culprit site: a congestion port or an
+  // injecting host. The benign trace names neither and blames no flow.
+  if (type == AnomalyType::kNone) {
+    EXPECT_TRUE(spec.truth.congestion_ports.empty());
+    EXPECT_EQ(spec.truth.injecting_host, net::kInvalidNode);
+    EXPECT_TRUE(spec.truth.root_cause_flows.empty());
+  } else {
+    EXPECT_TRUE(!spec.truth.congestion_ports.empty() ||
+                spec.truth.injecting_host != net::kInvalidNode);
+  }
+
+  // Fleet classes carry their own installable fault plan, with every link
+  // spec bound to a concrete link; no other trace carries a plan.
+  if (diagnosis::is_fleet_fault(type)) {
+    ASSERT_TRUE(spec.faults.has_value());
+    EXPECT_EQ(spec.faults->validate(), "");
+    EXPECT_TRUE(spec.faults->fleet_enabled());
+    fault::FaultPlan::families(
+        *spec.faults, [](auto, auto, const auto& specs) {
+          if constexpr (fault::LinkSpec<decltype(specs.front())>) {
+            for (const auto& s : specs) {
+              EXPECT_NE(s.node_a, net::kInvalidNode);
+              EXPECT_NE(s.node_b, net::kInvalidNode);
+            }
+          }
+        });
+  } else {
+    EXPECT_FALSE(spec.faults.has_value());
   }
 }
 
+class ScenarioInvariants
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+TEST_P(ScenarioInvariants, WellFormed) {
+  const auto type = static_cast<AnomalyType>(std::get<0>(GetParam()));
+  const std::uint64_t seed = std::get<1>(GetParam());
+  const bool fleet = diagnosis::is_fleet_fault(type);
+  for (const int k : {4, 8}) {
+    const net::FatTree ft = net::build_fat_tree(k);
+    const net::Routing routing(ft.topo);
+    for (const FleetWorkload w :
+         {FleetWorkload::kCrafted, FleetWorkload::kRpcClientServer,
+          FleetWorkload::kAllToAll}) {
+      if (!fleet && w != FleetWorkload::kCrafted) continue;
+      SCOPED_TRACE("k=" + std::to_string(k) + " workload=" +
+                   std::string(to_string(w)));
+      sim::Rng rng(seed);
+      check_well_formed(type, ft, make_scenario(type, ft, routing, rng, w));
+    }
+  }
+}
+
+// Every AnomalyType, kNone (0) through the fleet classes.
 INSTANTIATE_TEST_SUITE_P(
     TypesAndSeeds, ScenarioInvariants,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6),
+    ::testing::Combine(::testing::Range(0, 11),
                        ::testing::Values(1ull, 7ull, 23ull, 99ull)));
 
 }  // namespace

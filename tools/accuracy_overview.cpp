@@ -7,17 +7,12 @@
 #include "parse_int.hpp"
 using namespace hawkeye;
 int main(int argc, char** argv) {
-  using diagnosis::AnomalyType;
   int seeds = 3;
   if (argc > 2 || (argc == 2 && !parse_int(argv[1], 1, INT_MAX, seeds))) {
     std::fprintf(stderr, "usage: accuracy_overview [seeds-per-type >= 1]\n");
     return 2;
   }
-  const AnomalyType types[] = {
-    AnomalyType::kMicroBurstIncast, AnomalyType::kPfcStorm,
-    AnomalyType::kInLoopDeadlock, AnomalyType::kOutOfLoopDeadlockContention,
-    AnomalyType::kOutOfLoopDeadlockInjection, AnomalyType::kNormalContention};
-  for (auto t : types) {
+  for (auto t : diagnosis::kTable2Anomalies) {
     for (std::uint64_t seed = 1; seed <= (std::uint64_t)seeds; ++seed) {
       eval::RunConfig cfg;
       cfg.scenario = t;

@@ -80,15 +80,6 @@ int main(int argc, char** argv) {
                  "usage: calibrate_confidence [seeds-per-point >= 1]\n");
     return 2;
   }
-  const diagnosis::AnomalyType types[] = {
-      diagnosis::AnomalyType::kMicroBurstIncast,
-      diagnosis::AnomalyType::kPfcStorm,
-      diagnosis::AnomalyType::kInLoopDeadlock,
-      diagnosis::AnomalyType::kOutOfLoopDeadlockContention,
-      diagnosis::AnomalyType::kOutOfLoopDeadlockInjection,
-      diagnosis::AnomalyType::kNormalContention,
-  };
-
   std::vector<fault::FaultPlan> plans;
   for (const double rate : {0.05, 0.10, 0.20, 0.30, 0.40}) {
     plans.push_back(fault::FaultPlan::uniform_poll_loss(rate, 1));
@@ -102,7 +93,7 @@ int main(int argc, char** argv) {
 
   std::vector<Sample> samples;
   for (const fault::FaultPlan& plan : plans) {
-    for (const auto type : types) {
+    for (const auto type : diagnosis::kTable2Anomalies) {
       eval::RunConfig cfg;
       cfg.scenario = type;
       cfg.faults = plan;
